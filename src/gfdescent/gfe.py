@@ -25,7 +25,7 @@ from .exact import (
     normalize_projective,
 )
 from .groups import Signature
-from .sarith import SRing
+from .sarith import SRing, valuation
 
 _SIEVE_PRIME_CAP = 100_000
 _NUMPY_CHUNK_ROWS = 512
@@ -117,15 +117,7 @@ def _z_values(F: GFE, x: int, y: int, bound: int) -> list[int]:
     w = F.A * x ** F.sig.a + F.B * y ** F.sig.b
     if w % F.C != 0:
         return []
-    zc = -(w // F.C)
-    c = F.sig.c
-    if zc == 0:
-        return [0]
-    r = is_perfect_nth_power(zc, c)
-    if r is None:
-        return []
-    zs = [r, -r] if c % 2 == 0 and r != 0 else [r]
-    return [z for z in zs if abs(z) <= bound]
+    return [z for z in _signed_roots(-(w // F.C), F.sig.c) if abs(z) <= bound]
 
 
 def _powmod_vec(base, e: int, p: int):
@@ -276,41 +268,19 @@ def _signed_roots(value: int, n: int) -> list[int]:
     return [r]
 
 
-def _scale_bound(F: GFE) -> int:
-    """Solutions map to scalar multiples (scale mu) of the canonical point;
-    |mu| always divides prod_p p^max(v_p(A), v_p(B), v_p(C)).  Primitivity
-    forces the support of mu into the primes of A*B*C, and at each such prime
-    the valuation is capped by the largest coefficient valuation."""
-    out = 1
-    for p, _ in factorize(F.A * F.B * F.C).factors:
-        e = max(
-            _valuation_nonneg(F.A, p),
-            _valuation_nonneg(F.B, p),
-            _valuation_nonneg(F.C, p),
-        )
-        out *= p**e
-    return out
+def _scale_bound(F: GFE) -> list[tuple[int, int]]:
+    """Factorization (p, e) of the bound that every scale |mu| divides.
 
-
-def _valuation_nonneg(n: int, p: int) -> int:
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def _divisors(n: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-        d += 1
-    return sorted(divs)
+    Solutions map to scalar multiples (scale mu) of the canonical point, and
+    |mu| divides prod_p p^max(v_p(A), v_p(B), v_p(C)).  Primitivity forces
+    the support of mu into the primes of A*B*C, and at each such prime the
+    valuation is capped by the largest coefficient valuation.  The scales
+    to try are the divisors of the bound, built from these pairs.
+    """
+    return [
+        (p, max(valuation(coef, p) for coef in (F.A, F.B, F.C)))
+        for p in factorize(F.A * F.B * F.C).primes()
+    ]
 
 
 def recover_solutions(
@@ -338,7 +308,10 @@ def recover_solutions(
     seen = set()
     base = (Fraction(F.A), Fraction(F.B), Fraction(F.C))
 
-    for d in _divisors(_scale_bound(F)):
+    scales = [1]
+    for p, e in _scale_bound(F):
+        scales = [m * p**i for m in scales for i in range(e + 1)]
+    for d in sorted(scales):
         for eps in (1, -1):
             mu = eps * d
             targets = (-mu * s, mu * (s - t), mu * t)
@@ -351,7 +324,10 @@ def recover_solutions(
             for x, y, z in iter_product(*root_lists):
                 if math.gcd(x, math.gcd(y, z)) != 1:
                     continue
-                assert F.evaluate(x, y, z) == 0
+                if F.evaluate(x, y, z) != 0:
+                    raise AssertionError(
+                        f"({x}, {y}, {z}) recovered from {Q} does not solve {F}"
+                    )
                 key = (x, y, z, base)
                 if key not in seen:
                     seen.add(key)

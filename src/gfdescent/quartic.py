@@ -5,6 +5,8 @@ v^2 w = u^3 - d u w^2 with the map (u:v:w) -> (u^2 : u^2 - d w^2), one curve
 per fourth-power class d of the units of Z[1/2].  Images of their rational
 points cover every candidate point; intersecting with the rooted-line test
 over Z and recovering solutions reproduces the classical eight triples.
+The torsion of each twist is read off d by the classical closed form, so it
+costs one perfect-power test whatever the size of d.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ from .sarith import SRing, UnitClassGroup, s_unit_reps
 
 SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
-
-# Any rational torsion point has order at most 12 (Mazur), so a candidate is
-# torsion iff some multiple up to 12 is the identity.
-_MAX_TORSION_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -130,66 +128,25 @@ def belyi_eval(E: TwistedCurve, P: CurvePoint) -> ProjPointQ:
     return normalize_projective(p * p, p * p - E.d * q * q)
 
 
-def _torsion_candidates(E: TwistedCurve) -> list[CurvePoint]:
-    """Integral points passing the classical torsion screen.
-
-    Torsion points have integer coordinates with v = 0 or v^2 dividing the
-    discriminant-like quantity 4|d|^3; for v != 0 the u-coordinate divides
-    v^2 because u(u^2 - d) = v^2.
-    """
-    d = E.d
-    out = []
-    # v = 0: rational 2-torsion, roots of u^3 - d u.
-    out.append(affine(0, 0))
-    r = is_perfect_nth_power(d, 2) if d > 0 else None
-    if r:
-        out.append(affine(r, 0))
-        out.append(affine(-r, 0))
-    disc = 4 * abs(d) ** 3
-    v = 1
-    while v * v <= disc:
-        if disc % (v * v) == 0:
-            vv = v * v
-            for u in _divisors_signed(vv):
-                if u**3 - d * u == vv:
-                    out.append(affine(u, v))
-                    out.append(affine(u, -v))
-        v += 1
-    return out
-
-
-def _divisors_signed(n: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            divs.extend((d, -d))
-            if d != n // d:
-                divs.extend((n // d, -(n // d)))
-        d += 1
-    return divs
-
-
-def _is_torsion(E: TwistedCurve, P: CurvePoint) -> bool:
-    acc = P
-    for _ in range(_MAX_TORSION_ORDER):
-        if acc.is_infinity:
-            return True
-        acc = E.add(acc, P)
-    return False
-
-
 def torsion_points(E: TwistedCurve) -> list[CurvePoint]:
     """The full rational torsion subgroup, including the identity.
 
-    Candidates come from the integral-coordinates screen; each is kept only
-    if some small multiple is the identity.  The result is closed under the
-    group law by construction (it is the whole torsion subgroup).
+    Closed form for v^2 = u^3 - d u (Silverman-Tate, Rational Points on
+    Elliptic Curves, 4.4): with d reduced modulo fourth powers, the group is
+    Z/4 iff d = -4, Z/2 x Z/2 iff d is a square, and Z/2 otherwise.  Scaling
+    (u, v) by (k^2, k^3) undoes the reduction, so the points are (0, 0)
+    always, (+-r, 0) when d = r^2, and (2k^2, +-4k^3) when d = -4k^4.
     """
-    pts = {POINT_AT_INFINITY}
-    for P in _torsion_candidates(E):
-        if P not in pts and _is_torsion(E, P):
-            pts.add(P)
+    d = E.d
+    pts = [POINT_AT_INFINITY, affine(0, 0)]
+    if d > 0:
+        r = is_perfect_nth_power(d, 2)
+        if r is not None:
+            pts += [affine(r, 0), affine(-r, 0)]
+    elif d < 0 and d % 4 == 0:
+        k = is_perfect_nth_power(-d // 4, 4)
+        if k is not None:
+            pts += [affine(2 * k**2, 4 * k**3), affine(2 * k**2, -4 * k**3)]
     return sorted(pts, key=_point_sort_key)
 
 

@@ -1,12 +1,14 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the Smith-form oracle
-uses gcds of k x k minors, and the enumeration oracles never extract roots.
+uses gcds of k x k minors, the enumeration oracles never extract roots, and
+the torsion oracle has its own group law.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 
 def random_gfes(seed, count, max_coeff=3, max_exp=5):
@@ -113,3 +115,49 @@ def integral_points_on_twist(d, box):
                 if vv:
                     pts.append((u, -vv))
     return sorted(set(pts))
+
+
+def nagell_lutz_torsion(d):
+    """Affine torsion points (u, v) of v^2 = u^3 - d*u, by the Nagell-Lutz
+    screen and an independent chord-tangent law on Fractions.
+
+    Torsion points are integral with v = 0 or v^2 dividing 4|d|^3.  That
+    bounds |u| by 2|d|: beyond it |u^3 - d u| >= |u|^3 / 2 > 4|d|^3.  A
+    candidate is kept iff some multiple up to 12 (Mazur) is the identity.
+    """
+    box = 2 * abs(d)
+    disc = 4 * abs(d) ** 3
+    out = set()
+    for u in range(-box, box + 1):
+        w = u**3 - d * u
+        if w < 0:
+            continue
+        v = isqrt(w)
+        if v * v != w or (v and disc % w):
+            continue
+        for P in {(u, v), (u, -v)}:
+            if _has_order_at_most(P, d, 12):
+                out.add(P)
+    return out
+
+
+def _has_order_at_most(P, d, n):
+    acc = P
+    for _ in range(n):
+        if acc is None:
+            return True
+        acc = _chord_tangent(acc, P, d)
+    return False
+
+
+def _chord_tangent(P, Q, d):
+    """P + Q on v^2 = u^3 - d*u; None is the point at infinity."""
+    (u1, v1), (u2, v2) = P, Q
+    if u1 == u2 and v1 == -v2:
+        return None
+    if u1 == u2:
+        lam = Fraction(3 * u1 * u1 - d, 2 * v1)
+    else:
+        lam = Fraction(v2 - v1) / (u2 - u1)
+    u3 = lam * lam - u1 - u2
+    return (u3, lam * (u1 - u3) - v1)

@@ -109,6 +109,8 @@ def test_twist_torsion_sieve(capsys):
     assert run_json(capsys, "twist", "--d", "-4")["equation"] == "v^2*w = u^3 + 4*u*w^2"
     payload = run_json(capsys, "torsion", "--d", "-4")
     assert payload["order"] == "4"
+    payload = run_json(capsys, "torsion", "--d", "1000003")  # a prime
+    assert payload == {"d": "1000003", "order": "2", "points": ["O", "(0, 0)"]}
     payload = run_json(capsys, "sieve442", "--bound", "60")
     assert len(payload["solutions"]) == 8
     assert payload["admissible_twists"] == ["-4", "-1"]

@@ -15,6 +15,10 @@ from gfdescent.exact import (
     lcm_triple,
     normalize_projective,
 )
+from gfdescent.sarith import SRing
+
+# Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
+PSI_12 = 318665857834031151167461
 
 
 @pytest.mark.parametrize(
@@ -70,6 +74,16 @@ def test_factorize_work_limit():
         factorize(n, rho_iteration_cap=1)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_splits_perfect_powers():
+    # Rho alone hit this cap on the square of a 61-bit prime.
+    p = 2**61 - 1
+    assert factorize(p**2, rho_iteration_cap=200_000) == Factorization(1, ((p, 2),))
+    q = 2**31 - 1
+    assert factorize(-(q**6) * p**3 * 12) == Factorization(
+        -1, ((2, 2), (3, 1), (q, 6), (p, 3))
+    )
 
 
 @pytest.mark.parametrize(
@@ -182,3 +196,11 @@ def test_is_probable_prime_small():
                 sieve[j] = False
     for n in range(2000):
         assert is_probable_prime(n) == sieve[n]
+
+
+def test_is_probable_prime_rejects_psi12():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_probable_prime(PSI_12)
+    assert factorize(PSI_12).primes() == (399165290221, 798330580441)
+    with pytest.raises(ValueError):
+        SRing((PSI_12,))

@@ -188,6 +188,16 @@ def test_recover_round_trip():
                 assert j_map(F, PrimitiveSolution(*r.as_tuple())) == image
 
 
+def test_recover_large_coefficients():
+    # (2,3,5) with A = 2^16 3^8, B = 5^8, C = -(A + B): the scale bound has
+    # 23 digits, far past what trial division up to its square root reaches.
+    A, B = 2**16 * 3**8, 5**8
+    F = GFE(Signature(2, 3, 5), A, B, -(A + B))
+    image = j_map(F, PrimitiveSolution(1, 1, 1))
+    got = {r.as_tuple() for r in recover_solutions(image, F, bad_prime_set(F))}
+    assert got == {(1, 1, 1), (-1, 1, 1)}
+
+
 def test_verify_descent_inclusion_237():
     report = verify_descent_inclusion(F237, 20)
     assert report.passed and len(report.entries) > 0

@@ -17,7 +17,7 @@ from gfdescent.quartic import (
 )
 from gfdescent.sarith import SRing, UnitClassGroup, s_unit_reps
 
-from oracles import integral_points_on_twist
+from oracles import integral_points_on_twist, nagell_lutz_torsion
 
 FERMAT_442_TRIPLES = [
     (-1, 0, -1), (-1, 0, 1), (0, -1, -1), (0, -1, 1),
@@ -101,6 +101,15 @@ def test_torsion_against_integral_point_oracle():
         for P in tors:
             if not P.is_infinity:
                 assert (P.u, P.v) in box
+
+
+def test_torsion_against_nagell_lutz_oracle():
+    # Every d with |d| <= 400, plus fourth-power multiples of each case of
+    # the closed form: 16 = 2^4, -64 = -4 * 2^4, -324 = -4 * 3^4, 1296 = 6^4.
+    for d in [*range(-400, 0), *range(1, 401), 16, -16, -64, -324, 1296]:
+        tors = torsion_points(twist_curve(d))
+        got = {(P.u, P.v) for P in tors if not P.is_infinity}
+        assert got == nagell_lutz_torsion(d), d
 
 
 def test_nagell_lutz_candidates_can_be_nontorsion():
