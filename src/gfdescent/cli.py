@@ -6,7 +6,7 @@ cap exceeded, 3 sieve/enumerator mismatch.  Errors go to stderr as one JSON
 object with a machine-readable code.
 
 The environment variable GFDESCENT_FACTOR_WORK overrides the factorization
-iteration cap.
+iteration cap for one call of main, which restores the previous cap.
 """
 
 from __future__ import annotations
@@ -365,6 +365,8 @@ def _emit_error(code: str, message: str):
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
+    saved_cap = exact.DEFAULT_RHO_ITERATION_CAP
     cap = os.environ.get("GFDESCENT_FACTOR_WORK")
     if cap is not None:
         try:
@@ -373,7 +375,6 @@ def main(argv=None) -> int:
             _emit_error("invalid-input", f"bad GFDESCENT_FACTOR_WORK value {cap!r}")
             return EXIT_INVALID
 
-    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         payload = args.fn(args)
@@ -389,6 +390,10 @@ def main(argv=None) -> int:
     except (ValueError, GFDescentError) as e:
         _emit_error("invalid-input", str(e))
         return EXIT_INVALID
+    finally:
+        # The override lasts for this call only: later factorize calls in
+        # the same process see the previous cap again.
+        exact.DEFAULT_RHO_ITERATION_CAP = saved_cap
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))

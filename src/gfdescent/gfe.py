@@ -1,19 +1,17 @@
 """Generalized Fermat equations A x^a + B y^b + C z^c = 0.
 
-Primitive-solution enumeration (with a modular pre-sieve that only ever
-discards residue classes with no solution, so correctness never depends on
-it), the map to the projective line, and the two directions of the
-solution <-> rooted-line-point correspondence.
+Primitive-solution enumeration (an exact join of value tables of the
+three terms, on plain ints), the map to the projective line, and the two
+directions of the solution <-> rooted-line-point correspondence.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-
-import numpy as np
 
 from .belyi import StackPointCertificate, is_stack_point
 from .errors import DegeneratePoint, NotAStackPoint
@@ -21,14 +19,10 @@ from .exact import (
     ProjPointQ,
     factorize,
     is_perfect_nth_power,
-    is_probable_prime,
     normalize_projective,
 )
 from .groups import Signature
 from .sarith import SRing, valuation
-
-_SIEVE_PRIME_CAP = 100_000
-_NUMPY_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -84,115 +78,13 @@ def bad_prime_set(F: GFE) -> SRing:
     return SRing(factorize(a * b * c * F.A * F.B * F.C).primes())
 
 
-def select_sieve_primes(F: GFE, count: int = 4) -> list[int]:
-    """Auxiliary sieve primes: the smallest p = 1 (mod lcm(a,b,c)) coprime to
-    the equation data.  The congruence keeps the power-residue sets small, so
-    each prime rejects as many residue classes as possible."""
-    a, b, c = F.sig
-    L = math.lcm(a, b, c)
-    bad = abs(a * b * c * F.A * F.B * F.C)
-    primes = []
-    p = 1
-    while len(primes) < count and p <= _SIEVE_PRIME_CAP:
-        p += L
-        if p < 3 or bad % p == 0:
-            continue
-        if is_probable_prime(p):
-            primes.append(p)
-    return primes
-
-
-def _residue_lut(F: GFE, p: int) -> bytearray:
-    """lut[r] = 1 iff A x^a + B y^b = r (mod p) is solvable in z, i.e. iff
-    r is congruent to -C z^c for some z mod p."""
-    c = F.sig.c
-    lut = bytearray(p)
-    for z in range(p):
-        lut[(-F.C * pow(z, c, p)) % p] = 1
-    return lut
-
-
-def _z_values(F: GFE, x: int, y: int, bound: int) -> list[int]:
-    """All z with A x^a + B y^b + C z^c = 0 and |z| <= bound, exactly."""
-    w = F.A * x ** F.sig.a + F.B * y ** F.sig.b
-    if w % F.C != 0:
-        return []
-    return [z for z in _signed_roots(-(w // F.C), F.sig.c) if abs(z) <= bound]
-
-
-def _powmod_vec(base, e: int, p: int):
-    """Vectorized pow(base, e, p) on int64 arrays; intermediates stay < p^2."""
-    result = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
-
-
-def _enumerate_numpy(F: GFE, bound: int, luts) -> list[tuple[int, int, int]]:
-    a, b, c = F.sig
-    xs = np.arange(-bound, bound + 1, dtype=np.int64)
-    ax = F.A * xs**a
-    by = F.B * xs**b
-    window = abs(F.C) * bound**c
-    window_fits = window < 2**62
-
-    residues = []
-    for p, lut in luts:
-        rx = (F.A % p) * _powmod_vec(xs, a, p) % p
-        ry = (F.B % p) * _powmod_vec(xs, b, p) % p
-        lut_arr = np.frombuffer(bytes(lut), dtype=np.uint8).astype(bool)
-        residues.append((p, rx, ry, lut_arr))
-
-    found = []
-    for i0 in range(0, len(xs), _NUMPY_CHUNK_ROWS):
-        i1 = min(i0 + _NUMPY_CHUNK_ROWS, len(xs))
-        if window_fits:
-            w = ax[i0:i1, None] + by[None, :]
-            mask = np.abs(w) <= window
-        else:
-            mask = np.ones((i1 - i0, len(xs)), dtype=bool)
-        for p, rx, ry, lut_arr in residues:
-            r = (rx[i0:i1, None] + ry[None, :]) % p
-            mask &= lut_arr[r]
-        for ii, jj in np.argwhere(mask):
-            x = int(xs[i0 + ii])
-            y = int(xs[jj])
-            for z in _z_values(F, x, y, bound):
-                if math.gcd(x, math.gcd(y, z)) == 1:
-                    found.append((x, y, z))
-    return found
-
-
-def _enumerate_python(F: GFE, bound: int, luts) -> list[tuple[int, int, int]]:
-    a, b, c = F.sig
-    ys = range(-bound, bound + 1)
-    by = [F.B * y**b for y in ys]
-    window = abs(F.C) * bound**c
-    rys = [(p, [(F.B % p) * pow(y % p, b, p) % p for y in ys]) for p, _ in luts]
-
-    found = []
-    for x in range(-bound, bound + 1):
-        axa = F.A * x**a
-        rxs = [(F.A % p) * pow(x % p, a, p) % p for p, _ in luts]
-        for idx, y in enumerate(ys):
-            w = axa + by[idx]
-            if w > window or -w > window:
-                continue
-            ok = True
-            for (p, lut), rx, (_, ry) in zip(luts, rxs, rys):
-                if not lut[(rx + ry[idx]) % p]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for z in _z_values(F, x, y, bound):
-                if math.gcd(x, math.gcd(y, z)) == 1:
-                    found.append((x, y, z))
-    return found
+def _value_table(coef: int, n: int, bound: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Sorted distinct values of coef * v^n over |v| <= bound, and a dict
+    from each value to the v that give it, in increasing order."""
+    roots: dict[int, list[int]] = {}
+    for v in range(-bound, bound + 1):
+        roots.setdefault(coef * v**n, []).append(v)
+    return sorted(roots), roots
 
 
 def enumerate_primitive_solutions(
@@ -201,25 +93,40 @@ def enumerate_primitive_solutions(
     use_sieve: bool = True,
     max_sieve_primes: int = 4,
 ) -> list[PrimitiveSolution]:
-    """Exactly the primitive solutions with max(|x|,|y|,|z|) <= bound.
+    """Exactly the primitive solutions with max(|x|,|y|,|z|) <= bound, in
+    lexicographic order.
 
-    Iterates over (x, y), pre-filters residue classes modulo the auxiliary
-    primes, then extracts exact c-th roots; results in lexicographic order.
-    The fast vectorized path is only taken when every intermediate fits in
-    int64, otherwise a plain-int loop runs the same algorithm.
+    An exact join of value tables on plain ints.  For each distinct value
+    t = -A x^a, the solutions are the pairs of a value of B y^b and a value
+    of C z^c that sum to t.  Bisection cuts each sorted table down to the
+    window that the other table can reach, and the shorter window, mapped
+    through v -> t - v, is intersected with the other table's keys.  Cost:
+    three tables of 2*bound + 1 entries, then per value of A x^a two
+    bisections into each table and one set intersection over the shorter
+    window.  No root extraction, no modular sieve, no fixed-width integers.
+
+    use_sieve and max_sieve_primes are accepted and have no effect: the
+    join is exact, so there is nothing for a modular pre-sieve to discard.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    a, b, _ = F.sig
-    primes = select_sieve_primes(F, max_sieve_primes) if use_sieve else []
-    luts = [(p, _residue_lut(F, p)) for p in primes]
-
-    peak = abs(F.A) * bound**a + abs(F.B) * bound**b
-    if peak < 2**62:
-        found = _enumerate_numpy(F, bound, luts)
-    else:
-        found = _enumerate_python(F, bound, luts)
-    return [PrimitiveSolution(*s) for s in sorted(set(found))]
+    a, b, c = F.sig
+    _, xroots = _value_table(-F.A, a, bound)
+    ys, yroots = _value_table(F.B, b, bound)
+    zs, zroots = _value_table(F.C, c, bound)
+    found = []
+    for t, xs in xroots.items():
+        ylo, yhi = bisect_left(ys, t - zs[-1]), bisect_right(ys, t - zs[0])
+        zlo, zhi = bisect_left(zs, t - ys[-1]), bisect_right(zs, t - ys[0])
+        if yhi - ylo <= zhi - zlo:
+            yvals = [t - w for w in zroots.keys() & map(t.__sub__, ys[ylo:yhi])]
+        else:
+            yvals = yroots.keys() & map(t.__sub__, zs[zlo:zhi])
+        for v in yvals:
+            for x, y, z in iter_product(xs, yroots[v], zroots[t - v]):
+                if math.gcd(x, math.gcd(y, z)) == 1:
+                    found.append((x, y, z))
+    return [PrimitiveSolution(*s) for s in sorted(found)]
 
 
 def j_map(F: GFE, sol: PrimitiveSolution) -> ProjPointQ:

@@ -145,10 +145,6 @@ def test_invalid_inputs_exit_1(capsys):
 
 
 def test_work_limit_exit_2(capsys, monkeypatch):
-    # main() mutates the module default from the env var; register the
-    # current value with monkeypatch so it is restored afterwards.
-    monkeypatch.setattr(cli.exact, "DEFAULT_RHO_ITERATION_CAP",
-                        cli.exact.DEFAULT_RHO_ITERATION_CAP)
     monkeypatch.setenv("GFDESCENT_FACTOR_WORK", "1")
     big = str((2**89 - 1) * (2**107 - 1))
     code, out, err = run_cli(
@@ -157,6 +153,16 @@ def test_work_limit_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert json.loads(err)["error"] == "work-limit-exceeded"
+
+
+def test_factor_work_override_does_not_leak(capsys, monkeypatch):
+    before = cli.exact.DEFAULT_RHO_ITERATION_CAP
+    monkeypatch.setenv("GFDESCENT_FACTOR_WORK", "7")
+    assert run_json(capsys, "chi", "--signature", "2,3,7")["chi"] == "-1/42"
+    assert cli.exact.DEFAULT_RHO_ITERATION_CAP == before
+    code, _, _ = run_cli(capsys, "chi", "--signature", "1,3,7")
+    assert code == 1
+    assert cli.exact.DEFAULT_RHO_ITERATION_CAP == before
 
 
 def test_pipeline_mismatch_exit_3(capsys, monkeypatch):

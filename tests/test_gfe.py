@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,13 +12,10 @@ from gfdescent.exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, normalize_pro
 from gfdescent.gfe import (
     GFE,
     PrimitiveSolution,
-    _enumerate_python,
-    _residue_lut,
     bad_prime_set,
     enumerate_primitive_solutions,
     j_map,
     recover_solutions,
-    select_sieve_primes,
     verify_descent_inclusion,
 )
 from gfdescent.groups import Signature
@@ -43,23 +44,22 @@ def test_bad_prime_set_examples():
     assert bad_prime_set(GFE(Signature(2, 3, 7), 3, 5, 1)).primes == (2, 3, 5, 7)
 
 
-def test_sieve_primes():
-    ps = select_sieve_primes(F442)
-    assert ps == [5, 13, 17, 29]
-    for p in select_sieve_primes(F237):
-        assert p % 42 == 1
+def test_sieve_flags_have_no_effect():
+    # The join is exact; use_sieve and max_sieve_primes are accepted and
+    # change nothing, whatever their values.
+    for F in [F442, F237] + random_gfes(71, 4):
+        ref = enumerate_primitive_solutions(F, 12)
+        for kwargs in ({"use_sieve": False}, {"max_sieve_primes": 0}, {"max_sieve_primes": 9}):
+            assert enumerate_primitive_solutions(F, 12, **kwargs) == ref, (str(F), kwargs)
 
 
-def test_sieve_is_sound():
-    # The residue table never kills a residue class that an actual solution
-    # occupies, so sieving can only skip work, not answers.
-    for F in random_gfes(71, 10):
-        sols = brute_force_solutions(F, 8)
-        for p in select_sieve_primes(F):
-            lut = _residue_lut(F, p)
-            for x, y, _ in sols:
-                r = (F.A * pow(x, F.sig.a, p) + F.B * pow(y, F.sig.b, p)) % p
-                assert lut[r]
+def test_join_matches_brute_force_three_seeds():
+    # The triple-loop oracle shares no code with the join: no tables, no
+    # bisection, no set intersection.
+    for seed in (71, 97, 101):
+        for F in random_gfes(seed, 8):
+            got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 15)]
+            assert got == brute_force_solutions(F, 15), (seed, str(F))
 
 
 def test_enumerate_442():
@@ -101,19 +101,56 @@ def test_enumerate_sieve_off_and_python_path_agree():
         with_sieve = enumerate_primitive_solutions(F, 15)
         without = enumerate_primitive_solutions(F, 15, use_sieve=False)
         assert with_sieve == without
-        plain = sorted(set(_enumerate_python(F, 15, [])))
-        assert [s.as_tuple() for s in without] == plain
+        assert [s.as_tuple() for s in without] == brute_force_solutions_zdict(F, 15)
 
 
 def test_enumerate_python_path_at_scale():
-    # The plain-int path must agree with the vectorized one on a range where
-    # the pre-sieve actually prunes.
-    from gfdescent.gfe import _residue_lut as lut_fn
+    got = [s.as_tuple() for s in enumerate_primitive_solutions(F237, 40)]
+    assert got == brute_force_solutions_zdict(F237, 40)
 
-    luts = [(p, lut_fn(F237, p)) for p in select_sieve_primes(F237)]
-    plain = sorted(set(_enumerate_python(F237, 40, luts)))
-    fast = [s.as_tuple() for s in enumerate_primitive_solutions(F237, 40)]
-    assert fast == plain
+
+def test_enumerate_window_edges():
+    # (3,4,5) sits exactly on the bound: a window that is off by one at
+    # either end drops it at bound 5 or keeps it at bound 4.  The hypotenuse
+    # goes in each slot in turn, which moves the solution between the
+    # y-window and the z-window and between their ends.
+    legs = {(sx * 3, sy * 4, sz * 5) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)}
+    legs |= {(y, x, z) for x, y, z in legs}
+    for slot in range(3):
+        coeffs = [1, 1, 1]
+        coeffs[slot] = -1
+        F = GFE(Signature(2, 2, 2), *coeffs)
+        triples = {t[:slot] + (t[2],) + t[slot:2] for t in legs}
+        at5 = [s.as_tuple() for s in enumerate_primitive_solutions(F, 5)]
+        at4 = [s.as_tuple() for s in enumerate_primitive_solutions(F, 4)]
+        assert triples <= set(at5) and not triples & set(at4), str(F)
+        assert sorted(set(at5) - triples) == at4, str(F)
+        assert at5 == brute_force_solutions(F, 5) and at4 == brute_force_solutions(F, 4)
+
+
+def test_enumerate_coefficients_beyond_int64():
+    # No fixed-width arithmetic anywhere: coefficients past 2^63 are exact.
+    A = 10**30
+    for F, known in (
+        (GFE(Signature(2, 3, 7), A, -A, 1), (1, 1, 0)),
+        (GFE(Signature(3, 3, 2), A, A + 7, -(2 * A + 7)), (1, 1, -1)),
+        (GFE(Signature(5, 2, 3), 3, A, -(A + 3)), (1, -1, 1)),
+    ):
+        got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 12)]
+        assert got == brute_force_solutions_zdict(F, 12), str(F)
+        assert known in got, str(F)
+
+
+def test_import_leaves_numpy_out():
+    import gfdescent
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gfdescent.__file__).parents[1]))
+    probe = "import sys, gfdescent; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_jmap_examples():
