@@ -33,7 +33,7 @@ from .gfe import (
     recover_solutions,
     verify_descent_inclusion,
 )
-from .groups import Signature, h_structure, triangle_abelianization, weight_vector
+from .groups import Signature, h_structure, weight_vector
 from .quartic import run_sieve_442, torsion_points, twist_curve
 from .sarith import SRing, s_unit_reps
 from .smith import IntMatrix, smith_normal_form
@@ -141,7 +141,8 @@ def _cmd_group_structure(args) -> dict:
         "signature": str(sig),
         "torus_rank": str(hs.torus_rank),
         "torsion": [str(v) for v in hs.torsion],
-        "triangle_abelianization": [str(v) for v in triangle_abelianization(sig)],
+        # h_structure's torsion is the triangle abelianization.
+        "triangle_abelianization": [str(v) for v in hs.torsion],
     }
 
 

@@ -200,7 +200,12 @@ def recover_solutions(
 
     With the original coefficients: writes (-A x^a, C z^c) = mu * (s, t) and
     scans the finitely many possible scales mu; over S = {} this finds every
-    primitive integral solution mapping to Q.  With search_units, also
+    primitive integral solution mapping to Q.  The scales are the divisors
+    of the bound from _scale_bound, pruned prime by prime: |mu| * value / coef
+    must be an integral n-th power for each nonzero value in (s, s - t, t)
+    with its coefficient and exponent, so the exponent i of p in |mu| is kept
+    only if i + v_p(value) - v_p(coef) is a nonnegative multiple of n for
+    each of them; zero values impose nothing.  With search_units, also
     returns the canonical S-integral recovery built from the certificate
     roots, whose coefficients are unit multiples of the original ones.
     """
@@ -217,7 +222,17 @@ def recover_solutions(
 
     scales = [1]
     for p, e in _scale_bound(F):
-        scales = [m * p**i for m in scales for i in range(e + 1)]
+        shifts = [
+            (valuation(value, p) - valuation(coef, p), n)
+            for value, coef, n in zip(values, (F.A, F.B, F.C), (a, b, c))
+            if value
+        ]
+        powers = [
+            p**i
+            for i in range(e + 1)
+            if all(i + k >= 0 and (i + k) % n == 0 for k, n in shifts)
+        ]
+        scales = [m * q for m in scales for q in powers]
     for d in sorted(scales):
         for eps in (1, -1):
             mu = eps * d

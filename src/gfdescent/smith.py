@@ -3,7 +3,10 @@
 The implementation is the classical elementary-operation algorithm with a
 deterministic pivot rule (smallest nonzero absolute value, ties broken by
 lowest (row, col)), which keeps entry growth tame at desk scale and makes
-outputs reproducible run to run.
+outputs reproducible run to run.  One elimination, _snf, works on plain
+lists of rows; it applies the same operations whether or not transforms are
+tracked, and builds U and V only when the caller returns them:
+smith_normal_form tracks both, kernel_basis only V, invariant_factors none.
 """
 
 from __future__ import annotations
@@ -110,40 +113,99 @@ class SNFResult:
     V: IntMatrix
 
 
-def _pivot(D: IntMatrix, t: int):
-    """Smallest nonzero |entry| in the trailing submatrix, lowest (row, col)."""
-    best = None
-    for i in range(t, D.rows):
-        row = D.data[i]
-        for j in range(t, D.cols):
-            v = abs(row[j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-                if v == 1:
-                    return best
-    return best
+def _wrap(data: list[list[int]]) -> IntMatrix:
+    """IntMatrix around rows of ints that are known to be rectangular."""
+    M = IntMatrix.__new__(IntMatrix)
+    M.rows, M.cols, M.data = len(data), len(data[0]), data
+    return M
 
 
-def _swap_rows(M: IntMatrix, i: int, j: int):
-    M.data[i], M.data[j] = M.data[j], M.data[i]
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _swap_cols(M: IntMatrix, i: int, j: int):
-    for row in M.data:
-        row[i], row[j] = row[j], row[i]
+def _snf(D: list[list[int]], U=None, Vt=None) -> None:
+    """Reduce the rows D to Smith normal form in place.
 
+    U, if given, receives every row operation; Vt, if given, receives every
+    column operation as a row operation, so it holds V transposed.
+    """
+    rows, cols = len(D), len(D[0])
+    limit = min(rows, cols)
+    t = 0
+    while t < limit:
+        # Promote the pivot of the trailing submatrix to (t, t).
+        best = 0
+        for i in range(t, rows):
+            row = D[i]
+            for j in range(t, cols):
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+            if best == 1:
+                break
+        if not best:
+            break
+        if pi != t:
+            D[t], D[pi] = D[pi], D[t]
+            if U is not None:
+                U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for row in D:
+                row[t], row[pj] = row[pj], row[t]
+            if Vt is not None:
+                Vt[t], Vt[pj] = Vt[pj], Vt[t]
+        Dt = D[t]
+        p = Dt[t]
 
-def _add_row(M: IntMatrix, dst: int, src: int, q: int):
-    if q:
-        drow, srow = M.data[dst], M.data[src]
-        for j in range(M.cols):
-            drow[j] += q * srow[j]
+        # Kill the pivot column, then the pivot row.  Any nonzero remainder
+        # is strictly smaller than the pivot, so re-promoting terminates.
+        dirty = False
+        for i in range(t + 1, rows):
+            q = D[i][t] // p
+            if q:
+                D[i] = [x - q * y for x, y in zip(D[i], Dt)]
+                if U is not None:
+                    U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+            if D[i][t]:
+                dirty = True
+        if dirty:
+            continue
+        # The pivot column is now zero off (t, t), so a column operation
+        # changes only row t of D.
+        for j in range(t + 1, cols):
+            q = Dt[j] // p
+            if q:
+                Dt[j] -= q * p
+                if Vt is not None:
+                    Vt[j] = [x - q * y for x, y in zip(Vt[j], Vt[t])]
+            if Dt[j]:
+                dirty = True
+        if dirty:
+            continue
 
+        # Divisibility: the pivot must divide every later entry.  Folding the
+        # first offending row into row t strictly shrinks the achievable
+        # pivot gcd, so this terminates.
+        for i in range(t + 1, rows):
+            row = D[i]
+            for j in range(t + 1, cols):
+                if row[j] % p:
+                    break
+            else:
+                continue
+            D[t] = [x + y for x, y in zip(Dt, row)]
+            if U is not None:
+                U[t] = [x + y for x, y in zip(U[t], U[i])]
+            break
+        else:
+            t += 1
 
-def _add_col(M: IntMatrix, dst: int, src: int, q: int):
-    if q:
-        for row in M.data:
-            row[dst] += q * row[src]
+    for i in range(limit):
+        if D[i][i] < 0:
+            D[i] = [-x for x in D[i]]
+            if U is not None:
+                U[i] = [-x for x in U[i]]
 
 
 def smith_normal_form(A: IntMatrix) -> SNFResult:
@@ -152,76 +214,11 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     D is diagonal with nonnegative entries, each dividing the next nonzero
     one; U and V have determinant +-1; U @ A @ V == D exactly.
     """
-    D = A.copy()
-    U = IntMatrix.identity(A.rows)
-    V = IntMatrix.identity(A.cols)
-
-    def promote(t):
-        """Move the current best pivot of the trailing submatrix to (t, t)."""
-        found = _pivot(D, t)
-        if found is None:
-            return False
-        _, pi, pj = found
-        if pi != t:
-            _swap_rows(D, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
-        return True
-
-    t = 0
-    limit = min(A.rows, A.cols)
-    while t < limit:
-        if not promote(t):
-            break
-
-        while True:
-            # Kill the pivot column, then the pivot row.  Any nonzero
-            # remainder is strictly smaller than the pivot, so re-promoting
-            # and repeating terminates.
-            for i in range(t + 1, D.rows):
-                q = -(D.data[i][t] // D.data[t][t])
-                _add_row(D, i, t, q)
-                _add_row(U, i, t, q)
-            if any(D.data[i][t] for i in range(t + 1, D.rows)):
-                promote(t)
-                continue
-            for j in range(t + 1, D.cols):
-                q = -(D.data[t][j] // D.data[t][t])
-                _add_col(D, j, t, q)
-                _add_col(V, j, t, q)
-            if any(D.data[t][j] for j in range(t + 1, D.cols)):
-                promote(t)
-                continue
-            break
-
-        # Divisibility: the pivot must divide every later entry.  Folding an
-        # offending row into row t strictly shrinks the achievable pivot gcd,
-        # so this terminates.
-        offender = None
-        p = D.data[t][t]
-        for i in range(t + 1, D.rows):
-            row = D.data[i]
-            for j in range(t + 1, D.cols):
-                if row[j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            _add_row(D, t, offender, 1)
-            _add_row(U, t, offender, 1)
-            continue
-        t += 1
-
-    for i in range(limit):
-        if D.data[i][i] < 0:
-            for j in range(D.cols):
-                D.data[i][j] = -D.data[i][j]
-            for j in range(U.cols):
-                U.data[i][j] = -U.data[i][j]
-    return SNFResult(U, D, V)
+    D = [row[:] for row in A.data]
+    U = _identity_rows(A.rows)
+    Vt = _identity_rows(A.cols)
+    _snf(D, U, Vt)
+    return SNFResult(_wrap(U), _wrap(D), _wrap([list(col) for col in zip(*Vt)]))
 
 
 def invariant_factors(A: IntMatrix) -> tuple[list[int], int]:
@@ -231,8 +228,9 @@ def invariant_factors(A: IntMatrix) -> tuple[list[int], int]:
     free_rank = cols - rank counts the zero diagonal entries of the padded
     Smith form.
     """
-    D = smith_normal_form(A).D
-    diag = D.diagonal()
+    D = [row[:] for row in A.data]
+    _snf(D)
+    diag = [D[i][i] for i in range(min(A.rows, A.cols))]
     rank = sum(1 for d in diag if d != 0)
     factors = [d for d in diag if d not in (0, 1)]
     return factors, A.cols - rank
@@ -244,12 +242,12 @@ def kernel_basis(A: IntMatrix) -> list[list[int]]:
     Each vector is primitive (content 1, guaranteed by the unimodularity of
     V) with its first nonzero entry positive.
     """
-    res = smith_normal_form(A)
-    diag = res.D.diagonal()
-    rank = sum(1 for d in diag if d != 0)
+    D = [row[:] for row in A.data]
+    Vt = _identity_rows(A.cols)
+    _snf(D, Vt=Vt)
+    rank = sum(1 for i in range(min(A.rows, A.cols)) if D[i][i] != 0)
     basis = []
-    for j in range(rank, A.cols):
-        v = [res.V.data[i][j] for i in range(A.cols)]
+    for v in Vt[rank:]:
         lead = next((x for x in v if x != 0), 0)
         if lead < 0:
             v = [-x for x in v]

@@ -235,6 +235,39 @@ def test_recover_large_coefficients():
     assert got == {(1, 1, 1), (-1, 1, 1)}
 
 
+# (signature, coefficients, solution) with gcd(A x^a, C z^c) > 1, so the
+# scale |mu| that maps the canonical image back to the solution has a prime
+# exponent above 0.  The last three solutions map to the marked points 0, 1
+# and infinity, where one coordinate of the image is zero.
+PRUNING_CASES = [
+    ((2, 3, 5), (24, -132, 108), (1, 1, 1)),
+    ((3, 2, 4), (12, 6, -18), (1, 1, 1)),
+    ((2, 2, 3), (20, -70, 50), (1, -1, 1)),
+    ((3, 3, 2), (6, 2, -16), (0, 2, 1)),
+    ((3, 4, 3), (2, 5, -54), (3, 0, 1)),
+    ((2, 2, 5), (9, -4, 7), (2, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("sig,coeffs,sol", PRUNING_CASES)
+def test_recover_pruned_scales_match_brute_force(sig, coeffs, sol):
+    # Recovery prunes the scales by a congruence on prime exponents; every
+    # solution in the window must still come back from its image, and
+    # nothing else in the window may.
+    F = GFE(Signature(*sig), *coeffs)
+    x, _, z = sol
+    assert F.evaluate(*sol) == 0
+    assert math.gcd(F.A * x**F.sig.a, F.C * z**F.sig.c) > 1
+    window = 8
+    fibres = {}
+    for triple in brute_force_solutions_zdict(F, window):
+        fibres.setdefault(j_map(F, PrimitiveSolution(*triple)), set()).add(triple)
+    assert sol in fibres[j_map(F, PrimitiveSolution(*sol))]
+    for image, expected in fibres.items():
+        got = {r.as_tuple() for r in recover_solutions(image, F, bad_prime_set(F))}
+        assert {t for t in got if max(map(abs, t)) <= window} == expected, (str(F), image)
+
+
 def test_verify_descent_inclusion_237():
     report = verify_descent_inclusion(F237, 20)
     assert report.passed and len(report.entries) > 0

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -33,13 +35,45 @@ def check_snf_contract(A):
     return res
 
 
+STRUCTURE_SIGNATURES = [
+    (2, 3, 7), (4, 4, 2), (7, 7, 7), (6, 10, 15), (2, 2, 2),
+    (1, 1, 1), (1, 5, 9), (1, 4, 6),
+]
+
+# (U, D, V) of a fixed matrix corpus: the reference for changes to the
+# elimination that promise the same output.  Regenerate (only when a change
+# of output is intended) with
+#     PYTHONPATH=src python tests/test_smith.py
+SNF_CORPUS = pathlib.Path(__file__).with_name("golden") / "snf-corpus.json"
+
+
+def corpus_matrices():
+    """300 seeded matrices (1-5 rows and columns, entries in [-30, 30]),
+    then the relation and triangle matrices of STRUCTURE_SIGNATURES."""
+    rng = random.Random(4817)
+    out = []
+    for _ in range(300):
+        rows = rng.randrange(1, 6)
+        cols = rng.randrange(1, 6)
+        out.append([[rng.randrange(-30, 31) for _ in range(cols)] for _ in range(rows)])
+    for sig in STRUCTURE_SIGNATURES:
+        out.append(m_matrix(*sig).data)
+        out.append(j_matrix(*sig).data)
+    return out
+
+
+def snf_corpus_text() -> str:
+    lines = []
+    for rows in corpus_matrices():
+        res = smith_normal_form(IntMatrix(rows))
+        lines.append(json.dumps({"A": rows, "U": res.U.data, "D": res.D.data, "V": res.V.data}))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
 def test_relation_matrix_structure():
     # diag(d, m/d, 0) with d = gcd(a,b,c), m = gcd(bc, ac, ab); holds for
     # degenerate exponents 1 as well.
-    for a, b, c in [
-        (2, 3, 7), (4, 4, 2), (7, 7, 7), (6, 10, 15), (2, 2, 2),
-        (1, 1, 1), (1, 5, 9), (1, 4, 6),
-    ]:
+    for a, b, c in STRUCTURE_SIGNATURES:
         res = check_snf_contract(m_matrix(a, b, c))
         d = math.gcd(a, b, c)
         m = math.gcd(b * c, a * c, a * b)
@@ -137,3 +171,27 @@ def test_determinant():
         from oracles import _det
 
         assert A.determinant() == _det(A.data)
+
+
+def test_snf_corpus_is_byte_identical():
+    assert snf_corpus_text() == SNF_CORPUS.read_text()
+
+
+def test_transform_free_paths_agree_with_full_form():
+    # invariant_factors skips U and V, kernel_basis skips U; both must give
+    # what the stored (U, D, V) of the corpus implies.
+    for entry in json.loads(SNF_CORPUS.read_text()):
+        A = IntMatrix(entry["A"])
+        diag = IntMatrix(entry["D"]).diagonal()
+        rank = sum(1 for d in diag if d)
+        assert invariant_factors(A) == ([d for d in diag if d not in (0, 1)], A.cols - rank)
+        kernel = []
+        for j in range(rank, A.cols):
+            v = [row[j] for row in entry["V"]]
+            lead = next(x for x in v if x)
+            kernel.append([-x for x in v] if lead < 0 else v)
+        assert kernel_basis(A) == kernel
+
+
+if __name__ == "__main__":
+    SNF_CORPUS.write_text(snf_corpus_text())

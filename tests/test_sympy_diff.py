@@ -1,12 +1,16 @@
-"""Differential tests of factorization and primality against sympy."""
+"""Differential tests of factorization, primality and Smith form against sympy."""
 
 import random
 
 import pytest
 
 from gfdescent.exact import factorize, is_probable_prime
+from gfdescent.smith import IntMatrix, smith_normal_form
+
+from test_smith import corpus_matrices
 
 sympy = pytest.importorskip("sympy")
+normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
@@ -32,3 +36,12 @@ def test_is_probable_prime_matches_isprime():
     start = random.Random(2024).randrange(10**12)
     for n in [*range(start, start + 5000), PSI_12]:
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_smith_diagonal_matches_sympy():
+    # Invariant factors are defined up to sign; sympy's are compared by
+    # absolute value, ours are nonnegative by contract.
+    for rows in corpus_matrices():
+        theirs = normalforms.smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = [abs(int(theirs[i, i])) for i in range(min(theirs.shape))]
+        assert smith_normal_form(IntMatrix(rows)).D.diagonal() == expected, rows
