@@ -9,10 +9,10 @@ automorphism group is the n-th roots of unity of R, which inside Q is just
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record, set_field
 from .errors import NotAStackPoint
 from .exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, ProjPointQ, intersection_ideal
 from .groups import Signature
@@ -26,13 +26,20 @@ def mu_order(n: int) -> int:
     return 2 if n % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
-class RootPointResult:
+class RootPointResult(Record):
     """Outcome of testing one point against one rooted divisor."""
 
-    kind: str  # "marked" or "root"
-    automorphism_order: Optional[int] = None
-    root: Optional[int] = None
+    __slots__ = ("kind", "automorphism_order", "root")
+
+    def __init__(
+        self,
+        kind: str,  # "marked" or "root"
+        automorphism_order: Optional[int] = None,
+        root: Optional[int] = None,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "automorphism_order", automorphism_order)
+        set_field(self, "root", root)
 
 
 def root_point_test(
@@ -52,8 +59,7 @@ def root_point_test(
     return RootPointResult("root", root=g)
 
 
-@dataclass(frozen=True)
-class StackPointCertificate:
+class StackPointCertificate(Record):
     """Verdict for one candidate point with enough data to recheck it.
 
     status is one of "marked", "smooth", "rejected".  For smooth points the
@@ -62,11 +68,21 @@ class StackPointCertificate:
     coordinates among "s", "s-t", "t".
     """
 
-    point: ProjPointQ
-    status: str
-    marked_at: Optional[str] = None
-    roots: Optional[tuple[int, int, int]] = None
-    failed: tuple[str, ...] = ()
+    __slots__ = ("point", "status", "marked_at", "roots", "failed")
+
+    def __init__(
+        self,
+        point: ProjPointQ,
+        status: str,
+        marked_at: Optional[str] = None,
+        roots: Optional[tuple[int, int, int]] = None,
+        failed: tuple[str, ...] = (),
+    ):
+        set_field(self, "point", point)
+        set_field(self, "status", status)
+        set_field(self, "marked_at", marked_at)
+        set_field(self, "roots", roots)
+        set_field(self, "failed", failed)
 
     @property
     def accepted(self) -> bool:
@@ -128,8 +144,7 @@ def euler_characteristic(sig: Signature) -> Fraction:
     return Fraction(1, a) + Fraction(1, b) + Fraction(1, c) - 1
 
 
-@dataclass(frozen=True)
-class SignatureClass:
+class SignatureClass(Record):
     """Trichotomy data for a signature.
 
     genus is that of a Galois cover realizing the signature: 0 when chi > 0,
@@ -137,10 +152,19 @@ class SignatureClass:
     cover degree 2/chi is only defined in the spherical case.
     """
 
-    chi: Fraction
-    kind: str  # "spherical", "euclidean", "hyperbolic"
-    genus: Optional[int]
-    degree: Optional[int]
+    __slots__ = ("chi", "kind", "genus", "degree")
+
+    def __init__(
+        self,
+        chi: Fraction,
+        kind: str,  # "spherical", "euclidean", "hyperbolic"
+        genus: Optional[int],
+        degree: Optional[int],
+    ):
+        set_field(self, "chi", chi)
+        set_field(self, "kind", kind)
+        set_field(self, "genus", genus)
+        set_field(self, "degree", degree)
 
     def genus_label(self) -> str:
         return str(self.genus) if self.genus is not None else ">= 2 (not computed)"

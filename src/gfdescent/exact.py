@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record, set_field
 from .errors import WorkLimitExceeded, ZeroPoint
 
 # Trial division handles everything below this bound; Brent's rho picks up the
@@ -59,12 +59,14 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """sign * product(p^e) == original input; primes strictly increasing."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
+
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        set_field(self, "sign", sign)
+        set_field(self, "factors", factors)
 
     def value(self) -> int:
         v = self.sign
@@ -226,24 +228,24 @@ def is_perfect_nth_power(v: int, n: int) -> Optional[int]:
     return r if r**n == v else None
 
 
-@dataclass(frozen=True)
-class ProjPointQ:
+class ProjPointQ(Record):
     """A point of P^1(Q) in canonical coprime form.
 
     Invariants: gcd(s, t) = 1 and (t > 0, or t = 0 and s > 0).  Canonical
     representatives make point-set equality a plain structural comparison.
     """
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
-        if self.s == 0 and self.t == 0:
+    def __init__(self, s: int, t: int):
+        if s == 0 and t == 0:
             raise ZeroPoint("(0, 0) is not projective")
-        if math.gcd(self.s, self.t) != 1:
-            raise ValueError(f"({self.s}:{self.t}) is not in lowest terms")
-        if self.t < 0 or (self.t == 0 and self.s < 0):
-            raise ValueError(f"({self.s}:{self.t}) violates the sign convention")
+        if math.gcd(s, t) != 1:
+            raise ValueError(f"({s}:{t}) is not in lowest terms")
+        if t < 0 or (t == 0 and s < 0):
+            raise ValueError(f"({s}:{t}) violates the sign convention")
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
     def __str__(self):
         return f"({self.s}:{self.t})"

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product as iter_product
 
+from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
 from .errors import DegeneratePoint, NotAStackPoint
 from .exact import (
@@ -25,18 +26,18 @@ from .groups import Signature
 from .sarith import SRing, valuation
 
 
-@dataclass(frozen=True)
-class GFE:
+class GFE(Record):
     """The equation A x^a + B y^b + C z^c = 0 with nonzero coefficients."""
 
-    sig: Signature
-    A: int
-    B: int
-    C: int
+    __slots__ = ("sig", "A", "B", "C")
 
-    def __post_init__(self):
-        if self.A * self.B * self.C == 0:
+    def __init__(self, sig: Signature, A: int, B: int, C: int):
+        if A * B * C == 0:
             raise ValueError("coefficients must be nonzero")
+        set_field(self, "sig", sig)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "C", C)
 
     def evaluate(self, x: int, y: int, z: int) -> int:
         a, b, c = self.sig
@@ -56,16 +57,24 @@ class GFE:
         return " ".join(parts).lstrip("+ ") + " = 0"
 
 
-@dataclass(frozen=True, order=True)
-class PrimitiveSolution:
-    """Integer triple with gcd 1 solving its equation."""
+@total_ordering
+class PrimitiveSolution(Record):
+    """Integer triple with gcd 1 solving its equation; ordered as triples."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.as_tuple() < other.as_tuple()
+        return NotImplemented
 
 
 def is_primitive_solution(F: GFE, x: int, y: int, z: int) -> bool:
@@ -144,8 +153,7 @@ def j_map(F: GFE, sol: PrimitiveSolution) -> ProjPointQ:
     return normalize_projective(s, t)
 
 
-@dataclass(frozen=True)
-class RecoveredSolution:
+class RecoveredSolution(Record):
     """A solution recovered from a point, with the coefficients it solves.
 
     exact_coefficients is True when (A', B', C') are the coefficients of the
@@ -153,11 +161,21 @@ class RecoveredSolution:
     (an S-integral recovery).
     """
 
-    x: int
-    y: int
-    z: int
-    coefficients: tuple[Fraction, Fraction, Fraction]
-    exact_coefficients: bool
+    __slots__ = ("x", "y", "z", "coefficients", "exact_coefficients")
+
+    def __init__(
+        self,
+        x: int,
+        y: int,
+        z: int,
+        coefficients: tuple[Fraction, Fraction, Fraction],
+        exact_coefficients: bool,
+    ):
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "exact_coefficients", exact_coefficients)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -278,21 +296,30 @@ def recover_solutions(
     return results
 
 
-@dataclass(frozen=True)
-class DescentEntry:
-    solution: PrimitiveSolution
-    image: ProjPointQ
-    certificate: StackPointCertificate
+class DescentEntry(Record):
+    __slots__ = ("solution", "image", "certificate")
+
+    def __init__(
+        self,
+        solution: PrimitiveSolution,
+        image: ProjPointQ,
+        certificate: StackPointCertificate,
+    ):
+        set_field(self, "solution", solution)
+        set_field(self, "image", image)
+        set_field(self, "certificate", certificate)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Record):
     """Outcome of pushing every enumerated solution through the point test."""
 
-    gfe: GFE
-    bound: int
-    ring: SRing
-    entries: tuple[DescentEntry, ...]
+    __slots__ = ("gfe", "bound", "ring", "entries")
+
+    def __init__(self, gfe: GFE, bound: int, ring: SRing, entries: tuple[DescentEntry, ...]):
+        set_field(self, "gfe", gfe)
+        set_field(self, "bound", bound)
+        set_field(self, "ring", ring)
+        set_field(self, "entries", entries)
 
     @property
     def violations(self) -> tuple[DescentEntry, ...]:

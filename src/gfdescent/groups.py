@@ -3,30 +3,32 @@
 For a signature (a, b, c) the group of scaling symmetries of the equation is
 cut out of three copies of the multiplicative group by l0^a = l1^b = l2^c.
 Its character lattice is Z^3 modulo the row lattice of the relation matrix
-below, so torus rank, torsion, and the weight vector all fall out of Smith
-normal form computations.
+below.  The torsion and the weight vector have closed forms in d = gcd(a,b,c)
+and m = gcd(bc,ac,ab), the gcds of the minors of the presentation matrices;
+Smith normal form remains for the kernel generator and for testing those
+closed forms against the matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import ZeroCoordinate
-from .smith import IntMatrix, invariant_factors, kernel_basis
+from .smith import IntMatrix, kernel_basis
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Exponent triple (a, b, c), each at least 2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) < 2:
+    def __init__(self, a: int, b: int, c: int):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        if min(a, b, c) < 2:
             raise ValueError(f"signature entries must be >= 2, got {self}")
 
     def __iter__(self):
@@ -36,21 +38,25 @@ class Signature:
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(Record):
     """d = gcd(a,b,c), m = gcd(bc,ac,ab), and the weight vector w = (bc,ac,ab)/m."""
 
-    d: int
-    m: int
-    w: tuple[int, int, int]
+    __slots__ = ("d", "m", "w")
+
+    def __init__(self, d: int, m: int, w: tuple[int, int, int]):
+        set_field(self, "d", d)
+        set_field(self, "m", m)
+        set_field(self, "w", w)
 
 
-@dataclass(frozen=True)
-class HStructure:
+class HStructure(Record):
     """Torus rank and torsion invariant factors of the symmetry group."""
 
-    torus_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("torus_rank", "torsion")
+
+    def __init__(self, torus_rank: int, torsion: tuple[int, ...]):
+        set_field(self, "torus_rank", torus_rank)
+        set_field(self, "torsion", torsion)
 
 
 def relation_matrix(sig: Signature) -> IntMatrix:
@@ -81,11 +87,13 @@ def weight_vector(sig: Signature) -> WeightData:
 def triangle_abelianization(sig: Signature) -> list[int]:
     """Invariant factors (> 1) of the abelianized triangle group.
 
-    Computed from the Smith form of the 4x3 presentation matrix; equals
-    [d, m/d] with trivial entries dropped.
+    The 4x3 presentation matrix has 1 as the gcd of its entries, d as the
+    gcd of its 2x2 minors and m as the gcd of its 3x3 minors, so its Smith
+    form is (1, d, m/d) and the answer is [d, m/d] with trivial entries
+    dropped; d divides m/d because d^2 divides each of bc, ac, ab.
     """
-    factors, _ = invariant_factors(triangle_relation_matrix(sig))
-    return factors
+    data = weight_vector(sig)
+    return [f for f in (data.d, data.m // data.d) if f > 1]
 
 
 def h_structure(sig: Signature) -> HStructure:

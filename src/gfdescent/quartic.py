@@ -12,10 +12,10 @@ costs one perfect-power test whatever the size of d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record, set_field
 from .errors import PipelineMismatch, SingularCurve
 from .exact import (
     POINT_INFINITY,
@@ -39,12 +39,14 @@ SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Record):
     """Affine point (u, v) or the point at infinity (u = v = None)."""
 
-    u: Optional[Fraction]
-    v: Optional[Fraction]
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Optional[Fraction], v: Optional[Fraction]):
+        set_field(self, "u", u)
+        set_field(self, "v", v)
 
     @property
     def is_infinity(self) -> bool:
@@ -61,11 +63,13 @@ def affine(u, v) -> CurvePoint:
     return CurvePoint(Fraction(u), Fraction(v))
 
 
-@dataclass(frozen=True)
-class TwistedCurve:
+class TwistedCurve(Record):
     """v^2 = u^3 - d u; nonsingular for every d != 0."""
 
-    d: int
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        set_field(self, "d", d)
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
@@ -199,12 +203,20 @@ def admissible_twists(reps: UnitClassGroup) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
-    point: ProjPointQ
-    sources: tuple[str, ...]
-    certificate: StackPointCertificate
-    recovered: tuple[PrimitiveSolution, ...]
+class CandidateVerdict(Record):
+    __slots__ = ("point", "sources", "certificate", "recovered")
+
+    def __init__(
+        self,
+        point: ProjPointQ,
+        sources: tuple[str, ...],
+        certificate: StackPointCertificate,
+        recovered: tuple[PrimitiveSolution, ...],
+    ):
+        set_field(self, "point", point)
+        set_field(self, "sources", sources)
+        set_field(self, "certificate", certificate)
+        set_field(self, "recovered", recovered)
 
     def to_dict(self) -> dict:
         return {
@@ -215,17 +227,42 @@ class CandidateVerdict:
         }
 
 
-@dataclass(frozen=True)
-class Sieve442Report:
-    """Full trace of the covering/twisting/sieving pipeline."""
+class Sieve442Report(Record):
+    """Full trace of the covering/twisting/sieving pipeline.
 
-    unit_classes: tuple[int, ...]
-    admissible: tuple[int, ...]
-    torsion_orders: dict[int, int]
-    candidates: tuple[CandidateVerdict, ...]
-    solutions: tuple[PrimitiveSolution, ...]
-    bound_check: int
-    assumed_finite: tuple[int, ...] = field(default=(-1, -4))
+    assumed_finite names the twists whose finiteness is an input; unless
+    given, it is the admissible twists, smallest |d| first.
+    """
+
+    __slots__ = (
+        "unit_classes",
+        "admissible",
+        "torsion_orders",
+        "candidates",
+        "solutions",
+        "bound_check",
+        "assumed_finite",
+    )
+
+    def __init__(
+        self,
+        unit_classes: tuple[int, ...],
+        admissible: tuple[int, ...],
+        torsion_orders: dict[int, int],
+        candidates: tuple[CandidateVerdict, ...],
+        solutions: tuple[PrimitiveSolution, ...],
+        bound_check: int,
+        assumed_finite: Optional[tuple[int, ...]] = None,
+    ):
+        if assumed_finite is None:
+            assumed_finite = tuple(sorted(admissible, key=abs))
+        set_field(self, "unit_classes", unit_classes)
+        set_field(self, "admissible", admissible)
+        set_field(self, "torsion_orders", torsion_orders)
+        set_field(self, "candidates", candidates)
+        set_field(self, "solutions", solutions)
+        set_field(self, "bound_check", bound_check)
+        set_field(self, "assumed_finite", assumed_finite)
 
     def to_dict(self) -> dict:
         return {

@@ -8,27 +8,26 @@ bookkeeping on ordinary integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
+from ._record import Record, set_field
 from .exact import is_perfect_nth_power, is_probable_prime
 
 
-@dataclass(frozen=True)
-class SRing:
+class SRing(Record):
     """Z[S^-1] for a finite, sorted set S of rational primes."""
 
-    primes: tuple[int, ...]
+    __slots__ = ("primes",)
 
-    def __post_init__(self):
-        ps = self.primes
-        if list(ps) != sorted(set(ps)):
+    def __init__(self, primes: tuple[int, ...]):
+        if list(primes) != sorted(set(primes)):
             raise ValueError("prime set must be strictly increasing and duplicate-free")
-        for p in ps:
+        for p in primes:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
+        set_field(self, "primes", primes)
 
     @classmethod
     def from_iterable(cls, primes: Iterable[int]) -> "SRing":
@@ -74,8 +73,7 @@ def valuation(s: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class UnitClassGroup:
+class UnitClassGroup(Record):
     """Representatives of R^x modulo n-th powers of units.
 
     The canonical set is eps * prod(p^e) with 0 <= e < n over the primes of
@@ -83,9 +81,12 @@ class UnitClassGroup:
     the sign is itself an n-th power).  Count: 2 * n^|S| or n^|S|.
     """
 
-    modulus: int
-    ring: SRing
-    representatives: tuple[int, ...]
+    __slots__ = ("modulus", "ring", "representatives")
+
+    def __init__(self, modulus: int, ring: SRing, representatives: tuple[int, ...]):
+        set_field(self, "modulus", modulus)
+        set_field(self, "ring", ring)
+        set_field(self, "representatives", representatives)
 
 
 def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:

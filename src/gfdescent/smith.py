@@ -11,7 +11,7 @@ smith_normal_form tracks both, kernel_basis only V, invariant_factors none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record, set_field
 
 
 class IntMatrix:
@@ -104,13 +104,15 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        set_field(self, "U", U)
+        set_field(self, "D", D)
+        set_field(self, "V", V)
 
 
 def _wrap(data: list[list[int]]) -> IntMatrix:

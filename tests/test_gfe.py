@@ -142,15 +142,21 @@ def test_enumerate_coefficients_beyond_int64():
 
 
 def test_import_leaves_numpy_out():
+    # Neither numpy nor dataclasses (which imports inspect) is needed, and
+    # each would add tens of milliseconds to every CLI start-up.
     import gfdescent
 
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gfdescent.__file__).parents[1]))
-    probe = "import sys, gfdescent; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    for module in ("gfdescent", "gfdescent.cli"):
+        probe = (
+            f"import sys, {module}; "
+            "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", module
 
 
 def test_jmap_examples():

@@ -79,10 +79,11 @@ def test_h_structure_examples(sig, torsion):
 
 def test_two_routes_agree():
     # Torsion from the 3x3 relation matrix and from the 4x3 triangle
-    # presentation must coincide, and multiply to m.
-    for a in range(2, 13):
-        for b in range(2, 13):
-            for c in range(2, 13):
+    # presentation must coincide, multiply to m, and match the closed form
+    # that h_structure uses.
+    for a in range(2, 21):
+        for b in range(2, 21):
+            for c in range(2, 21):
                 sig = Signature(a, b, c)
                 via_m, free_m = invariant_factors(relation_matrix(sig))
                 via_j, free_j = invariant_factors(triangle_relation_matrix(sig))

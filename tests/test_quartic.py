@@ -6,6 +6,7 @@ from gfdescent.errors import SingularCurve
 from gfdescent.exact import POINT_ONE, ProjPointQ, normalize_projective
 from gfdescent.quartic import (
     POINT_AT_INFINITY,
+    Sieve442Report,
     affine,
     admissible_twists,
     belyi_eval,
@@ -170,6 +171,11 @@ def test_sieve_report_details():
     assert "(1:2)" in images_m4
     d = report.to_dict()
     assert d["solutions"] == [[str(v) for v in s] for s in FERMAT_442_TRIPLES]
+    # The finiteness input is the admissible twists, smallest |d| first.
+    assert report.assumed_finite == (-1, -4)
+    assert d["rank_zero_input"] == ["-1", "-4"]
+    other = Sieve442Report((), (-9, -1, -4), {}, (), (), 1)
+    assert other.assumed_finite == (-1, -4, -9)
 
 
 def test_admissible_torsion_images_survive_only_at_marked_points():
