@@ -38,6 +38,7 @@ from .sarith import SRing, UnitClassGroup, is_nth_power_ideal, s_unit_reps, valu
 from .belyi import (
     SignatureClass,
     StackPointCertificate,
+    certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
     is_stack_point,

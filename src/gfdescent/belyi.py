@@ -132,6 +132,14 @@ def stack_point_automorphism_order(Q: ProjPointQ, sig: Signature, ring: SRing) -
     cert = is_stack_point(Q, sig, ring)
     if not cert.accepted:
         raise NotAStackPoint(f"{Q} is not a point of the rooted line over {ring}")
+    return certificate_automorphism_order(cert, sig)
+
+
+def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) -> int:
+    """Automorphism count of the point an accepted certificate describes,
+    read off the certificate without testing the point again."""
+    if not cert.accepted:
+        raise NotAStackPoint(f"{cert.point} was rejected, so it has no automorphisms")
     if cert.status == "marked":
         n = {"0": sig.a, "1": sig.b, "inf": sig.c}[cert.marked_at]
         return mu_order(n)

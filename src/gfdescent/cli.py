@@ -18,10 +18,10 @@ import sys
 
 from . import exact
 from .belyi import (
+    certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
     is_stack_point,
-    stack_point_automorphism_order,
 )
 from .errors import GFDescentError, PipelineMismatch, WorkLimitExceeded
 from .exact import ProjPointQ, normalize_projective
@@ -166,7 +166,7 @@ def _cmd_stack_point(args) -> dict:
     out["ring"] = str(ring)
     out["accepted"] = cert.accepted
     if cert.accepted:
-        out["automorphism_order"] = str(stack_point_automorphism_order(point, sig, ring))
+        out["automorphism_order"] = str(certificate_automorphism_order(cert, sig))
     return out
 
 

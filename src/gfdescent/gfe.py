@@ -1,8 +1,10 @@
 """Generalized Fermat equations A x^a + B y^b + C z^c = 0.
 
 Primitive-solution enumeration (an exact join of value tables of the
-three terms, on plain ints), the map to the projective line, and the two
-directions of the solution <-> rooted-line-point correspondence.
+three terms, on plain ints, that visits each orbit of the sign symmetry
+(x, y, z) -> (-x, -y, -z) and of the swap x <-> y once, where the equation
+has them), the map to the projective line, and the two directions of the
+solution <-> rooted-line-point correspondence.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
+from operator import sub
 
 from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
@@ -106,13 +109,27 @@ def enumerate_primitive_solutions(
     lexicographic order.
 
     An exact join of value tables on plain ints.  For each distinct value
-    t = -A x^a, the solutions are the pairs of a value of B y^b and a value
-    of C z^c that sum to t.  Bisection cuts each sorted table down to the
-    window that the other table can reach, and the shorter window, mapped
-    through v -> t - v, is intersected with the other table's keys.  Cost:
-    three tables of 2*bound + 1 entries, then per value of A x^a two
-    bisections into each table and one set intersection over the shorter
-    window.  No root extraction, no modular sieve, no fixed-width integers.
+    t = -A x^a, the solutions are the pairs of a value w = B y^b and a value
+    of C z^c that sum to t.  Bisection cuts the y table to the range of w
+    that the z table can reach, the z window is the image of that range,
+    and the shorter window, mapped through v -> t - v, is intersected with
+    the other table's keys.
+
+    The join visits each orbit of two symmetries once.  Write u = A x^a
+    = -t.  When a, b, c are all odd, (x, y, z) -> (-x, -y, -z) fixes the
+    equation, and only u >= 0 is joined.  When (a, A) == (b, B), x <-> y
+    fixes it, and the y range starts at w >= u, or at w >= |u| when
+    negation holds too (then every u is joined).  Each region meets every
+    orbit, and the found triples are closed under the maps afterwards.  A
+    sign change of one variable with an even exponent needs nothing,
+    because the value tables already merge +-v.  No other symmetry is
+    used: not x <-> z or y <-> z when those terms match, and not x <-> y
+    when A == -B.
+
+    Cost: three tables of 2*bound + 1 entries, then per joined value of
+    A x^a two bisections into each table and one set intersection over the
+    shorter window.  One symmetry roughly halves the windows, both quarter
+    them.  No root extraction, no modular sieve, no fixed-width integers.
 
     use_sieve and max_sieve_primes are accepted and have no effect: the
     join is exact, so there is nothing for a modular pre-sieve to discard.
@@ -123,18 +140,32 @@ def enumerate_primitive_solutions(
     _, xroots = _value_table(-F.A, a, bound)
     ys, yroots = _value_table(F.B, b, bound)
     zs, zroots = _value_table(F.C, c, bound)
-    found = []
+    negation = a % 2 == b % 2 == c % 2 == 1
+    swap = (a, F.A) == (b, F.B)
+    found = set()
     for t, xs in xroots.items():
-        ylo, yhi = bisect_left(ys, t - zs[-1]), bisect_right(ys, t - zs[0])
-        zlo, zhi = bisect_left(zs, t - ys[-1]), bisect_right(zs, t - ys[0])
+        lo = max(t - zs[-1], ys[0])
+        if swap:
+            lo = max(lo, abs(t) if negation else -t)
+        elif negation and t > 0:
+            continue
+        hi = min(t - zs[0], ys[-1])
+        if lo > hi:
+            continue
+        ylo, yhi = bisect_left(ys, lo), bisect_right(ys, hi)
+        zlo, zhi = bisect_left(zs, t - hi), bisect_right(zs, t - lo)
         if yhi - ylo <= zhi - zlo:
-            yvals = [t - w for w in zroots.keys() & map(t.__sub__, ys[ylo:yhi])]
+            yvals = [t - w for w in zroots.keys() & map(sub, repeat(t), ys[ylo:yhi])]
         else:
-            yvals = yroots.keys() & map(t.__sub__, zs[zlo:zhi])
+            yvals = yroots.keys() & map(sub, repeat(t), zs[zlo:zhi])
         for v in yvals:
-            for x, y, z in iter_product(xs, yroots[v], zroots[t - v]):
-                if math.gcd(x, math.gcd(y, z)) == 1:
-                    found.append((x, y, z))
+            for s in iter_product(xs, yroots[v], zroots[t - v]):
+                if math.gcd(*s) == 1:
+                    found.add(s)
+    if swap:
+        found |= {(y, x, z) for x, y, z in found}
+    if negation:
+        found |= {(-x, -y, -z) for x, y, z in found}
     return [PrimitiveSolution(*s) for s in sorted(found)]
 
 

@@ -21,7 +21,8 @@ class SRing(Record):
 
     __slots__ = ("primes",)
 
-    def __init__(self, primes: tuple[int, ...]):
+    def __init__(self, primes: Iterable[int]):
+        primes = tuple(primes)
         if list(primes) != sorted(set(primes)):
             raise ValueError("prime set must be strictly increasing and duplicate-free")
         for p in primes:

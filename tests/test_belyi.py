@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gfdescent.belyi import (
+    certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
     is_stack_point,
@@ -102,6 +103,23 @@ def test_field_limit_accepts_everything():
         prod = (Q.s or 1) * (Q.t or 1) * ((Q.s - Q.t) or 1)
         ring = SRing(factorize(prod).primes())
         assert is_stack_point(Q, Signature(5, 4, 3), ring).accepted
+
+
+def test_certificate_automorphism_order_reads_the_certificate():
+    cases = [
+        (POINT_ZERO, Signature(4, 4, 2), SRing((2,))),
+        (POINT_INFINITY, Signature(2, 3, 7), Z),
+        (POINT_ONE, Signature(3, 4, 7), Z),
+        (normalize_projective(9, 1), Signature(2, 3, 7), Z),
+    ]
+    for Q, sig, ring in cases:
+        cert = is_stack_point(Q, sig, ring)
+        assert certificate_automorphism_order(cert, sig) == stack_point_automorphism_order(
+            Q, sig, ring
+        )
+    rejected = is_stack_point(normalize_projective(1, 2), Signature(4, 4, 2), Z)
+    with pytest.raises(NotAStackPoint):
+        certificate_automorphism_order(rejected, Signature(4, 4, 2))
 
 
 def test_automorphism_orders():

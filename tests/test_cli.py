@@ -1,5 +1,6 @@
 import json
 
+import gfdescent.belyi as belyi
 import gfdescent.cli as cli
 
 
@@ -39,6 +40,23 @@ def test_stack_point_command(capsys):
     assert payload["roots"] == ["3", "2", "1"]
     payload = run_json(capsys, "stack-point", "--q", "1:2", "--signature", "4,4,2", "--primes", "")
     assert payload["accepted"] is False and payload["failed"] == ["t"]
+
+
+def test_stack_point_command_tests_the_point_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_stack_point(*args)
+
+    is_stack_point = belyi.is_stack_point
+    monkeypatch.setattr(cli, "is_stack_point", counted)
+    monkeypatch.setattr(belyi, "is_stack_point", counted)
+    payload = run_json(capsys, "stack-point", "--q", "0:1", "--signature", "4,4,2", "--primes", "2")
+    assert payload["status"] == "marked" and payload["automorphism_order"] == "2"
+    payload = run_json(capsys, "stack-point", "--q", "9/1", "--signature", "2,3,7", "--primes", "")
+    assert payload["automorphism_order"] == "1"
+    assert len(calls) == 2
 
 
 def test_chi_and_classify(capsys):

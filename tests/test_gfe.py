@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,6 +127,151 @@ def test_enumerate_window_edges():
         assert triples <= set(at5) and not triples & set(at4), str(F)
         assert sorted(set(at5) - triples) == at4, str(F)
         assert at5 == brute_force_solutions(F, 5) and at4 == brute_force_solutions(F, 4)
+
+
+# The join visits one region per orbit of (x, y, z) -> (-x, -y, -z) (all
+# exponents odd) and of x <-> y ((a, A) == (b, B)), then closes the result
+# under those maps.  Each kind below fixes the constrained exponents and
+# coefficients and solves for one free coefficient so that a small seeded
+# triple with the free variable at +-1 is a solution.  The last three kinds
+# are near-misses that the join must not treat as symmetric.
+ORBIT_KINDS = (
+    "negation",
+    "swap-even",
+    "swap-odd",
+    "negation-and-swap",
+    "x-z-match",
+    "a-equal-b-odd-with-A-minus-B",
+    "A-equal-B-with-a-not-b",
+)
+
+
+def orbit_gfes(kind, seed, count):
+    rng = random.Random(f"{kind}-{seed}")
+    odd, even = (3, 5, 7), (2, 4, 6)
+    out = []
+    while len(out) < count:
+        a, b, c = (rng.randrange(2, 8) for _ in range(3))
+        A, B = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(2))
+        free = 2
+        if kind == "negation":
+            a, b, c = (rng.choice(odd) for _ in range(3))
+        elif kind == "swap-even":
+            a = b = rng.choice(even)
+            B = A
+        elif kind == "swap-odd":
+            a = b = rng.choice(odd)
+            B, c = A, rng.choice(even)
+        elif kind == "negation-and-swap":
+            a = b = rng.choice(odd)
+            B, c = A, rng.choice(odd)
+        elif kind == "x-z-match":
+            c, free = a, 1
+        elif kind == "a-equal-b-odd-with-A-minus-B":
+            a = b = rng.choice(odd)
+            B = -A
+        elif kind == "A-equal-B-with-a-not-b":
+            B = A
+            if a == b:
+                continue
+        exps, coeffs = [a, b, c], [A, B, A]
+        planted = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]
+        planted[free] = rng.choice([-1, 1])
+        rest = sum(k * v**n for k, v, n in zip(coeffs, planted, exps)) - coeffs[free] * planted[free]
+        coeffs[free] = -rest * planted[free] or rng.choice([-1, 1])
+        if kind not in ORBIT_KINDS[1:4] and (a, coeffs[0]) == (b, coeffs[1]):
+            continue
+        out.append((GFE(Signature(*exps), *coeffs), rng.randint(3, 12)))
+    return out
+
+
+def test_orbit_kinds_are_what_they_say():
+    for kind in ORBIT_KINDS:
+        for F, _ in orbit_gfes(kind, 0, 20) + orbit_gfes(kind, 1, 12) + orbit_gfes(kind, 2, 12):
+            a, b, c = F.sig
+            negation = a % 2 == b % 2 == c % 2 == 1
+            swap = (a, F.A) == (b, F.B)
+            # The near-misses may have negation, but never the swap.
+            if kind in ORBIT_KINDS[:4]:
+                assert negation == (kind in ("negation", "negation-and-swap")), (kind, str(F))
+            assert swap == (kind in ORBIT_KINDS[1:4]), (kind, str(F))
+
+
+@pytest.mark.parametrize("kind", ORBIT_KINDS)
+def test_orbit_join_matches_brute_force(kind):
+    found = 0
+    for F, bound in orbit_gfes(kind, 1, 12):
+        got = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
+        assert got == brute_force_solutions_zdict(F, bound), (kind, str(F), bound)
+        found += len(got)
+    assert found >= 12, kind
+
+
+@pytest.mark.parametrize("kind", ORBIT_KINDS)
+def test_output_closed_under_the_symmetries_that_apply(kind):
+    for F, bound in orbit_gfes(kind, 2, 12):
+        a, b, c = F.sig
+        sols = {s.as_tuple() for s in enumerate_primitive_solutions(F, bound)}
+        if a % 2 == b % 2 == c % 2 == 1:
+            assert {(-x, -y, -z) for x, y, z in sols} == sols, str(F)
+        if (a, F.A) == (b, F.B):
+            assert {(y, x, z) for x, y, z in sols} == sols, str(F)
+
+
+def test_orbit_fixed_points():
+    # Triples that a symmetry fixes or maps onto the region's boundary:
+    # x = 0 (u = 0), x = y (fixed by the swap), x = -y (fixed by swap and
+    # negation together), and (+-1, +-1, +-1) with every sign merged by the
+    # even-exponent tables.  Each must come out once.
+    cases = {
+        (3, 3, 3, 1, 1, -1): [
+            (-1, 0, -1), (-1, 1, 0), (0, -1, -1), (0, 1, 1), (1, -1, 0), (1, 0, 1),
+        ],
+        (3, 3, 3, 1, 1, -2): [(-1, -1, -1), (-1, 1, 0), (1, -1, 0), (1, 1, 1)],
+        (5, 3, 3, 1, 1, 1): [
+            (-1, 0, 1), (-1, 1, 0), (0, -1, 1), (0, 1, -1), (1, -1, 0), (1, 0, -1),
+        ],
+        (3, 3, 5, 2, 2, -1): [(-1, 1, 0), (1, -1, 0)],
+        (2, 2, 2, 1, 1, -2): [
+            (sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)
+        ],
+    }
+    for (a, b, c, A, B, C), want in cases.items():
+        F = GFE(Signature(a, b, c), A, B, C)
+        bound = 1 if (a, b, c) == (2, 2, 2) else 10
+        got = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
+        assert got == want == brute_force_solutions_zdict(F, bound), str(F)
+
+
+@pytest.mark.parametrize(
+    "sig, coeffs, sol",
+    [
+        # Swap only: found as (1, 2, 3), rebuilt by the swap.
+        ((3, 3, 2), (1, 1, -1), (2, 1, 3)),
+        # Swap on even exponents: found as (1, 7, 5).
+        ((2, 2, 2), (1, 1, -2), (7, 1, 5)),
+        # Both: found as (-4, 5, 1), the only one of its orbit with w >= |u|.
+        ((3, 3, 3), (1, 1, -61), (5, -4, 1)),
+        # Negation only: found as (2, -3, -1), where u = x^5 >= 0.
+        ((5, 3, 3), (1, 1, 5), (-2, 3, 1)),
+    ],
+)
+def test_orbit_solutions_on_the_bound(sig, coeffs, sol):
+    # A solution whose largest coordinate is the bound is rebuilt from its
+    # orbit's representative at that bound and is absent one below.
+    F = GFE(Signature(*sig), *coeffs)
+    a, b, c = sig
+    orbit = {sol}
+    if (a, coeffs[0]) == (b, coeffs[1]):
+        orbit |= {(y, x, z) for x, y, z in orbit}
+    if a % 2 == b % 2 == c % 2 == 1:
+        orbit |= {(-x, -y, -z) for x, y, z in orbit}
+    m = max(map(abs, sol))
+    at_m = [s.as_tuple() for s in enumerate_primitive_solutions(F, m)]
+    below = [s.as_tuple() for s in enumerate_primitive_solutions(F, m - 1)]
+    assert orbit <= set(at_m) and not orbit & set(below)
+    assert at_m == brute_force_solutions_zdict(F, m)
+    assert below == brute_force_solutions_zdict(F, m - 1)
 
 
 def test_enumerate_coefficients_beyond_int64():

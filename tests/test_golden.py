@@ -19,7 +19,8 @@ import gfdescent.cli as cli
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 # name -> argv.  The README's CLI section in order, its text-format example,
-# then the benchmark's enumeration shapes at bound 200.
+# then the benchmark's enumeration shapes at bound 200, then four shapes with
+# sign or swap symmetry.
 CASES = {
     "snf": ["snf", "--matrix", "2,-3,0;0,3,-7;-2,0,7"],
     "weights": ["weights", "--signature", "2,3,7"],
@@ -56,6 +57,16 @@ for _sig, _coeffs, _sieve in (
         ["enumerate", "--signature", _sig, "--coeffs", _coeffs, "--bound", "200"]
         + ([] if _sieve else ["--no-sieve"])
     )
+# Shapes whose solutions the enumerator folds by symmetry: swap x <-> y only,
+# both negation and swap, negation only, and the A = -B near-miss that has
+# neither.
+for _name, _sig, _coeffs, _bound in (
+    ("enumerate-332-swap", "3,3,2", "1,1,-1", "300"),
+    ("enumerate-333-negation-swap", "3,3,3", "1,1,-2", "200"),
+    ("enumerate-533-negation", "5,3,3", "1,1,1", "200"),
+    ("enumerate-333-near-miss", "3,3,3", "1,-1,1", "200"),
+):
+    CASES[_name] = ["enumerate", "--signature", _sig, "--coeffs", _coeffs, "--bound", _bound]
 
 
 def golden_path(name: str) -> pathlib.Path:

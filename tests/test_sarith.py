@@ -25,6 +25,18 @@ def test_sring_validation():
     assert str(SRing((2, 3))) == "Z[1/{2,3}]"
 
 
+def test_sring_takes_any_iterable_once():
+    # A list, a tuple and a generator give the same hashable ring; the
+    # generator is read once, by the tuple conversion, before the checks.
+    rings = [SRing([2, 3]), SRing((2, 3)), SRing(p for p in (2, 3))]
+    assert all(R == rings[1] and R.primes == (2, 3) for R in rings)
+    assert len({hash(R) for R in rings}) == 1
+    assert repr(SRing((2, 3))) == "SRing(primes=(2, 3))"
+    assert repr(SRing([2, 3])) == "SRing(primes=(2, 3))"
+    with pytest.raises(ValueError):
+        SRing(p for p in (3, 2))
+
+
 def test_valuation_examples():
     assert valuation(48, 2) == 4
     assert valuation(7, 2) == 0
