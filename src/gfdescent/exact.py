@@ -6,6 +6,7 @@ so all functions are safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Optional
@@ -133,10 +134,10 @@ def _split_power(v: int) -> tuple[int, int]:
 def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     """Full prime factorization of a nonzero integer.
 
-    Trial division up to TRIAL_DIVISION_BOUND.  A composite cofactor that is
-    a perfect power r^k is replaced by r (k times over); any other is split
-    by Brent's rho seeded deterministically from the input, so failures are
-    reproducible.
+    Trial division by 2 and the odd numbers up to TRIAL_DIVISION_BOUND.  A
+    composite cofactor that is a perfect power r^k is replaced by r (k times
+    over); any other is split by Brent's rho seeded deterministically from
+    the input, so failures are reproducible.
 
     Raises WorkLimitExceeded when the rho budget runs out before the
     remaining cofactor is split.
@@ -147,7 +148,7 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in range(2, TRIAL_DIVISION_BOUND + 1):
+    for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
         if p * p > m:
             break
         while m % p == 0:

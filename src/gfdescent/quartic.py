@@ -163,26 +163,33 @@ def _point_sort_key(P: CurvePoint):
 def rational_points_bounded(E: TwistedCurve, height: int) -> list[CurvePoint]:
     """All rational points whose u = p/q has |p| <= height and q <= height.
 
-    A box search: for each u in lowest terms, u^3 - d u must be a rational
-    square.  Contains the torsion subgroup for any box large enough to hold
-    its (integral) u-coordinates; extra points flag positive rank.
+    A box search in integers.  With u = p/q in lowest terms and q > 0,
+    u^3 - d u = p (p^2 - d q^2) / q^3, and that fraction is already in lowest
+    terms because gcd(p^2 - d q^2, q) = gcd(p^2, q) = 1.  So it is a rational
+    square iff q = k^2 and N = p (p^2 - d q^2) is a nonnegative perfect
+    square, and then v = +-isqrt(N) / k^3.  The search makes
+    isqrt(height) * (2 height + 1) integer square-root tests and builds
+    Fractions only for points on the curve.  Contains the torsion subgroup
+    for any box large enough to hold its (integral) u-coordinates; extra
+    points flag positive rank.
     """
     if height < 1:
         raise ValueError("height must be positive")
     pts = {POINT_AT_INFINITY}
-    for q in range(1, height + 1):
+    for k in range(1, math.isqrt(height) + 1):
+        q = k * k
+        dq2 = E.d * q * q
         for p in range(-height, height + 1):
-            if math.gcd(p, q) != 1:
+            n = p * (p * p - dq2)
+            if n < 0:
+                continue
+            r = math.isqrt(n)
+            # With gcd(p, k) > 1 the hit repeats the point of p/q in lowest
+            # terms, which the search meets at a smaller k.
+            if r * r != n or math.gcd(p, k) != 1:
                 continue
             u = Fraction(p, q)
-            w = u**3 - E.d * u
-            if w < 0:
-                continue
-            rn = is_perfect_nth_power(w.numerator, 2)
-            rd = is_perfect_nth_power(w.denominator, 2)
-            if rn is None or rd is None:
-                continue
-            v = Fraction(rn, rd)
+            v = Fraction(r, q * k)
             pts.add(CurvePoint(u, v))
             pts.add(CurvePoint(u, -v))
     return sorted(pts, key=_point_sort_key)
@@ -289,6 +296,10 @@ def run_sieve_442(
     cross-check against exhaustive enumeration guards the whole chain.  With
     include_nonadmissible, bounded point searches on the other six twists
     are fed through the same filter, which provably cannot change the output.
+    Each search is rational_points_bounded at extra_height = H: u = p/q with
+    |p| <= H and q <= H, where u^3 - d u = p (p^2 - d q^2) / q^3 is a square
+    only when q is a square, so it costs isqrt(H) * (2H + 1) integer
+    square-root tests per twist.
     """
     if bound_check < 1:
         raise ValueError("bound_check must be positive")

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the Smith-form oracle
-uses gcds of k x k minors, the enumeration oracles never extract roots, and
-the torsion oracle has its own group law.
+uses gcds of k x k minors, the enumeration oracles never extract roots, the
+torsion oracle has its own group law, and the box-point oracle evaluates the
+curve on Fractions without the square-denominator lemma.
 """
 
 import random
@@ -115,6 +116,29 @@ def integral_points_on_twist(d, box):
                 if vv:
                     pts.append((u, -vv))
     return sorted(set(pts))
+
+
+def fraction_box_points(d, height):
+    """Points (u, v) of v^2 = u^3 - d*u with u = p/q in lowest terms,
+    |p| <= height and 1 <= q <= height, as a set of Fraction pairs.
+
+    Evaluates u^3 - d*u on Fractions for every u in the box and keeps it when
+    numerator and denominator are both perfect squares.
+    """
+    out = set()
+    for q in range(1, height + 1):
+        for p in range(-height, height + 1):
+            if gcd(p, q) != 1:
+                continue
+            u = Fraction(p, q)
+            w = u**3 - d * u
+            if w < 0:
+                continue
+            rn, rd = isqrt(w.numerator), isqrt(w.denominator)
+            if rn * rn == w.numerator and rd * rd == w.denominator:
+                out.add((u, Fraction(rn, rd)))
+                out.add((u, Fraction(-rn, rd)))
+    return out
 
 
 def nagell_lutz_torsion(d):

@@ -193,3 +193,13 @@ def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sieve442", "--bound", "10")
     assert code == 3
     assert json.loads(err)["error"] == "pipeline-mismatch"
+
+
+def test_sieve442_nonpositive_height_is_invalid_input(capsys):
+    for height in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "sieve442", "--bound", "10", "--include-nonadmissible", "--height", height
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"

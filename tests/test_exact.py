@@ -50,6 +50,18 @@ def test_factorize_examples():
     assert factorize(-1) == Factorization(-1, ())
 
 
+def test_factorize_trial_division_boundaries():
+    # 9973 and 10007 are the primes either side of the trial bound 10^4;
+    # 100000007 is the first prime above its square, so trial division
+    # leaves it to the primality test.
+    assert factorize(9973 * 10007) == Factorization(1, ((9973, 1), (10007, 1)))
+    assert factorize(-(2**20) * 3**5 * 9973**2) == Factorization(
+        -1, ((2, 20), (3, 5), (9973, 2))
+    )
+    assert factorize(100000007) == Factorization(1, ((100000007, 1),))
+    assert factorize(100000007 * 9973) == Factorization(1, ((9973, 1), (100000007, 1)))
+
+
 def test_factorize_round_trip_dense():
     for n in range(1, 20001):
         assert factorize(n).value() == n

@@ -5,12 +5,16 @@ The files under tests/golden/ are the reference for refactors that promise
 the same behaviour.  Regenerate them (only when a change of output is
 intended) with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+Only the named cases are rewritten, or every case when none is named, so
+adding a case cannot silently rewrite the others.
 """
 
 import contextlib
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -41,6 +45,13 @@ CASES = {
     "torsion": ["torsion", "--d", "-4"],
     "sieve442": ["sieve442", "--bound", "1000"],
     "sieve442-text": ["--format", "text", "sieve442", "--bound", "1000"],
+    # The bounded twist point search at the default height, and at height
+    # 100, the first whose box holds u = 49/36 on d = -8 (candidate
+    # (2401:12769)).
+    "sieve442-nonadmissible": ["sieve442", "--bound", "1000", "--include-nonadmissible"],
+    "sieve442-nonadmissible-h100": [
+        "sieve442", "--bound", "200", "--include-nonadmissible", "--height", "100",
+    ],
 }
 for _sig, _coeffs, _sieve in (
     ("4,4,2", "1,1,-1", True),
@@ -94,7 +105,16 @@ def test_every_golden_file_has_a_case():
     assert on_disk == {golden_path(name).name for name in CASES} | {"snf-corpus.json"}
 
 
-if __name__ == "__main__":
+def main(names) -> int:
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        print(f"unknown golden case(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        golden_path(name).write_text(run(argv))
+    for name in names or CASES:
+        golden_path(name).write_text(run(CASES[name]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

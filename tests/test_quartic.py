@@ -18,7 +18,7 @@ from gfdescent.quartic import (
 )
 from gfdescent.sarith import SRing, UnitClassGroup, s_unit_reps
 
-from oracles import integral_points_on_twist, nagell_lutz_torsion
+from oracles import fraction_box_points, integral_points_on_twist, nagell_lutz_torsion
 
 FERMAT_442_TRIPLES = [
     (-1, 0, -1), (-1, 0, 1), (0, -1, -1), (0, -1, 1),
@@ -135,6 +135,35 @@ def test_rational_points_bounded():
     assert rational_points_bounded(E1, 5) == torsion_points(E1)
 
 
+BOX_ORACLE_DS = sorted(
+    {*range(-60, 0), *range(1, 61)}
+    | {s * 2**k for k in range(10) for s in (1, -1)}
+    | {-4 * k**4 for k in range(1, 5)}
+    | {k * k for k in range(1, 12)}
+)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 4, 5, 8, 9, 12, 16, 20])
+def test_rational_points_bounded_against_fraction_oracle(height):
+    for d in BOX_ORACLE_DS:
+        pts = rational_points_bounded(twist_curve(d), height)
+        assert pts[0] == POINT_AT_INFINITY
+        got = [(P.u, P.v) for P in pts[1:]]
+        assert got == sorted(fraction_box_points(d, height)), (d, height)
+
+
+def test_rational_points_bounded_non_integral_denominators():
+    # q = 4 and q = 9 on d = 2 sit inside the height-9 box.
+    pts = {(P.u, P.v) for P in rational_points_bounded(twist_curve(2), 9)}
+    for u, v in [(Fraction(9, 4), Fraction(21, 8)), (Fraction(-8, 9), Fraction(28, 27))]:
+        assert (u, v) in pts and (u, -v) in pts
+    # u = 49/36 on d = -8 needs |p| = 49: in the box at 49, not at 48.
+    point = (Fraction(49, 36), Fraction(791, 216))
+    at49 = {(P.u, P.v) for P in rational_points_bounded(twist_curve(-8), 49)}
+    at48 = {(P.u, P.v) for P in rational_points_bounded(twist_curve(-8), 48)}
+    assert point in at49 and point not in at48
+
+
 def test_belyi_images_never_indeterminate():
     for d in (1, -1, 2, -2, 4, -4, 8, -8):
         E = twist_curve(d)
@@ -197,8 +226,11 @@ def test_admissible_torsion_images_survive_only_at_marked_points():
 
 def test_sieve_invariance():
     base = [s.as_tuple() for s in sieve_442(50)]
+    assert base == FERMAT_442_TRIPLES
     assert base == [s.as_tuple() for s in sieve_442(120)]
-    widened = run_sieve_442(50, include_nonadmissible=True, extra_height=10)
-    assert [s.as_tuple() for s in widened.solutions] == base
-    # The extra twists contribute candidates, none of which survive.
-    assert len(widened.candidates) >= len(run_sieve_442(50).candidates)
+    plain = run_sieve_442(50)
+    for height in (1, 4, 9, 49):
+        widened = run_sieve_442(50, include_nonadmissible=True, extra_height=height)
+        assert [s.as_tuple() for s in widened.solutions] == base, height
+        # The extra twists contribute candidates, none of which survive.
+        assert len(widened.candidates) >= len(plain.candidates), height
