@@ -3,8 +3,8 @@
 Over a PID R = Z[S^-1], a point Q = (s:t) away from the three marked points
 lifts to the rooted line iff the ideals (s), (s-t), (t) are an a-th, b-th,
 c-th ideal power respectively.  At a marked point of multiplicity n the
-automorphism group is the n-th roots of unity of R, which inside Q is just
-{+-1}.
+automorphism group is the n-th roots of unity of R, which inside Q is {+-1}
+for even n and trivial for odd n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from .exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, ProjPointQ, intersecti
 from .groups import Signature
 from .sarith import SRing, is_nth_power_ideal
 
-MARKED_POINTS = {POINT_ZERO: "0", POINT_ONE: "1", POINT_INFINITY: "inf"}
+# Each marked point with its label and the coordinate of Q = (s:t) that
+# vanishes there: Q meets 0, 1, inf in the ideals (s), (s-t), (t).  Zipped
+# with a signature (a, b, c) it pairs each point with its exponent.
+MARKED_POINTS = (
+    (POINT_ZERO, "0", "s"),
+    (POINT_ONE, "1", "s-t"),
+    (POINT_INFINITY, "inf", "t"),
+)
 
 
 def mu_order(n: int) -> int:
@@ -51,9 +58,10 @@ def root_point_test(
     exists (rigidly) iff the intersection ideal is an n-th ideal power, and
     the positive generator of its n-th root is returned.
     """
-    if P == Q:
+    ideal = intersection_ideal(P, Q)
+    if ideal == 0:
         return RootPointResult("marked", automorphism_order=mu_order(n))
-    g = is_nth_power_ideal(intersection_ideal(P, Q), n, ring)
+    g = is_nth_power_ideal(ideal, n, ring)
     if g is None:
         return None
     return RootPointResult("root", root=g)
@@ -102,21 +110,22 @@ class StackPointCertificate(Record):
 def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCertificate:
     """Test whether Q lies on the rooted line of the signature over Z[S^-1].
 
-    Acceptance is well defined on the canonical representative: any other
-    scaling multiplies (s, s-t, t) by a common unit.
+    One root_point_test at each marked point, with its exponent from the
+    signature.  Acceptance is well defined on the canonical representative:
+    any other scaling multiplies (s, s-t, t) by a common unit.  A marked Q
+    meets the marked points before it in the unit ideal, so the loop
+    reaches the marked verdict without a failure.
     """
-    if Q in MARKED_POINTS:
-        return StackPointCertificate(Q, "marked", marked_at=MARKED_POINTS[Q])
-    s, t = Q.s, Q.t
-    conditions = (("s", s, sig.a), ("s-t", s - t, sig.b), ("t", t, sig.c))
     roots = []
     failed = []
-    for label, value, n in conditions:
-        g = is_nth_power_ideal(value, n, ring)
-        if g is None:
-            failed.append(label)
+    for (P, label, coordinate), n in zip(MARKED_POINTS, sig):
+        res = root_point_test(P, Q, n, ring)
+        if res is None:
+            failed.append(coordinate)
+        elif res.kind == "marked":
+            return StackPointCertificate(Q, "marked", marked_at=label)
         else:
-            roots.append(g)
+            roots.append(res.root)
     if failed:
         return StackPointCertificate(Q, "rejected", failed=tuple(failed))
     return StackPointCertificate(Q, "smooth", roots=tuple(roots))
@@ -141,8 +150,9 @@ def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) 
     if not cert.accepted:
         raise NotAStackPoint(f"{cert.point} was rejected, so it has no automorphisms")
     if cert.status == "marked":
-        n = {"0": sig.a, "1": sig.b, "inf": sig.c}[cert.marked_at]
-        return mu_order(n)
+        return mu_order(
+            next(n for (_, label, _), n in zip(MARKED_POINTS, sig) if label == cert.marked_at)
+        )
     return 1
 
 

@@ -261,6 +261,15 @@ def recover_solutions(
     cert = is_stack_point(Q, F.sig, ring)
     if not cert.accepted:
         raise NotAStackPoint(f"{Q} fails the root conditions over {ring}")
+    return _recover(cert, F, search_units)
+
+
+def _recover(
+    cert: StackPointCertificate, F: GFE, search_units: bool = False
+) -> list[RecoveredSolution]:
+    """recover_solutions at the point of an accepted certificate, without
+    testing the point again."""
+    Q = cert.point
     a, b, c = F.sig
     s, t = Q.s, Q.t
     values = (s, s - t, t)
@@ -306,15 +315,10 @@ def recover_solutions(
 
     if search_units:
         # Canonical S-integral recovery: each nonzero coordinate is the
-        # positive root guaranteed by the certificate, the leftover unit
-        # moves into the coefficient.
-        coords = []
-        for value, n in zip(values, (a, b, c)):
-            if value == 0:
-                coords.append(0)
-            else:
-                coords.append(is_perfect_nth_power(ring.prime_to_s_part(value), n))
-        x, y, z = coords
+        # positive root from the certificate, the leftover unit moves into
+        # the coefficient.  A marked point's nonzero coordinates are +-1, so
+        # their roots are their absolute values.
+        x, y, z = cert.roots or tuple(map(abs, values))
         A1 = -Fraction(s, x**a) if x else Fraction(F.A)
         B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
         C1 = Fraction(t, z**c) if z else Fraction(F.C)

@@ -25,12 +25,7 @@ from .exact import (
     is_perfect_nth_power,
     normalize_projective,
 )
-from .gfe import (
-    GFE,
-    PrimitiveSolution,
-    enumerate_primitive_solutions,
-    recover_solutions,
-)
+from .gfe import GFE, PrimitiveSolution, _recover, enumerate_primitive_solutions
 from .belyi import StackPointCertificate, is_stack_point
 from .groups import Signature
 from .sarith import SRing, UnitClassGroup, s_unit_reps
@@ -75,40 +70,6 @@ class TwistedCurve(Record):
         if P.is_infinity:
             return True
         return P.v**2 == P.u**3 - self.d * P.u
-
-    def negate(self, P: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return P
-        return CurvePoint(P.u, -P.v)
-
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        """Chord-tangent addition with explicit identity handling."""
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        if P.u == Q.u:
-            if P.v == -Q.v:
-                # Doubling a 2-torsion point, or adding inverses.
-                return POINT_AT_INFINITY
-            lam = (3 * P.u**2 - self.d) / (2 * P.v)
-        else:
-            lam = (Q.v - P.v) / (Q.u - P.u)
-        u3 = lam**2 - P.u - Q.u
-        v3 = lam * (P.u - u3) - P.v
-        return CurvePoint(u3, v3)
-
-    def multiply(self, k: int, P: CurvePoint) -> CurvePoint:
-        if k < 0:
-            return self.multiply(-k, self.negate(P))
-        acc = POINT_AT_INFINITY
-        step = P
-        while k:
-            if k & 1:
-                acc = self.add(acc, step)
-            step = self.add(step, step)
-            k >>= 1
-        return acc
 
 
 def twist_curve(d: int) -> TwistedCurve:
@@ -299,10 +260,13 @@ def run_sieve_442(
     Each search is rational_points_bounded at extra_height = H: u = p/q with
     |p| <= H and q <= H, where u^3 - d u = p (p^2 - d q^2) / q^3 is a square
     only when q is a square, so it costs isqrt(H) * (2H + 1) integer
-    square-root tests per twist.
+    square-root tests per twist.  Each candidate point is tested once, and
+    an accepted one is recovered from its certificate.
     """
     if bound_check < 1:
         raise ValueError("bound_check must be positive")
+    if extra_height < 1:
+        raise ValueError("height must be positive")
     reps = s_unit_reps(SRing((2,)), 4)
     admissible = admissible_twists(reps)
 
@@ -339,7 +303,7 @@ def run_sieve_442(
             recovered = tuple(
                 sorted(
                     PrimitiveSolution(*r.as_tuple())
-                    for r in recover_solutions(point, GFE_442, ring_z)
+                    for r in _recover(cert, GFE_442)
                 )
             )
             solutions.update(recovered)

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: the Smith-form oracle
 uses gcds of k x k minors, the enumeration oracles never extract roots, the
-torsion oracle has its own group law, and the box-point oracle evaluates the
-curve on Fractions without the square-denominator lemma.
+torsion oracle has its own group law, the box-point oracle evaluates the
+curve on Fractions without the square-denominator lemma, and the
+point-test oracle factors each coordinate by trial division instead of
+taking integer roots.
 """
 
 import random
@@ -170,12 +172,16 @@ def _has_order_at_most(P, d, n):
     for _ in range(n):
         if acc is None:
             return True
-        acc = _chord_tangent(acc, P, d)
+        acc = chord_tangent(acc, P, d)
     return False
 
 
-def _chord_tangent(P, Q, d):
+def chord_tangent(P, Q, d):
     """P + Q on v^2 = u^3 - d*u; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
     (u1, v1), (u2, v2) = P, Q
     if u1 == u2 and v1 == -v2:
         return None
@@ -185,3 +191,44 @@ def _chord_tangent(P, Q, d):
         lam = Fraction(v2 - v1) / (u2 - u1)
     u3 = lam * lam - u1 - u2
     return (u3, lam * (u1 - u3) - v1)
+
+
+def _trial_factor(n):
+    """{p: v_p(n)} for n != 0, by trial division."""
+    n = abs(n)
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def trial_division_point_test(s, t, sig, primes):
+    """(status, roots, failed) for the point (s:t), with gcd(s, t) = 1, on
+    the rooted line of sig = (a, b, c) over Z[1/primes].
+
+    The marked points are where s, s - t or t vanishes.  Elsewhere each of
+    s, s - t, t is factored by trial division, and with its exponent n it
+    is accepted when every valuation at a prime outside primes is divisible
+    by n; its root is the product of p^(v/n) over those primes.
+    """
+    if s == 0 or s == t or t == 0:
+        return ("marked", None, ())
+    roots, failed = [], []
+    for label, value, n in zip(("s", "s-t", "t"), (s, s - t, t), sig):
+        outside = {p: v for p, v in _trial_factor(value).items() if p not in primes}
+        if all(v % n == 0 for v in outside.values()):
+            root = 1
+            for p, v in outside.items():
+                root *= p ** (v // n)
+            roots.append(root)
+        else:
+            failed.append(label)
+    if failed:
+        return ("rejected", None, tuple(failed))
+    return ("smooth", tuple(roots), ())

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,6 +23,8 @@ from gfdescent.exact import (
 )
 from gfdescent.groups import Signature
 from gfdescent.sarith import SRing
+
+from oracles import trial_division_point_test
 
 Z = SRing(())
 
@@ -51,6 +55,33 @@ def test_is_stack_point_examples():
     for point, label in [(POINT_ZERO, "0"), (POINT_ONE, "1"), (POINT_INFINITY, "inf")]:
         cert = is_stack_point(point, Signature(2, 3, 7), Z)
         assert cert.status == "marked" and cert.marked_at == label
+
+
+def test_is_stack_point_against_trial_division_oracle():
+    # Status, roots and failed labels against factoring s, s - t and t by
+    # trial division, on seeded points with |s|, |t| <= 200 and on the three
+    # marked points, over signatures in {2,3,4}^3 and three rings.
+    rng = random.Random(2027)
+    rings = [SRing(()), SRing((2,)), SRing((2, 3))]
+    sigs = [Signature(*e) for e in product((2, 3, 4), repeat=3)]
+    cases = []
+    while len(cases) < 3000:
+        s, t = rng.randint(-200, 200), rng.randint(-200, 200)
+        if (s, t) != (0, 0) and math.gcd(s, t) == 1:
+            cases.append((normalize_projective(s, t), rng.choice(sigs), rng.choice(rings)))
+    cases += [
+        (P, sig, ring)
+        for P in (POINT_ZERO, POINT_ONE, POINT_INFINITY)
+        for sig in sigs
+        for ring in rings
+    ]
+    statuses = set()
+    for Q, sig, ring in cases:
+        cert = is_stack_point(Q, sig, ring)
+        expected = trial_division_point_test(Q.s, Q.t, tuple(sig), ring.primes)
+        assert (cert.status, cert.roots, cert.failed) == expected, (Q, sig, ring)
+        statuses.add(cert.status)
+    assert statuses == {"marked", "smooth", "rejected"}
 
 
 def test_root_generators_reproduce_valuations():

@@ -196,10 +196,13 @@ def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
 
 
 def test_sieve442_nonpositive_height_is_invalid_input(capsys):
-    for height in ("0", "-3"):
-        code, out, err = run_cli(
-            capsys, "sieve442", "--bound", "10", "--include-nonadmissible", "--height", height
-        )
+    base = ("sieve442", "--bound", "10")
+    for argv in (
+        base + ("--include-nonadmissible", "--height", "0"),
+        base + ("--include-nonadmissible", "--height", "-3"),
+        base + ("--height", "-3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"

@@ -14,6 +14,7 @@ adding a case cannot silently rewrite the others.
 import contextlib
 import io
 import pathlib
+import shlex
 import sys
 
 import pytest
@@ -22,9 +23,11 @@ import gfdescent.cli as cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
-# name -> argv.  The README's CLI section in order, its text-format example,
-# then the benchmark's enumeration shapes at bound 200, then four shapes with
-# sign or swap symmetry.
+# name -> argv.  The README's CLI section in order (a test checks that each of
+# its lines is a case here), its text-format example, the non-admissible
+# sieve, three point-test and recovery cases, then the benchmark's
+# enumeration shapes at bound 200, then four shapes with sign or swap
+# symmetry.
 CASES = {
     "snf": ["snf", "--matrix", "2,-3,0;0,3,-7;-2,0,7"],
     "weights": ["weights", "--signature", "2,3,7"],
@@ -52,6 +55,16 @@ CASES = {
     "sieve442-nonadmissible-h100": [
         "sieve442", "--bound", "200", "--include-nonadmissible", "--height", "100",
     ],
+    # The certificate-root recovery at a marked point and at a smooth point,
+    # and a point rejected at two coordinates (pins the order of `failed`).
+    "recover-marked-units": [
+        "recover", "--q", "1:1", "--signature", "2,3,7", "--coeffs", "1,1,1", "--search-units",
+    ],
+    "recover-smooth-units": [
+        "recover", "--q", "1:2", "--signature", "4,4,2", "--coeffs", "1,1,-1",
+        "--primes", "2", "--search-units",
+    ],
+    "stack-point-rejected": ["stack-point", "--q", "2/3", "--signature", "2,2,2", "--primes", ""],
 }
 for _sig, _coeffs, _sieve in (
     ("4,4,2", "1,1,-1", True),
@@ -103,6 +116,17 @@ def test_every_golden_file_has_a_case():
     on_disk = {p.name for p in GOLDEN.iterdir()}
     # snf-corpus.json is the Smith-form corpus that tests/test_smith.py owns.
     assert on_disk == {golden_path(name).name for name in CASES} | {"snf-corpus.json"}
+
+
+def test_readme_cli_examples_are_golden_cases():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gfdescent ")
+    ]
+    assert examples
+    for argv in examples:
+        assert argv in CASES.values(), argv
 
 
 def main(names) -> int:

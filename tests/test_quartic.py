@@ -18,7 +18,12 @@ from gfdescent.quartic import (
 )
 from gfdescent.sarith import SRing, UnitClassGroup, s_unit_reps
 
-from oracles import fraction_box_points, integral_points_on_twist, nagell_lutz_torsion
+from oracles import (
+    chord_tangent,
+    fraction_box_points,
+    integral_points_on_twist,
+    nagell_lutz_torsion,
+)
 
 FERMAT_442_TRIPLES = [
     (-1, 0, -1), (-1, 0, 1), (0, -1, -1), (0, -1, 1),
@@ -34,14 +39,21 @@ def test_twist_curve():
         twist_curve(0)
 
 
+def _as_pair(P):
+    """A curve point in the oracle's form: (u, v), or None at infinity."""
+    return None if P.is_infinity else (P.u, P.v)
+
+
 def test_group_law_basics():
+    # (2, 4) on d = -4 has order 4 under the oracle's chord-tangent law.
     E = twist_curve(-4)
-    P = affine(2, 4)
-    assert E.add(P, POINT_AT_INFINITY) == P
-    assert E.add(P, E.negate(P)) == POINT_AT_INFINITY
-    assert E.add(P, P) == affine(0, 0)
-    assert E.multiply(4, P) == POINT_AT_INFINITY
-    assert E.multiply(3, P) == E.negate(P)
+    P, minus_P = (2, 4), (2, -4)
+    assert E.contains(affine(*P)) and E.contains(affine(*minus_P))
+    assert chord_tangent(P, None, -4) == P
+    assert chord_tangent(P, minus_P, -4) is None
+    assert chord_tangent(P, P, -4) == (0, 0)
+    assert chord_tangent((0, 0), P, -4) == minus_P
+    assert chord_tangent(minus_P, P, -4) is None
 
 
 @pytest.mark.parametrize(
@@ -85,11 +97,13 @@ def test_torsion_is_a_group():
         E = twist_curve(d)
         tors = torsion_points(E)
         assert POINT_AT_INFINITY in tors
+        pairs = {_as_pair(P) for P in tors}
         for P in tors:
             assert E.contains(P)
-            assert E.negate(P) in tors
-            for Q in tors:
-                assert E.add(P, Q) in tors
+        for P in pairs:
+            assert (None if P is None else (P[0], -P[1])) in pairs
+            for Q in pairs:
+                assert chord_tangent(P, Q, d) in pairs
 
 
 def test_torsion_against_integral_point_oracle():
@@ -234,3 +248,31 @@ def test_sieve_invariance():
         assert [s.as_tuple() for s in widened.solutions] == base, height
         # The extra twists contribute candidates, none of which survive.
         assert len(widened.candidates) >= len(plain.candidates), height
+
+
+def test_run_sieve_442_rejects_nonpositive_height():
+    # Checked up front, with or without the non-admissible search.
+    for include in (False, True):
+        for height in (0, -3):
+            with pytest.raises(ValueError):
+                run_sieve_442(10, include_nonadmissible=include, extra_height=height)
+
+
+def test_sieve_tests_each_candidate_once(monkeypatch):
+    # The recovery reuses the candidate's certificate instead of testing
+    # the point again.
+    import gfdescent.belyi as belyi
+    import gfdescent.gfe as gfe
+    import gfdescent.quartic as quartic
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_stack_point(*args)
+
+    is_stack_point = belyi.is_stack_point
+    for module in (belyi, gfe, quartic):
+        monkeypatch.setattr(module, "is_stack_point", counted)
+    report = run_sieve_442(50, include_nonadmissible=True, extra_height=4)
+    assert [args[0] for args in calls] == [c.point for c in report.candidates]
