@@ -33,38 +33,18 @@ def mu_order(n: int) -> int:
     return 2 if n % 2 == 0 else 1
 
 
-class RootPointResult(Record):
-    """Outcome of testing one point against one rooted divisor."""
-
-    __slots__ = ("kind", "automorphism_order", "root")
-
-    def __init__(
-        self,
-        kind: str,  # "marked" or "root"
-        automorphism_order: Optional[int] = None,
-        root: Optional[int] = None,
-    ):
-        set_field(self, "kind", kind)
-        set_field(self, "automorphism_order", automorphism_order)
-        set_field(self, "root", root)
-
-
-def root_point_test(
-    P: ProjPointQ, Q: ProjPointQ, n: int, ring: SRing
-) -> Optional[RootPointResult]:
+def root_point_test(P: ProjPointQ, Q: ProjPointQ, n: int, ring: SRing) -> Optional[int]:
     """Does Q lift to the n-th root of the line at P, over Z[S^-1]?
 
-    At Q = P the lift exists with mu_n(R) automorphisms.  Away from P it
-    exists (rigidly) iff the intersection ideal is an n-th ideal power, and
-    the positive generator of its n-th root is returned.
+    Returns the positive generator g of the n-th root of the ideal where Q
+    meets P, or None when that ideal is not an n-th ideal power.  At Q = P
+    the ideal is (0) = (0)^n, so the root is 0, and 0 is returned exactly
+    there: the lift exists with mu_n(R) automorphisms (see mu_order).
     """
     ideal = intersection_ideal(P, Q)
     if ideal == 0:
-        return RootPointResult("marked", automorphism_order=mu_order(n))
-    g = is_nth_power_ideal(ideal, n, ring)
-    if g is None:
-        return None
-    return RootPointResult("root", root=g)
+        return 0
+    return is_nth_power_ideal(ideal, n, ring)
 
 
 class StackPointCertificate(Record):
@@ -111,21 +91,22 @@ def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCert
     """Test whether Q lies on the rooted line of the signature over Z[S^-1].
 
     One root_point_test at each marked point, with its exponent from the
-    signature.  Acceptance is well defined on the canonical representative:
-    any other scaling multiplies (s, s-t, t) by a common unit.  A marked Q
-    meets the marked points before it in the unit ideal, so the loop
-    reaches the marked verdict without a failure.
+    signature: None fails that coordinate, the root 0 means Q is that marked
+    point, and any other root is kept.  Acceptance is well defined on the
+    canonical representative: any other scaling multiplies (s, s-t, t) by a
+    common unit.  A marked Q meets the marked points before it in the unit
+    ideal, so the loop reaches the marked verdict without a failure.
     """
     roots = []
     failed = []
     for (P, label, coordinate), n in zip(MARKED_POINTS, sig):
-        res = root_point_test(P, Q, n, ring)
-        if res is None:
+        g = root_point_test(P, Q, n, ring)
+        if g is None:
             failed.append(coordinate)
-        elif res.kind == "marked":
+        elif g == 0:
             return StackPointCertificate(Q, "marked", marked_at=label)
         else:
-            roots.append(res.root)
+            roots.append(g)
     if failed:
         return StackPointCertificate(Q, "rejected", failed=tuple(failed))
     return StackPointCertificate(Q, "smooth", roots=tuple(roots))

@@ -108,10 +108,6 @@ def _mat(m: IntMatrix) -> list[list[str]]:
     return [[str(v) for v in row] for row in m.data]
 
 
-def _frac(q) -> str:
-    return str(q)
-
-
 def _cmd_snf(args) -> dict:
     res = smith_normal_form(_parse_matrix(args.matrix))
     return {
@@ -172,7 +168,7 @@ def _cmd_stack_point(args) -> dict:
 
 def _cmd_chi(args) -> dict:
     sig = _parse_signature(args.signature)
-    return {"signature": str(sig), "chi": _frac(euler_characteristic(sig))}
+    return {"signature": str(sig), "chi": str(euler_characteristic(sig))}
 
 
 def _cmd_classify(args) -> dict:
@@ -180,7 +176,7 @@ def _cmd_classify(args) -> dict:
     cls = classify_signature(sig)
     out = {
         "signature": str(sig),
-        "chi": _frac(cls.chi),
+        "chi": str(cls.chi),
         "kind": cls.kind,
         "genus": cls.genus_label(),
     }
@@ -191,9 +187,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     F = _parse_gfe(args)
-    sols = enumerate_primitive_solutions(
-        F, args.bound, use_sieve=not args.no_sieve, max_sieve_primes=args.sieve_primes
-    )
+    sols = enumerate_primitive_solutions(F, args.bound, use_sieve=not args.no_sieve)
     return {
         "equation": str(F),
         "bound": str(args.bound),
@@ -221,7 +215,7 @@ def _cmd_recover(args) -> dict:
         "solutions": [
             {
                 "xyz": [str(v) for v in r.as_tuple()],
-                "coefficients": [_frac(cf) for cf in r.coefficients],
+                "coefficients": [str(cf) for cf in r.coefficients],
                 "exact_coefficients": r.exact_coefficients,
             }
             for r in found
@@ -290,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         coeffs={"required": True},
         bound={"type": int, "required": True},
         no_sieve={"action": "store_true"},
-        sieve_primes={"type": int, "default": 4},
     )
     add(
         "jmap",

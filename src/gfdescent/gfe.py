@@ -103,7 +103,6 @@ def enumerate_primitive_solutions(
     F: GFE,
     bound: int,
     use_sieve: bool = True,
-    max_sieve_primes: int = 4,
 ) -> list[PrimitiveSolution]:
     """Exactly the primitive solutions with max(|x|,|y|,|z|) <= bound, in
     lexicographic order.
@@ -131,8 +130,9 @@ def enumerate_primitive_solutions(
     shorter window.  One symmetry roughly halves the windows, both quarter
     them.  No root extraction, no modular sieve, no fixed-width integers.
 
-    use_sieve and max_sieve_primes are accepted and have no effect: the
-    join is exact, so there is nothing for a modular pre-sieve to discard.
+    use_sieve is accepted and has no effect: the join is exact, so there is
+    nothing for a modular pre-sieve to discard.  It stays because callers
+    that pass it (the --no-sieve CLI flag among them) keep working.
     """
     if bound < 1:
         raise ValueError("bound must be positive")

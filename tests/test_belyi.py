@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from gfdescent.belyi import (
+    MARKED_POINTS,
     certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
@@ -30,15 +31,13 @@ Z = SRing(())
 
 
 def test_root_point_test_marked():
-    res = root_point_test(POINT_ZERO, POINT_ZERO, 4, Z)
-    assert res.kind == "marked" and res.automorphism_order == 2
-    res = root_point_test(POINT_ONE, POINT_ONE, 7, Z)
-    assert res.kind == "marked" and res.automorphism_order == 1
+    # (0) = (0)^n, so the root at the marked point itself is 0.
+    assert root_point_test(POINT_ZERO, POINT_ZERO, 4, Z) == 0
+    assert root_point_test(POINT_ONE, POINT_ONE, 7, Z) == 0
 
 
 def test_root_point_test_roots():
-    res = root_point_test(POINT_ZERO, normalize_projective(16, 1), 4, Z)
-    assert res.kind == "root" and res.root == 2
+    assert root_point_test(POINT_ZERO, normalize_projective(16, 1), 4, Z) == 2
     assert root_point_test(POINT_ZERO, normalize_projective(2, 1), 2, Z) is None
 
 
@@ -60,7 +59,11 @@ def test_is_stack_point_examples():
 def test_is_stack_point_against_trial_division_oracle():
     # Status, roots and failed labels against factoring s, s - t and t by
     # trial division, on seeded points with |s|, |t| <= 200 and on the three
-    # marked points, over signatures in {2,3,4}^3 and three rings.
+    # marked points, over signatures in {2,3,4}^3 and three rings.  Each
+    # root_point_test is checked on its own too: 0 exactly at Q itself, 1
+    # at the other marked points when Q is marked, and otherwise the
+    # oracle's root for that coordinate alone (exponent 1 at the other two),
+    # or None exactly when the oracle fails it.
     rng = random.Random(2027)
     rings = [SRing(()), SRing((2,)), SRing((2, 3))]
     sigs = [Signature(*e) for e in product((2, 3, 4), repeat=3)]
@@ -81,6 +84,16 @@ def test_is_stack_point_against_trial_division_oracle():
         expected = trial_division_point_test(Q.s, Q.t, tuple(sig), ring.primes)
         assert (cert.status, cert.roots, cert.failed) == expected, (Q, sig, ring)
         statuses.add(cert.status)
+        for i, ((P, _, _), n) in enumerate(zip(MARKED_POINTS, sig)):
+            g = root_point_test(P, Q, n, ring)
+            if P == Q:
+                assert g == 0, (P, Q)
+            elif cert.status == "marked":
+                assert g == 1, (P, Q)
+            else:
+                alone = tuple(n if j == i else 1 for j in range(3))
+                status, roots, _ = trial_division_point_test(Q.s, Q.t, alone, ring.primes)
+                assert g == (roots[i] if status == "smooth" else None), (P, Q, n, ring)
     assert statuses == {"marked", "smooth", "rejected"}
 
 

@@ -151,6 +151,8 @@ def test_invalid_inputs_exit_1(capsys):
     for argv in (
         ["chi", "--signature", "1,3,7"],
         ["enumerate", "--signature", "2,3,7", "--coeffs", "0,1,1", "--bound", "5"],
+        ["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "10",
+         "--sieve-primes", "3"],
         ["stack-point", "--q", "0/0", "--signature", "2,3,7"],
         ["snf", "--matrix", "1,2;3"],
         ["weights", "--signature", "2,3"],
