@@ -1,9 +1,11 @@
 """Generalized Fermat equations A x^a + B y^b + C z^c = 0.
 
 Primitive-solution enumeration (an exact join of value tables of the
-three terms, on plain ints, that visits each orbit of the sign symmetry
-(x, y, z) -> (-x, -y, -z) and of the swap x <-> y once, where the equation
-has them), the map to the projective line, and the two directions of the
+three terms, on plain ints, looping over a term of largest exponent, that
+visits each orbit of the equation's term symmetries once: the sign
+symmetry (x, y, z) -> (-x, -y, -z) and the permutations of terms that
+match up to the sign of odd-exponent variables, where the equation has
+them), the map to the projective line, and the two directions of the
 solution <-> rooted-line-point correspondence.
 """
 
@@ -13,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product as iter_product, repeat
+from itertools import permutations, product as iter_product, repeat
 from operator import sub
 
 from ._record import Record, set_field
@@ -107,28 +109,37 @@ def enumerate_primitive_solutions(
     """Exactly the primitive solutions with max(|x|,|y|,|z|) <= bound, in
     lexicographic order.
 
-    An exact join of value tables on plain ints.  For each distinct value
-    t = -A x^a, the solutions are the pairs of a value w = B y^b and a value
-    of C z^c that sum to t.  Bisection cuts the y table to the range of w
-    that the z table can reach, the z window is the image of that range,
+    An exact join of value tables on plain ints.  First v -> -v makes the
+    coefficient of every odd-exponent term positive; two terms match when
+    their exponents and these normalized coefficients agree.  The outer term
+    is one of largest exponent: one outside any matching pair if there is
+    one, then one of largest |coefficient|, then the first.  For each
+    distinct value t of minus the outer term, cut beforehand to the sums the
+    inner tables can reach, the solutions are the pairs of an inner value w
+    (of the term matching the outer one, if any) and a value r of the other
+    inner term with w + r = t.  Bisection cuts the w table to the range of w
+    that the r table can reach, the r window is the image of that range,
     and the shorter window, mapped through v -> t - v, is intersected with
     the other table's keys.
 
-    The join visits each orbit of two symmetries once.  Write u = A x^a
-    = -t.  When a, b, c are all odd, (x, y, z) -> (-x, -y, -z) fixes the
-    equation, and only u >= 0 is joined.  When (a, A) == (b, B), x <-> y
-    fixes it, and the y range starts at w >= u, or at w >= |u| when
-    negation holds too (then every u is joined).  Each region meets every
-    orbit, and the found triples are closed under the maps afterwards.  A
-    sign change of one variable with an even exponent needs nothing,
-    because the value tables already merge +-v.  No other symmetry is
-    used: not x <-> z or y <-> z when those terms match, and not x <-> y
-    when A == -B.
+    The join visits each orbit of the equation's term symmetries once: every
+    permutation of matching terms, and (x, y, z) -> (-x, -y, -z) when a, b,
+    c are all odd.  Each region below meets every orbit, and the found
+    triples are closed under the group afterwards.  Negation alone: t <= 0.
+    A matching inner pair: also w <= t // 2.  The outer term matching the w
+    term: w >= -t, or w >= |t| with no cut on t under negation.  All three
+    matching: 2t <= w <= t // 2, and w <= t under negation.  A sign change
+    of one variable with an even exponent needs nothing, because the value
+    tables already merge +-v.
 
-    Cost: three tables of 2*bound + 1 entries, then per joined value of
-    A x^a two bisections into each table and one set intersection over the
-    shorter window.  One symmetry roughly halves the windows, both quarter
-    them.  No root extraction, no modular sieve, no fixed-width integers.
+    Cost: three tables of 2*bound + 1 entries, then per joined value t two
+    bisections into each inner table and one set intersection over the
+    shorter window.  A largest exponent outside leaves few outer values
+    within reach of the inner sums, and the symmetries cut the joined region
+    by about the size of their group or more: the shorter windows sum to
+    17 k on (7,7,7) at bound 600 (12 maps) and to 330 k on (2,2,2) at bound
+    1500 (x <-> y), against 1.42 M and 1.13 M with x outer and no symmetry.
+    No root extraction, no modular sieve, no fixed-width integers.
 
     use_sieve is accepted and has no effect: the join is exact, so there is
     nothing for a modular pre-sieve to discard.  It stays because callers
@@ -136,34 +147,54 @@ def enumerate_primitive_solutions(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    a, b, c = F.sig
-    _, xroots = _value_table(-F.A, a, bound)
-    ys, yroots = _value_table(F.B, b, bound)
-    zs, zroots = _value_table(F.C, c, bound)
-    negation = a % 2 == b % 2 == c % 2 == 1
-    swap = (a, F.A) == (b, F.B)
+    exps = tuple(F.sig)
+    coefs = (F.A, F.B, F.C)
+    signs = [-1 if n % 2 and k < 0 else 1 for n, k in zip(exps, coefs)]
+    terms = [(n, k * e) for n, k, e in zip(exps, coefs, signs)]
+    negation = all(n % 2 for n in exps)
+    o = min(
+        range(3), key=lambda i: (-exps[i], terms.count(terms[i]) > 1, -abs(coefs[i]), i)
+    )
+    p, q = sorted((i for i in range(3) if i != o), key=lambda i: terms[i] != terms[o])
+    outer_match, inner_match = terms[o] == terms[p], terms[p] == terms[q]
+    ts, oroots = _value_table(-terms[o][1], exps[o], bound)
+    ws, wroots = _value_table(terms[p][1], exps[p], bound)
+    rs, rroots = _value_table(terms[q][1], exps[q], bound)
+    top = ws[-1] + rs[-1]
+    if negation and (inner_match or not outer_match):
+        top = min(top, 0)
     found = set()
-    for t, xs in xroots.items():
-        lo = max(t - zs[-1], ys[0])
-        if swap:
+    for t in ts[bisect_left(ts, ws[0] + rs[0]) : bisect_right(ts, top)]:
+        lo = max(t - rs[-1], ws[0])
+        hi = min(t - rs[0], ws[-1])
+        if outer_match and inner_match:
+            lo, hi = max(lo, 2 * t), min(hi, t if negation else t // 2)
+        elif outer_match:
             lo = max(lo, abs(t) if negation else -t)
-        elif negation and t > 0:
-            continue
-        hi = min(t - zs[0], ys[-1])
+        elif inner_match:
+            hi = min(hi, t // 2)
         if lo > hi:
             continue
-        ylo, yhi = bisect_left(ys, lo), bisect_right(ys, hi)
-        zlo, zhi = bisect_left(zs, t - hi), bisect_right(zs, t - lo)
-        if yhi - ylo <= zhi - zlo:
-            yvals = [t - w for w in zroots.keys() & map(sub, repeat(t), ys[ylo:yhi])]
+        wlo, whi = bisect_left(ws, lo), bisect_right(ws, hi)
+        rlo, rhi = bisect_left(rs, t - hi), bisect_right(rs, t - lo)
+        if whi - wlo <= rhi - rlo:
+            wvals = [t - r for r in rroots.keys() & map(sub, repeat(t), ws[wlo:whi])]
         else:
-            yvals = yroots.keys() & map(sub, repeat(t), zs[zlo:zhi])
-        for v in yvals:
-            for s in iter_product(xs, yroots[v], zroots[t - v]):
+            wvals = wroots.keys() & map(sub, repeat(t), rs[rlo:rhi])
+        for v in wvals:
+            for s in iter_product(oroots[t], wroots[v], rroots[t - v]):
                 if math.gcd(*s) == 1:
                     found.add(s)
-    if swap:
-        found |= {(y, x, z) for x, y, z in found}
+    # Back to (x, y, z) order through every permutation of matching terms,
+    # then to the original signs.
+    order = (o, p, q)
+    perms = [
+        [order.index(j) for j in g]
+        for g in permutations(range(3))
+        if [terms[j] for j in g] == terms
+    ]
+    sx, sy, sz = signs
+    found = {(sx * s[i], sy * s[j], sz * s[k]) for s in found for i, j, k in perms}
     if negation:
         found |= {(-x, -y, -z) for x, y, z in found}
     return [PrimitiveSolution(*s) for s in sorted(found)]
@@ -308,9 +339,8 @@ def _recover(
                     raise AssertionError(
                         f"({x}, {y}, {z}) recovered from {Q} does not solve {F}"
                     )
-                key = (x, y, z, base)
-                if key not in seen:
-                    seen.add(key)
+                if (x, y, z) not in seen:
+                    seen.add((x, y, z))
                     results.append(RecoveredSolution(x, y, z, base, True))
 
     if search_units:
@@ -323,9 +353,8 @@ def _recover(
         B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
         C1 = Fraction(t, z**c) if z else Fraction(F.C)
         triple = (A1, B1, C1)
-        key = (x, y, z, triple)
-        if key not in seen:
-            seen.add(key)
+        # seen holds the exact-coefficient triples only.
+        if triple != base or (x, y, z) not in seen:
             results.append(RecoveredSolution(x, y, z, triple, triple == base))
 
     return results

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -127,12 +128,19 @@ def test_enumerate_window_edges():
         assert at5 == brute_force_solutions(F, 5) and at4 == brute_force_solutions(F, 4)
 
 
-# The join visits one region per orbit of (x, y, z) -> (-x, -y, -z) (all
-# exponents odd) and of x <-> y ((a, A) == (b, B)), then closes the result
-# under those maps.  Each kind below fixes the constrained exponents and
-# coefficients and solves for one free coefficient so that a small seeded
-# triple with the free variable at +-1 is a solution.  The last three kinds
-# are near-misses that the join must not treat as symmetric.
+# The join visits one region per orbit of the equation's term symmetries:
+# (x, y, z) -> (-x, -y, -z) when all exponents are odd, and every permutation
+# of terms that match once each odd-exponent coefficient is made positive by
+# v -> -v.  It then closes the result under those maps.  Each kind below
+# fixes the constrained exponents and coefficients and, except for the last,
+# solves for one free coefficient so that a small seeded triple with the free
+# variable at +-1 is a solution.  KIND_MATCHES names the pairs of terms that
+# match in each kind.  "x-z-match" matches through the z slot,
+# "a-equal-b-odd-with-A-minus-B" and the two sign-match kinds only up to the
+# sign of an odd-exponent variable, and "A-equal-B-with-a-not-b" is a
+# near-miss with no symmetry of terms.  Three matching terms (odd exponents:
+# even ones of one sign have no solution) have only the solutions with a
+# zero coordinate.
 ORBIT_KINDS = (
     "negation",
     "swap-even",
@@ -141,7 +149,47 @@ ORBIT_KINDS = (
     "x-z-match",
     "a-equal-b-odd-with-A-minus-B",
     "A-equal-B-with-a-not-b",
+    "x-z-sign-match",
+    "y-z-sign-match",
+    "three-match",
 )
+KIND_MATCHES = {
+    "negation": set(),
+    "swap-even": {(0, 1)},
+    "swap-odd": {(0, 1)},
+    "negation-and-swap": {(0, 1)},
+    "x-z-match": {(0, 2)},
+    "a-equal-b-odd-with-A-minus-B": {(0, 1)},
+    "A-equal-B-with-a-not-b": set(),
+    "x-z-sign-match": {(0, 2)},
+    "y-z-sign-match": {(1, 2)},
+    "three-match": {(0, 1), (0, 2), (1, 2)},
+}
+
+
+def term_symmetries(F):
+    """Each permutation g of the terms, with the signs e that make
+    (x, y, z) -> (e[i] * v[g[i]])_i map solutions to solutions: the exponents
+    agree, and so do the coefficients, up to sign where the exponent is odd."""
+    exps, coefs = tuple(F.sig), (F.A, F.B, F.C)
+    out = []
+    for g in permutations(range(3)):
+        if all(
+            exps[g[i]] == exps[i]
+            and abs(coefs[g[i]]) == abs(coefs[i])
+            and (exps[i] % 2 or coefs[g[i]] == coefs[i])
+            for i in range(3)
+        ):
+            out.append((g, [coefs[g[i]] // coefs[i] for i in range(3)]))
+    return out
+
+
+def matching_pairs(F):
+    return {
+        tuple(sorted(i for i in range(3) if g[i] != i))
+        for g, _ in term_symmetries(F)
+        if sum(g[i] != i for i in range(3)) == 2
+    }
 
 
 def orbit_gfes(kind, seed, count):
@@ -151,7 +199,7 @@ def orbit_gfes(kind, seed, count):
     while len(out) < count:
         a, b, c = (rng.randrange(2, 8) for _ in range(3))
         A, B = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(2))
-        free = 2
+        free, C = 2, A
         if kind == "negation":
             a, b, c = (rng.choice(odd) for _ in range(3))
         elif kind == "swap-even":
@@ -172,14 +220,26 @@ def orbit_gfes(kind, seed, count):
             B = A
             if a == b:
                 continue
-        exps, coeffs = [a, b, c], [A, B, A]
-        planted = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]
-        planted[free] = rng.choice([-1, 1])
-        rest = sum(k * v**n for k, v, n in zip(coeffs, planted, exps)) - coeffs[free] * planted[free]
-        coeffs[free] = -rest * planted[free] or rng.choice([-1, 1])
-        if kind not in ORBIT_KINDS[1:4] and (a, coeffs[0]) == (b, coeffs[1]):
+        elif kind == "x-z-sign-match":
+            a = c = rng.choice(odd)
+            C, free = -A, 1
+        elif kind == "y-z-sign-match":
+            b = c = rng.choice(odd)
+            C, free = -B, 0
+        elif kind == "three-match":
+            a = b = c = rng.choice(odd)
+            B, C, free = rng.choice([-1, 1]) * A, rng.choice([-1, 1]) * A, None
+        exps, coeffs = [a, b, c], [A, B, C]
+        if free is not None:
+            planted = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)]
+            planted[free] = rng.choice([-1, 1])
+            rest = sum(k * v**n for k, v, n in zip(coeffs, planted, exps))
+            rest -= coeffs[free] * planted[free] ** exps[free]
+            coeffs[free] = -rest * planted[free] or rng.choice([-1, 1])
+        F = GFE(Signature(*exps), *coeffs)
+        if matching_pairs(F) != KIND_MATCHES[kind]:
             continue
-        out.append((GFE(Signature(*exps), *coeffs), rng.randint(3, 12)))
+        out.append((F, rng.randint(3, 12)))
     return out
 
 
@@ -188,11 +248,14 @@ def test_orbit_kinds_are_what_they_say():
         for F, _ in orbit_gfes(kind, 0, 20) + orbit_gfes(kind, 1, 12) + orbit_gfes(kind, 2, 12):
             a, b, c = F.sig
             negation = a % 2 == b % 2 == c % 2 == 1
+            if kind in ORBIT_KINDS[:4] or kind == "three-match":
+                assert negation == (kind not in ("swap-even", "swap-odd")), (kind, str(F))
+            # x <-> y without a sign change: only the swap kinds have it, and
+            # three matching terms may.
             swap = (a, F.A) == (b, F.B)
-            # The near-misses may have negation, but never the swap.
-            if kind in ORBIT_KINDS[:4]:
-                assert negation == (kind in ("negation", "negation-and-swap")), (kind, str(F))
-            assert swap == (kind in ORBIT_KINDS[1:4]), (kind, str(F))
+            if kind != "three-match":
+                assert swap == (kind in ORBIT_KINDS[1:4]), (kind, str(F))
+            assert matching_pairs(F) == KIND_MATCHES[kind], (kind, str(F))
 
 
 @pytest.mark.parametrize("kind", ORBIT_KINDS)
@@ -212,8 +275,28 @@ def test_output_closed_under_the_symmetries_that_apply(kind):
         sols = {s.as_tuple() for s in enumerate_primitive_solutions(F, bound)}
         if a % 2 == b % 2 == c % 2 == 1:
             assert {(-x, -y, -z) for x, y, z in sols} == sols, str(F)
-        if (a, F.A) == (b, F.B):
-            assert {(y, x, z) for x, y, z in sols} == sols, str(F)
+        # Every swap of two matching terms with its sign change, and all six
+        # permutations when the three terms match.
+        symmetries = term_symmetries(F)
+        assert len(symmetries) == (6 if kind == "three-match" else 1 + len(KIND_MATCHES[kind]))
+        for g, e in symmetries:
+            assert {tuple(e[i] * s[g[i]] for i in range(3)) for s in sols} == sols, (str(F), g)
+
+
+def test_permuting_terms_permutes_solutions():
+    # Metamorphic: moving the terms to other slots moves the solutions'
+    # coordinates with them.  Over the six permutations the outer term takes
+    # every slot, and each kind reaches its region rule from every side.
+    cases = [(F, 8) for F in random_gfes(103, 12)]
+    for kind in ORBIT_KINDS:
+        cases += orbit_gfes(kind, 3, 4)
+    for F, bound in cases:
+        exps, coefs = tuple(F.sig), (F.A, F.B, F.C)
+        sols = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
+        for g in permutations(range(3)):
+            Fg = GFE(Signature(*(exps[i] for i in g)), *(coefs[i] for i in g))
+            got = [s.as_tuple() for s in enumerate_primitive_solutions(Fg, bound)]
+            assert got == sorted(tuple(s[i] for i in g) for s in sols), (str(F), g)
 
 
 def test_orbit_fixed_points():
@@ -239,6 +322,18 @@ def test_orbit_fixed_points():
         bound = 1 if (a, b, c) == (2, 2, 2) else 10
         got = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
         assert got == want == brute_force_solutions_zdict(F, bound), str(F)
+
+
+def test_outer_range_cut_keeps_both_ends():
+    # The outer table is cut to [min w + min r, max w + max r] before the
+    # join.  At bound 1, +-(1, 1, 1) sits on the low end of x^3 + y^3 = 2 z^3
+    # (z outer: t = -2 z^3 = -2) and on the high end of x^2 + y^2 = 2 z^2
+    # (t = 2 z^2 = 2).
+    for sig, coeffs in (((3, 3, 3), (1, 1, -2)), ((2, 2, 2), (1, 1, -2))):
+        F = GFE(Signature(*sig), *coeffs)
+        got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 1)]
+        assert (1, 1, 1) in got and (-1, -1, -1) in got, str(F)
+        assert got == brute_force_solutions_zdict(F, 1), str(F)
 
 
 @pytest.mark.parametrize(

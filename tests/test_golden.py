@@ -82,13 +82,16 @@ for _sig, _coeffs, _sieve in (
         + ([] if _sieve else ["--no-sieve"])
     )
 # Shapes whose solutions the enumerator folds by symmetry: swap x <-> y only,
-# both negation and swap, negation only, and the A = -B near-miss that has
-# neither.
+# both negation and swap, negation only, x <-> y with A = -B (a match up to
+# the sign of y, and under negation), y <-> z matching up to the sign of z
+# with y as the outer term, and x <-> z matching up to the sign of z.
 for _name, _sig, _coeffs, _bound in (
     ("enumerate-332-swap", "3,3,2", "1,1,-1", "300"),
     ("enumerate-333-negation-swap", "3,3,3", "1,1,-2", "200"),
     ("enumerate-533-negation", "5,3,3", "1,1,1", "200"),
     ("enumerate-333-near-miss", "3,3,3", "1,-1,1", "200"),
+    ("enumerate-233-y-z-match", "2,3,3", "1,1,-1", "200"),
+    ("enumerate-323-x-z-match", "3,2,3", "2,7,-2", "200"),
 ):
     CASES[_name] = ["enumerate", "--signature", _sig, "--coeffs", _coeffs, "--bound", _bound]
 
