@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import exact
 from .belyi import (
@@ -34,9 +35,12 @@ from .gfe import (
     verify_descent_inclusion,
 )
 from .groups import Signature, h_structure, weight_vector
-from .quartic import run_sieve_442, torsion_points, twist_curve
 from .sarith import SRing, s_unit_reps
-from .smith import IntMatrix, smith_normal_form
+
+# quartic and smith serve only a few commands, which import them when they
+# run, so that the other commands never load them.
+if TYPE_CHECKING:
+    from .smith import IntMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -92,6 +96,8 @@ def _parse_point(text: str) -> ProjPointQ:
 
 
 def _parse_matrix(text: str) -> IntMatrix:
+    from .smith import IntMatrix
+
     try:
         rows = [[int(v) for v in row.split(",")] for row in text.split(";")]
         return IntMatrix(rows)
@@ -109,6 +115,8 @@ def _mat(m: IntMatrix) -> list[list[str]]:
 
 
 def _cmd_snf(args) -> dict:
+    from .smith import smith_normal_form
+
     res = smith_normal_form(_parse_matrix(args.matrix))
     return {
         "D": _mat(res.D),
@@ -228,12 +236,16 @@ def _cmd_verify_inclusion(args) -> dict:
 
 
 def _cmd_twist(args) -> dict:
+    from .quartic import twist_curve
+
     E = twist_curve(args.d)
     sign = "-" if E.d > 0 else "+"
     return {"d": str(E.d), "equation": f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"}
 
 
 def _cmd_torsion(args) -> dict:
+    from .quartic import torsion_points, twist_curve
+
     E = twist_curve(args.d)
     pts = torsion_points(E)
     return {
@@ -244,6 +256,8 @@ def _cmd_torsion(args) -> dict:
 
 
 def _cmd_sieve442(args) -> dict:
+    from .quartic import run_sieve_442
+
     report = run_sieve_442(
         args.bound,
         include_nonadmissible=args.include_nonadmissible,

@@ -1,7 +1,10 @@
 """Exact integer arithmetic: factorization, perfect powers, projective points.
 
-Everything here works on plain Python ints (arbitrary precision) and is pure,
-so all functions are safe to call concurrently.
+Everything here works on plain Python ints (arbitrary precision).  Every
+function is pure except factorize, which falls back to the module global
+DEFAULT_RHO_ITERATION_CAP when called without a cap.  gfdescent.cli.main
+rewrites that global for the length of a call, so a factorize call without a
+cap that runs concurrently with main may see main's cap.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[Optional[int], 
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             spent += min(m, r - k)
             if spent > budget:
                 return None, spent
@@ -110,7 +113,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[Optional[int], 
             spent += 1
             if spent > budget:
                 return None, spent
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
             if g > 1:
                 break
     return (g if g != n else None), spent
@@ -139,8 +142,9 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     over); any other is split by Brent's rho seeded deterministically from
     the input, so failures are reproducible.
 
-    Raises WorkLimitExceeded when the rho budget runs out before the
-    remaining cofactor is split.
+    The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP as it
+    stands at the call when that is None.  Raises WorkLimitExceeded when the
+    budget runs out before the remaining cofactor is split.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -13,10 +13,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
 from .errors import ZeroCoordinate
-from .smith import IntMatrix, kernel_basis
+
+# Only the matrix functions below need smith; they import it themselves so
+# that the closed forms, which every command uses, do not load it.
+if TYPE_CHECKING:
+    from .smith import IntMatrix
 
 
 class Signature(Record):
@@ -61,12 +66,16 @@ class HStructure(Record):
 
 def relation_matrix(sig: Signature) -> IntMatrix:
     """Rows span the relation lattice of the character group."""
+    from .smith import IntMatrix
+
     a, b, c = sig
     return IntMatrix([[a, -b, 0], [0, b, -c], [-a, 0, c]])
 
 
 def triangle_relation_matrix(sig: Signature) -> IntMatrix:
     """Rows present the abelianized triangle group of the signature."""
+    from .smith import IntMatrix
+
     a, b, c = sig
     return IntMatrix([[a, 0, 0], [0, b, 0], [0, 0, c], [1, 1, 1]])
 
@@ -103,6 +112,8 @@ def h_structure(sig: Signature) -> HStructure:
 
 def weight_kernel_generator(sig: Signature) -> list[int]:
     """Primitive kernel generator of the relation matrix; equals the weights."""
+    from .smith import kernel_basis
+
     basis = kernel_basis(relation_matrix(sig))
     if len(basis) != 1:
         raise AssertionError(f"relation matrix of {sig} should have rank 2")

@@ -264,7 +264,7 @@ def run_sieve_442(
     an accepted one is recovered from its certificate.
     """
     if bound_check < 1:
-        raise ValueError("bound_check must be positive")
+        raise ValueError("bound must be positive")
     if extra_height < 1:
         raise ValueError("height must be positive")
     reps = s_unit_reps(SRing((2,)), 4)

@@ -2,6 +2,7 @@ import json
 
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
+import gfdescent.quartic as quartic
 
 
 def run_cli(capsys, *argv):
@@ -191,7 +192,7 @@ def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise PipelineMismatch("forced")
 
-    monkeypatch.setattr(cli, "run_sieve_442", boom)
+    monkeypatch.setattr(quartic, "run_sieve_442", boom)
     code, _, err = run_cli(capsys, "sieve442", "--bound", "10")
     assert code == 3
     assert json.loads(err)["error"] == "pipeline-mismatch"
@@ -208,3 +209,13 @@ def test_sieve442_nonpositive_height_is_invalid_input(capsys):
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_sieve442_nonpositive_bound_is_invalid_input(capsys):
+    for bound in ("0", "-5"):
+        code, out, err = run_cli(capsys, "sieve442", "--bound", bound)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-input"
+        assert error["message"] == "bound must be positive"

@@ -7,6 +7,7 @@ from gfdescent.errors import WorkLimitExceeded, ZeroPoint
 from gfdescent.exact import (
     Factorization,
     ProjPointQ,
+    _brent_rho,
     factorize,
     integer_nth_root,
     intersection_ideal,
@@ -86,6 +87,24 @@ def test_factorize_work_limit():
         factorize(n, rho_iteration_cap=1)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+@pytest.mark.parametrize(
+    "n,full,capped",
+    [
+        (68734389138596057, (266148347, 17407), (None, 1023)),
+        (48279464130652331, (202098101, 11903), (None, 1023)),
+        (57149245472426669, (245155577, 5887), (None, 1023)),
+        (52380665978922823, (236443303, 5503), (None, 1023)),
+        # The block gcd hits n here, so the factor comes from backtracking.
+        (56093278537482643, (246954509, 13470), (None, 1023)),
+    ],
+)
+def test_brent_rho_pinned(n, full, capped):
+    # 56-bit semiprimes, seeded as factorize seeds them; the (factor, spent)
+    # pairs pin the iteration, so a rewrite of the loop must not move them.
+    assert _brent_rho(n, random.Random(n ^ 0x5EED), 5_000_000) == full
+    assert _brent_rho(n, random.Random(n ^ 0x5EED), 1000) == capped
 
 
 def test_factorize_splits_perfect_powers():

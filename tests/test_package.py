@@ -1,0 +1,120 @@
+"""The package's public surface, and which layers each entry point loads.
+
+Every probe runs in a fresh interpreter, so that no module imported by an
+earlier test hides a load.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import gfdescent
+import gfdescent.exact as exact
+
+# The public names of a bare `import gfdescent`, by the layer that defines
+# them, as they stood when the package still imported every layer eagerly.
+SURFACE = {
+    "errors": "DegeneratePoint GFDescentError NotAStackPoint PipelineMismatch SingularCurve "
+    "WorkLimitExceeded ZeroCoordinate ZeroPoint",
+    "exact": "Factorization POINT_INFINITY POINT_ONE POINT_ZERO ProjPointQ factorize "
+    "intersection_ideal is_perfect_nth_power is_probable_prime lcm_triple normalize_projective",
+    "smith": "IntMatrix SNFResult invariant_factors kernel_basis smith_normal_form",
+    "groups": "HStructure Signature WeightData h_membership h_structure stabilizer_order "
+    "triangle_abelianization weight_vector",
+    "sarith": "SRing UnitClassGroup is_nth_power_ideal s_unit_reps valuation",
+    "belyi": "SignatureClass StackPointCertificate certificate_automorphism_order "
+    "classify_signature euler_characteristic is_stack_point root_point_test "
+    "stack_point_automorphism_order",
+    "gfe": "GFE DescentReport PrimitiveSolution RecoveredSolution bad_prime_set "
+    "enumerate_primitive_solutions j_map recover_solutions verify_descent_inclusion",
+    "quartic": "CurvePoint POINT_AT_INFINITY Sieve442Report TwistedCurve admissible_twists "
+    "belyi_eval rational_points_bounded run_sieve_442 sieve_442 torsion_points twist_curve",
+}
+LAYER_OF = {name: layer for layer, names in SURFACE.items() for name in names.split()}
+PUBLIC = sorted(set(LAYER_OF) | set(SURFACE))
+
+
+def run_probe(code: str):
+    """Run `code` in a fresh interpreter and return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gfdescent.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gfdescent.'))))"
+
+
+def loaded_after_main(*argv: str) -> list[str]:
+    return run_probe(
+        "import contextlib, io, json, sys\n"
+        "from gfdescent import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n" + LOADED
+    )
+
+
+def test_bare_import_loads_no_layer():
+    assert run_probe("import json, sys, gfdescent\n" + LOADED) == []
+
+
+def test_enumerate_loads_neither_smith_nor_quartic():
+    loaded = loaded_after_main(
+        "enumerate", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--bound", "20"
+    )
+    assert "gfdescent.gfe" in loaded
+    assert "gfdescent.smith" not in loaded and "gfdescent.quartic" not in loaded
+
+
+def test_sieve442_does_not_load_smith():
+    loaded = loaded_after_main("sieve442", "--bound", "10")
+    assert "gfdescent.quartic" in loaded
+    assert "gfdescent.smith" not in loaded
+
+
+def test_public_surface_unchanged():
+    # After a bare import each name resolves to the object its layer holds,
+    # dir() lists it and a star import binds it.
+    result = run_probe(
+        "import importlib, json, gfdescent\n"
+        f"layer_of = {LAYER_OF!r}\n"
+        f"public = {PUBLIC!r}\n"
+        "listed = set(dir(gfdescent))\n"
+        "differs = []\n"
+        "for name in public:\n"
+        "    value = getattr(gfdescent, name, None)\n"
+        "    layer = importlib.import_module('gfdescent.' + layer_of.get(name, name))\n"
+        "    if value is not (getattr(layer, name) if name in layer_of else layer):\n"
+        "        differs.append(name)\n"
+        "star = {}\n"
+        "exec('from gfdescent import *', star)\n"
+        "print(json.dumps({'differs': differs,\n"
+        "    'unlisted': sorted(set(public + ['__version__']) - listed),\n"
+        "    'unbound': sorted(set(public) - set(star)),\n"
+        "    'version': gfdescent.__version__}))"
+    )
+    assert result == {"differs": [], "unlisted": [], "unbound": [], "version": "0.1.0"}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gfdescent.no_such_name
+    with pytest.raises(ImportError):
+        from gfdescent import no_such_name  # noqa: F401
+
+
+def test_package_reads_through_to_the_layer(monkeypatch):
+    def patched(*args, **kwargs):
+        return "patched"
+
+    monkeypatch.setattr(exact, "factorize", patched)
+    assert gfdescent.factorize is patched
+    monkeypatch.undo()
+    assert gfdescent.factorize is exact.factorize
+    assert "factorize" not in vars(gfdescent)
