@@ -2,11 +2,12 @@
 
 Primitive-solution enumeration (an exact join of value tables of the
 three terms, on plain ints, looping over a term of largest exponent, that
-visits each orbit of the equation's term symmetries once: the sign
-symmetry (x, y, z) -> (-x, -y, -z) and the permutations of terms that
-match up to the sign of odd-exponent variables, where the equation has
-them), the map to the projective line, and the two directions of the
-solution <-> rooted-line-point correspondence.
+visits each orbit of the sign symmetry (x, y, z) -> (-x, -y, -z) and of
+the permutations of terms that match up to the sign of odd-exponent
+variables once, but both halves of each orbit of a swap of two
+even-exponent terms with opposite coefficients, as (x, y, z) -> (y, x, -z)
+on x^2 - y^2 + z^3 = 0), the map to the projective line, and the two
+directions of the solution <-> rooted-line-point correspondence.
 """
 
 from __future__ import annotations
@@ -122,15 +123,18 @@ def enumerate_primitive_solutions(
     and the shorter window, mapped through v -> t - v, is intersected with
     the other table's keys.
 
-    The join visits each orbit of the equation's term symmetries once: every
+    The join visits each orbit of two kinds of term symmetry once: every
     permutation of matching terms, and (x, y, z) -> (-x, -y, -z) when a, b,
-    c are all odd.  Each region below meets every orbit, and the found
-    triples are closed under the group afterwards.  Negation alone: t <= 0.
-    A matching inner pair: also w <= t // 2.  The outer term matching the w
-    term: w >= -t, or w >= |t| with no cut on t under negation.  All three
-    matching: 2t <= w <= t // 2, and w <= t under negation.  A sign change
-    of one variable with an even exponent needs nothing, because the value
-    tables already merge +-v.
+    c are all odd.  It does not use the swap of two even-exponent terms with
+    opposite coefficients and an odd third exponent, as (x, y, z) ->
+    (y, x, -z) on x^2 - y^2 + z^3 = 0: both halves of its orbits are joined.
+    Each region below meets every orbit, and the found triples are closed
+    under the group afterwards.  Negation alone: t <= 0.  A matching inner
+    pair: also w <= t // 2.  The outer term matching the w term: w >= -t, or
+    w >= |t| with no cut on t under negation.  All three matching:
+    2t <= w <= t // 2, and w <= t under negation.  A sign change of one
+    variable with an even exponent needs nothing, because the value tables
+    already merge +-v.
 
     Cost: three tables of 2*bound + 1 entries, then per joined value t two
     bisections into each inner table and one set intersection over the

@@ -4,14 +4,23 @@ The implementation is the classical elementary-operation algorithm with a
 deterministic pivot rule (smallest nonzero absolute value, ties broken by
 lowest (row, col)), which keeps entry growth tame at desk scale and makes
 outputs reproducible run to run.  One elimination, _snf, works on plain
-lists of rows; it applies the same operations whether or not transforms are
-tracked, and builds U and V only when the caller returns them:
-smith_normal_form tracks both, kernel_basis only V, invariant_factors none.
+lists of rows and always tracks both transforms: U rides in D's rows as
+extra columns, and V is kept transposed so that column operations are row
+operations on it.  smith_normal_form returns U, D and V; invariant_factors
+reads D's diagonal and kernel_basis the trailing columns of V from the same
+result, so the three always agree.
 """
 
 from __future__ import annotations
 
 from ._record import Record, set_field
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 class IntMatrix:
@@ -32,7 +41,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_identity_rows(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -122,17 +131,15 @@ def _wrap(data: list[list[int]]) -> IntMatrix:
     return M
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _snf(A: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Rows of [D | U] and of V transposed, for the rows A (left unchanged).
 
-
-def _snf(D: list[list[int]], U=None, Vt=None) -> None:
-    """Reduce the rows D to Smith normal form in place.
-
-    U, if given, receives every row operation; Vt, if given, receives every
-    column operation as a row operation, so it holds V transposed.
+    U rides in D's rows as extra columns, so one list operation applies a
+    row operation to both; column operations are row operations on Vt.
     """
-    rows, cols = len(D), len(D[0])
+    rows, cols = len(A), len(A[0])
+    D = [row + e for row, e in zip(A, _identity_rows(rows))]
+    Vt = _identity_rows(cols)
     limit = min(rows, cols)
     t = 0
     while t < limit:
@@ -150,13 +157,10 @@ def _snf(D: list[list[int]], U=None, Vt=None) -> None:
             break
         if pi != t:
             D[t], D[pi] = D[pi], D[t]
-            if U is not None:
-                U[t], U[pi] = U[pi], U[t]
         if pj != t:
             for row in D:
                 row[t], row[pj] = row[pj], row[t]
-            if Vt is not None:
-                Vt[t], Vt[pj] = Vt[pj], Vt[t]
+            Vt[t], Vt[pj] = Vt[pj], Vt[t]
         Dt = D[t]
         p = Dt[t]
 
@@ -167,8 +171,6 @@ def _snf(D: list[list[int]], U=None, Vt=None) -> None:
             q = D[i][t] // p
             if q:
                 D[i] = [x - q * y for x, y in zip(D[i], Dt)]
-                if U is not None:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[t])]
             if D[i][t]:
                 dirty = True
         if dirty:
@@ -179,8 +181,7 @@ def _snf(D: list[list[int]], U=None, Vt=None) -> None:
             q = Dt[j] // p
             if q:
                 Dt[j] -= q * p
-                if Vt is not None:
-                    Vt[j] = [x - q * y for x, y in zip(Vt[j], Vt[t])]
+                Vt[j] = [x - q * y for x, y in zip(Vt[j], Vt[t])]
             if Dt[j]:
                 dirty = True
         if dirty:
@@ -197,8 +198,6 @@ def _snf(D: list[list[int]], U=None, Vt=None) -> None:
             else:
                 continue
             D[t] = [x + y for x, y in zip(Dt, row)]
-            if U is not None:
-                U[t] = [x + y for x, y in zip(U[t], U[i])]
             break
         else:
             t += 1
@@ -206,8 +205,7 @@ def _snf(D: list[list[int]], U=None, Vt=None) -> None:
     for i in range(limit):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
-            if U is not None:
-                U[i] = [-x for x in U[i]]
+    return D, Vt
 
 
 def smith_normal_form(A: IntMatrix) -> SNFResult:
@@ -216,10 +214,9 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     D is diagonal with nonnegative entries, each dividing the next nonzero
     one; U and V have determinant +-1; U @ A @ V == D exactly.
     """
-    D = [row[:] for row in A.data]
-    U = _identity_rows(A.rows)
-    Vt = _identity_rows(A.cols)
-    _snf(D, U, Vt)
+    DU, Vt = _snf(A.data)
+    U = [row[A.cols :] for row in DU]
+    D = [row[: A.cols] for row in DU]
     return SNFResult(_wrap(U), _wrap(D), _wrap([list(col) for col in zip(*Vt)]))
 
 
@@ -230,9 +227,8 @@ def invariant_factors(A: IntMatrix) -> tuple[list[int], int]:
     free_rank = cols - rank counts the zero diagonal entries of the padded
     Smith form.
     """
-    D = [row[:] for row in A.data]
-    _snf(D)
-    diag = [D[i][i] for i in range(min(A.rows, A.cols))]
+    DU, _ = _snf(A.data)
+    diag = [DU[i][i] for i in range(min(A.rows, A.cols))]
     rank = sum(1 for d in diag if d != 0)
     factors = [d for d in diag if d not in (0, 1)]
     return factors, A.cols - rank
@@ -244,10 +240,8 @@ def kernel_basis(A: IntMatrix) -> list[list[int]]:
     Each vector is primitive (content 1, guaranteed by the unimodularity of
     V) with its first nonzero entry positive.
     """
-    D = [row[:] for row in A.data]
-    Vt = _identity_rows(A.cols)
-    _snf(D, Vt=Vt)
-    rank = sum(1 for i in range(min(A.rows, A.cols)) if D[i][i] != 0)
+    DU, Vt = _snf(A.data)
+    rank = sum(1 for i in range(min(A.rows, A.cols)) if DU[i][i] != 0)
     basis = []
     for v in Vt[rank:]:
         lead = next((x for x in v if x != 0), 0)

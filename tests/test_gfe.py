@@ -367,6 +367,34 @@ def test_orbit_solutions_on_the_bound(sig, coeffs, sol):
     assert below == brute_force_solutions_zdict(F, m - 1)
 
 
+@pytest.mark.parametrize(
+    "sig, coeffs, bound, nonneg",
+    [
+        (
+            (2, 2, 3), (1, -1, 1), 40,
+            [
+                (0, 1, 1), (1, 0, -1), (1, 1, 0), (1, 3, 2), (3, 1, -2), (13, 14, 3),
+                (14, 13, -3), (15, 17, 4), (17, 15, -4), (25, 29, 6), (29, 25, -6),
+            ],
+        ),
+        ((2, 2, 5), (3, -3, 1), 30, [(1, 1, 0)]),
+        ((4, 4, 3), (2, -2, 1), 20, [(1, 1, 0)]),
+    ],
+)
+def test_swap_of_opposite_even_terms_is_joined_in_full(sig, coeffs, bound, nonneg):
+    # A x^a - A y^a + C z^c with a even and c odd is fixed by
+    # (x, y, z) -> (y, x, -z).  The join does not use that symmetry: it is
+    # no permutation of matching terms (even exponents match only with equal
+    # coefficients), and negation needs every exponent odd.  So both halves
+    # of each such orbit are joined.  The output is pinned by its solutions
+    # with x, y >= 0 (the even exponents make the signs of x and y free).
+    F = GFE(Signature(*sig), *coeffs)
+    got = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
+    want = sorted({(sx * x, sy * y, z) for x, y, z in nonneg for sx in (-1, 1) for sy in (-1, 1)})
+    assert got == want == brute_force_solutions(F, bound), str(F)
+    assert {(y, x, -z) for x, y, z in got} == set(got), str(F)
+
+
 def test_enumerate_coefficients_beyond_int64():
     # No fixed-width arithmetic anywhere: coefficients past 2^63 are exact.
     A = 10**30

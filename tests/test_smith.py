@@ -177,20 +177,24 @@ def test_snf_corpus_is_byte_identical():
     assert snf_corpus_text() == SNF_CORPUS.read_text()
 
 
-def test_transform_free_paths_agree_with_full_form():
-    # invariant_factors skips U and V, kernel_basis skips U; both must give
-    # what the stored (U, D, V) of the corpus implies.
-    for entry in json.loads(SNF_CORPUS.read_text()):
-        A = IntMatrix(entry["A"])
-        diag = IntMatrix(entry["D"]).diagonal()
+def test_invariant_factors_and_kernel_basis_read_the_full_form():
+    # invariant_factors reads D's diagonal and kernel_basis V's trailing
+    # columns (each with its first nonzero entry made positive); none of the
+    # three functions changes its input.
+    for rows in corpus_matrices():
+        A = IntMatrix(rows)
+        before = [row[:] for row in A.data]
+        res = smith_normal_form(A)
+        diag = res.D.diagonal()
         rank = sum(1 for d in diag if d)
         assert invariant_factors(A) == ([d for d in diag if d not in (0, 1)], A.cols - rank)
         kernel = []
         for j in range(rank, A.cols):
-            v = [row[j] for row in entry["V"]]
+            v = [row[j] for row in res.V.data]
             lead = next(x for x in v if x)
             kernel.append([-x for x in v] if lead < 0 else v)
         assert kernel_basis(A) == kernel
+        assert A.data == before, rows
 
 
 if __name__ == "__main__":
