@@ -76,15 +76,6 @@ class StackPointCertificate(Record):
     def accepted(self) -> bool:
         return self.status != "rejected"
 
-    def to_dict(self) -> dict:
-        d = {"point": str(self.point), "status": self.status}
-        if self.marked_at is not None:
-            d["marked_at"] = self.marked_at
-        if self.roots is not None:
-            d["roots"] = [str(g) for g in self.roots]
-        if self.failed:
-            d["failed"] = list(self.failed)
-        return d
 
 
 def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCertificate:

@@ -1,9 +1,11 @@
 """Command-line front end: one subcommand per library capability.
 
-All JSON numbers are decimal strings so arbitrary-precision values survive
-any consumer.  Exit codes: 0 success, 1 invalid input, 2 factorization work
-cap exceeded, 3 sieve/enumerator mismatch.  Errors go to stderr as one JSON
-object with a machine-readable code.
+Handlers return plain values (ints, tuples, fractions, points, rings); main
+converts each payload once, to str keys and lists with str and bool leaves,
+so that every number is a decimal string and arbitrary-precision values
+survive any consumer.  Exit codes: 0 success, 1 invalid input, 2
+factorization work cap exceeded, 3 sieve/enumerator mismatch.  Errors go to
+stderr as one JSON object with a machine-readable code.
 
 The environment variable GFDESCENT_FACTOR_WORK overrides the factorization
 iteration cap for one call of main, which restores the previous cap.
@@ -19,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import exact
 from .belyi import (
+    StackPointCertificate,
     certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
@@ -110,43 +113,39 @@ def _parse_gfe(args) -> GFE:
     return GFE(_parse_signature(args.signature), A, B, C)
 
 
-def _mat(m: IntMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in m.data]
+def _certificate(cert: StackPointCertificate) -> dict:
+    out = {"point": cert.point, "status": cert.status}
+    if cert.marked_at is not None:
+        out["marked_at"] = cert.marked_at
+    if cert.roots is not None:
+        out["roots"] = cert.roots
+    if cert.failed:
+        out["failed"] = cert.failed
+    return out
 
 
 def _cmd_snf(args) -> dict:
     from .smith import smith_normal_form
 
     res = smith_normal_form(_parse_matrix(args.matrix))
-    return {
-        "D": _mat(res.D),
-        "U": _mat(res.U),
-        "V": _mat(res.V),
-        "diag": [str(v) for v in res.D.diagonal()],
-    }
+    return {"D": res.D.data, "U": res.U.data, "V": res.V.data, "diag": res.D.diagonal()}
 
 
 def _cmd_weights(args) -> dict:
     sig = _parse_signature(args.signature)
     wd = weight_vector(sig)
-    return {
-        "signature": str(sig),
-        "d": str(wd.d),
-        "m": str(wd.m),
-        "w": [str(v) for v in wd.w],
-        "lcm": str(exact.lcm_triple(*sig)),
-    }
+    return {"signature": sig, "d": wd.d, "m": wd.m, "w": wd.w, "lcm": exact.lcm_triple(*sig)}
 
 
 def _cmd_group_structure(args) -> dict:
     sig = _parse_signature(args.signature)
     hs = h_structure(sig)
     return {
-        "signature": str(sig),
-        "torus_rank": str(hs.torus_rank),
-        "torsion": [str(v) for v in hs.torsion],
+        "signature": sig,
+        "torus_rank": hs.torus_rank,
+        "torsion": hs.torsion,
         # h_structure's torsion is the triangle abelianization.
-        "triangle_abelianization": [str(v) for v in hs.torsion],
+        "triangle_abelianization": hs.torsion,
     }
 
 
@@ -154,42 +153,36 @@ def _cmd_h1(args) -> dict:
     ring = _parse_primes(args.primes)
     group = s_unit_reps(ring, args.n)
     return {
-        "ring": str(ring),
-        "modulus": str(group.modulus),
-        "count": str(len(group.representatives)),
-        "representatives": [str(v) for v in group.representatives],
+        "ring": ring,
+        "modulus": group.modulus,
+        "count": len(group.representatives),
+        "representatives": group.representatives,
     }
 
 
 def _cmd_stack_point(args) -> dict:
     sig = _parse_signature(args.signature)
     ring = _parse_primes(args.primes)
-    point = _parse_point(args.q)
-    cert = is_stack_point(point, sig, ring)
-    out = cert.to_dict()
-    out["ring"] = str(ring)
+    cert = is_stack_point(_parse_point(args.q), sig, ring)
+    out = _certificate(cert)
+    out["ring"] = ring
     out["accepted"] = cert.accepted
     if cert.accepted:
-        out["automorphism_order"] = str(certificate_automorphism_order(cert, sig))
+        out["automorphism_order"] = certificate_automorphism_order(cert, sig)
     return out
 
 
 def _cmd_chi(args) -> dict:
     sig = _parse_signature(args.signature)
-    return {"signature": str(sig), "chi": str(euler_characteristic(sig))}
+    return {"signature": sig, "chi": euler_characteristic(sig)}
 
 
 def _cmd_classify(args) -> dict:
     sig = _parse_signature(args.signature)
     cls = classify_signature(sig)
-    out = {
-        "signature": str(sig),
-        "chi": str(cls.chi),
-        "kind": cls.kind,
-        "genus": cls.genus_label(),
-    }
+    out = {"signature": sig, "chi": cls.chi, "kind": cls.kind, "genus": cls.genus_label()}
     if cls.degree is not None:
-        out["degree"] = str(cls.degree)
+        out["degree"] = cls.degree
     return out
 
 
@@ -197,10 +190,10 @@ def _cmd_enumerate(args) -> dict:
     F = _parse_gfe(args)
     sols = enumerate_primitive_solutions(F, args.bound, use_sieve=not args.no_sieve)
     return {
-        "equation": str(F),
-        "bound": str(args.bound),
-        "count": str(len(sols)),
-        "solutions": [[str(v) for v in s.as_tuple()] for s in sols],
+        "equation": F,
+        "bound": args.bound,
+        "count": len(sols),
+        "solutions": [s.as_tuple() for s in sols],
     }
 
 
@@ -208,7 +201,7 @@ def _cmd_jmap(args) -> dict:
     F = _parse_gfe(args)
     x, y, z = _parse_ints(args.solution, 3, "solution")
     image = j_map(F, PrimitiveSolution(x, y, z))
-    return {"equation": str(F), "solution": [str(x), str(y), str(z)], "image": str(image)}
+    return {"equation": F, "solution": (x, y, z), "image": image}
 
 
 def _cmd_recover(args) -> dict:
@@ -217,13 +210,13 @@ def _cmd_recover(args) -> dict:
     point = _parse_point(args.q)
     found = recover_solutions(point, F, ring, search_units=args.search_units)
     return {
-        "equation": str(F),
-        "point": str(point),
-        "ring": str(ring),
+        "equation": F,
+        "point": point,
+        "ring": ring,
         "solutions": [
             {
-                "xyz": [str(v) for v in r.as_tuple()],
-                "coefficients": [str(cf) for cf in r.coefficients],
+                "xyz": r.as_tuple(),
+                "coefficients": r.coefficients,
                 "exact_coefficients": r.exact_coefficients,
             }
             for r in found
@@ -232,7 +225,22 @@ def _cmd_recover(args) -> dict:
 
 
 def _cmd_verify_inclusion(args) -> dict:
-    return verify_descent_inclusion(_parse_gfe(args), args.bound).to_dict()
+    report = verify_descent_inclusion(_parse_gfe(args), args.bound)
+    return {
+        "equation": report.gfe,
+        "bound": report.bound,
+        "ring": report.ring,
+        "solutions": [
+            {
+                "solution": e.solution.as_tuple(),
+                "image": e.image,
+                "certificate": _certificate(e.certificate),
+            }
+            for e in report.entries
+        ],
+        "violations": [e.solution.as_tuple() for e in report.violations],
+        "passed": report.passed,
+    }
 
 
 def _cmd_twist(args) -> dict:
@@ -240,7 +248,7 @@ def _cmd_twist(args) -> dict:
 
     E = twist_curve(args.d)
     sign = "-" if E.d > 0 else "+"
-    return {"d": str(E.d), "equation": f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"}
+    return {"d": E.d, "equation": f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"}
 
 
 def _cmd_torsion(args) -> dict:
@@ -248,22 +256,35 @@ def _cmd_torsion(args) -> dict:
 
     E = twist_curve(args.d)
     pts = torsion_points(E)
-    return {
-        "d": str(E.d),
-        "order": str(len(pts)),
-        "points": [str(P) for P in pts],
-    }
+    return {"d": E.d, "order": len(pts), "points": pts}
 
 
 def _cmd_sieve442(args) -> dict:
-    from .quartic import run_sieve_442
+    from .quartic import GFE_442, run_sieve_442
 
     report = run_sieve_442(
         args.bound,
         include_nonadmissible=args.include_nonadmissible,
         extra_height=args.height,
     )
-    return report.to_dict()
+    return {
+        "equation": GFE_442,
+        "unit_classes": report.unit_classes,
+        "admissible_twists": report.admissible,
+        "torsion_orders": report.torsion_orders,
+        "rank_zero_input": report.assumed_finite,
+        "candidates": [
+            {
+                "point": c.point,
+                "sources": c.sources,
+                "certificate": _certificate(c.certificate),
+                "recovered": [s.as_tuple() for s in c.recovered],
+            }
+            for c in report.candidates
+        ],
+        "solutions": [s.as_tuple() for s in report.solutions],
+        "enumerator_bound": report.bound_check,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,23 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render_text(payload, indent=0) -> str:
     pad = "  " * indent
-    lines = []
     if isinstance(payload, dict):
-        for k, v in payload.items():
-            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar(v)}")
-    elif isinstance(payload, list):
-        for item in payload:
-            if isinstance(item, (dict, list)) and not _is_scalar_list(item):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+        items = [(f"{k}:", v) for k, v in payload.items()]
     else:
-        lines.append(f"{pad}{_scalar(payload)}")
+        items = [("-", v) for v in payload]
+    lines = []
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+            lines += (pad + head, _render_text(v, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_scalar(v)}")
     return "\n".join(lines)
 
 
@@ -365,6 +379,19 @@ def _scalar(v) -> str:
         return "[" + ", ".join(_scalar(x) for x in v) + "]"
     if isinstance(v, bool):
         return "true" if v else "false"
+    return v
+
+
+def _plain(v):
+    """The wire form of a handler's value: str keys, lists, str and bool
+    leaves, and every other value as its str, which for numbers is decimal."""
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        # Solution lists hold many ints: skip the call for them.
+        return [str(x) if x.__class__ is int else _plain(x) for x in v]
+    if isinstance(v, (str, bool)):
+        return v
     return str(v)
 
 
@@ -386,16 +413,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = args.fn(args)
-    except CliError as e:
-        _emit_error("invalid-input", str(e))
-        return EXIT_INVALID
     except WorkLimitExceeded as e:
         _emit_error("work-limit-exceeded", str(e))
         return EXIT_WORK_LIMIT
     except PipelineMismatch as e:
         _emit_error("pipeline-mismatch", str(e))
         return EXIT_MISMATCH
-    except (ValueError, GFDescentError) as e:
+    except (ValueError, GFDescentError) as e:  # CliError is a ValueError
         _emit_error("invalid-input", str(e))
         return EXIT_INVALID
     finally:
@@ -403,10 +427,19 @@ def main(argv=None) -> int:
         # the same process see the previous cap again.
         exact.DEFAULT_RHO_ITERATION_CAP = saved_cap
 
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(_render_text(payload))
+    payload = _plain(payload)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print(_render_text(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`).  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -134,6 +134,18 @@ def _split_power(v: int) -> tuple[int, int]:
     return v, 1
 
 
+def _divide_out(m: int, p: int) -> tuple[int, int]:
+    """(m / p^e, e) for the largest e with p^e dividing m.  Raises ValueError
+    for m = 0 or |p| < 2, where that loop would never end or divide by 0."""
+    if m == 0 or -2 < p < 2:
+        raise ValueError(f"cannot divide {p} out of {m}")
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return m, e
+
+
 def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     """Full prime factorization of a nonzero integer.
 
@@ -155,9 +167,8 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
         if p * p > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            m, counts[p] = _divide_out(m, p)
     if m > 1 and m <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
         # Below the square of the trial bound the leftover must be prime.
         counts[m] = counts.get(m, 0) + 1

@@ -397,24 +397,6 @@ class DescentReport(Record):
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "equation": str(self.gfe),
-            "bound": str(self.bound),
-            "ring": str(self.ring),
-            "solutions": [
-                {
-                    "solution": [str(v) for v in e.solution.as_tuple()],
-                    "image": str(e.image),
-                    "certificate": e.certificate.to_dict(),
-                }
-                for e in self.entries
-            ],
-            "violations": [
-                [str(v) for v in e.solution.as_tuple()] for e in self.violations
-            ],
-            "passed": self.passed,
-        }
 
 
 def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:

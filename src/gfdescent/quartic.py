@@ -186,13 +186,6 @@ class CandidateVerdict(Record):
         set_field(self, "certificate", certificate)
         set_field(self, "recovered", recovered)
 
-    def to_dict(self) -> dict:
-        return {
-            "point": str(self.point),
-            "sources": list(self.sources),
-            "certificate": self.certificate.to_dict(),
-            "recovered": [[str(v) for v in s.as_tuple()] for s in self.recovered],
-        }
 
 
 class Sieve442Report(Record):
@@ -232,17 +225,6 @@ class Sieve442Report(Record):
         set_field(self, "bound_check", bound_check)
         set_field(self, "assumed_finite", assumed_finite)
 
-    def to_dict(self) -> dict:
-        return {
-            "equation": str(GFE_442),
-            "unit_classes": [str(d) for d in self.unit_classes],
-            "admissible_twists": [str(d) for d in self.admissible],
-            "torsion_orders": {str(d): str(n) for d, n in self.torsion_orders.items()},
-            "rank_zero_input": [str(d) for d in self.assumed_finite],
-            "candidates": [c.to_dict() for c in self.candidates],
-            "solutions": [[str(v) for v in s.as_tuple()] for s in self.solutions],
-            "enumerator_bound": str(self.bound_check),
-        }
 
 
 def run_sieve_442(

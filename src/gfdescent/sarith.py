@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from ._record import Record, set_field
-from .exact import is_perfect_nth_power, is_probable_prime
+from .exact import _divide_out, is_perfect_nth_power, is_probable_prime
 
 
 class SRing(Record):
@@ -45,8 +45,8 @@ class SRing(Record):
             raise ValueError("0 has no prime-to-S part")
         m = abs(n)
         for p in self.primes:
-            while m % p == 0:
-                m //= p
+            if m % p == 0:
+                m = _divide_out(m, p)[0]
         return m
 
     def is_unit(self, q) -> bool:
@@ -64,14 +64,8 @@ ZRING = SRing(())
 
 
 def valuation(s: int, p: int) -> int:
-    """Largest e with p^e dividing s; s must be nonzero."""
-    if s == 0:
-        raise ValueError("valuation of 0 is undefined")
-    e = 0
-    while s % p == 0:
-        s //= p
-        e += 1
-    return e
+    """Largest e with p^e dividing s; s must be nonzero and |p| >= 2."""
+    return _divide_out(s, p)[1]
 
 
 class UnitClassGroup(Record):

@@ -47,9 +47,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)])
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([row[:] for row in self.data])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]

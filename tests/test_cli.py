@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
@@ -219,3 +223,22 @@ def test_sieve442_nonpositive_bound_is_invalid_input(capsys):
         error = json.loads(err)
         assert error["error"] == "invalid-input"
         assert error["message"] == "bound must be positive"
+
+
+def test_closed_pipe_exits_0_without_traceback():
+    # `gfdescent ... | head -1`: the reader closes the pipe after one line,
+    # while more output than a pipe buffer holds is still to be written.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    argv = ["--format", "text", "enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gfdescent.cli", *argv, "--bound", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"equation: x^2 + y^2 - z^2 = 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == b""

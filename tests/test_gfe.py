@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -9,6 +10,7 @@ from itertools import permutations
 
 import pytest
 
+import gfdescent.cli as cli
 from gfdescent.errors import NotAStackPoint
 from gfdescent.exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, normalize_projective
 from gfdescent.gfe import (
@@ -560,9 +562,10 @@ def test_verify_descent_inclusion_cubic():
     assert {(1, -1, 0), (1, 0, -1), (0, 1, -1)} <= sols
 
 
-def test_descent_report_serializes():
-    report = verify_descent_inclusion(F442, 10)
-    d = report.to_dict()
+def test_descent_report_serializes(capsys):
+    argv = ["verify-inclusion", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--bound", "10"]
+    assert cli.main(argv) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["passed"] is True
     assert d["violations"] == []
     assert all(isinstance(v, str) for entry in d["solutions"] for v in entry["solution"])

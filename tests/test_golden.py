@@ -13,6 +13,7 @@ adding a case cannot silently rewrite the others.
 
 import contextlib
 import io
+import json
 import pathlib
 import shlex
 import sys
@@ -25,9 +26,9 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 # name -> argv.  The README's CLI section in order (a test checks that each of
 # its lines is a case here), its text-format example, the non-admissible
-# sieve, three point-test and recovery cases, then the benchmark's
-# enumeration shapes at bound 200, then four shapes with sign or swap
-# symmetry.
+# sieve, three point-test and recovery cases, four more output branches, then
+# the benchmark's enumeration shapes at bound 200, then six shapes with sign
+# or swap symmetry.
 CASES = {
     "snf": ["snf", "--matrix", "2,-3,0;0,3,-7;-2,0,7"],
     "weights": ["weights", "--signature", "2,3,7"],
@@ -65,6 +66,15 @@ CASES = {
         "--primes", "2", "--search-units",
     ],
     "stack-point-rejected": ["stack-point", "--q", "2/3", "--signature", "2,2,2", "--primes", ""],
+    # The other output branches: a hyperbolic and a euclidean signature, a
+    # point accepted at a marked point, and a bool and fractions in text.
+    "classify-237": ["classify", "--signature", "2,3,7"],
+    "classify-333": ["classify", "--signature", "3,3,3"],
+    "stack-point-marked": ["stack-point", "--q", "0:1", "--signature", "4,4,2", "--primes", "2"],
+    "recover-smooth-units-text": [
+        "--format", "text", "recover", "--q", "1:2", "--signature", "4,4,2", "--coeffs",
+        "1,1,-1", "--primes", "2", "--search-units",
+    ],
 }
 for _sig, _coeffs, _sieve in (
     ("4,4,2", "1,1,-1", True),
@@ -121,15 +131,42 @@ def test_every_golden_file_has_a_case():
     assert on_disk == {golden_path(name).name for name in CASES} | {"snf-corpus.json"}
 
 
-def test_readme_cli_examples_are_golden_cases():
+def test_every_json_leaf_is_a_string_or_bool():
+    def leaves(v):
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, list):
+            return [leaf for x in v for leaf in leaves(x)]
+        return [v]
+
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name == "snf-corpus.json":
+            continue
+        for leaf in leaves(json.loads(path.read_text())):
+            assert isinstance(leaf, (str, bool)), (path.name, leaf)
+
+
+def readme_block(heading: str) -> str:
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_examples_are_golden_cases():
+    block = readme_block("CLI")
     examples = [
         shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gfdescent ")
     ]
     assert examples
     for argv in examples:
         assert argv in CASES.values(), argv
+
+
+def test_readme_pipeline_example_is_a_golden_case():
+    # The example's command, without its `| head`.
+    (line,) = readme_block("Example: the exponent-4 pipeline end to end").splitlines()
+    command, _, pager = line.removeprefix("$ ").partition(" | ")
+    assert pager.startswith("head")
+    assert shlex.split(command)[1:] in CASES.values(), command
 
 
 def main(names) -> int:

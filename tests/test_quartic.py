@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+import gfdescent.cli as cli
 from gfdescent.errors import SingularCurve
 from gfdescent.exact import POINT_ONE, ProjPointQ, normalize_projective
 from gfdescent.quartic import (
@@ -198,7 +200,7 @@ def test_sieve_442_output():
     assert [s.as_tuple() for s in sieve_442(100)] == FERMAT_442_TRIPLES
 
 
-def test_sieve_report_details():
+def test_sieve_report_details(capsys):
     report = run_sieve_442(100)
     assert report.admissible == (-4, -1)
     assert report.torsion_orders == {-4: 4, -1: 2}
@@ -212,7 +214,8 @@ def test_sieve_report_details():
     images_m4 = {str(belyi_eval(twist_curve(-4), P))
                  for P in torsion_points(twist_curve(-4))}
     assert "(1:2)" in images_m4
-    d = report.to_dict()
+    assert cli.main(["sieve442", "--bound", "100"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["solutions"] == [[str(v) for v in s] for s in FERMAT_442_TRIPLES]
     # The finiteness input is the admissible twists, smallest |d| first.
     assert report.assumed_finite == (-1, -4)

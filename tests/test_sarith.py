@@ -45,6 +45,19 @@ def test_valuation_examples():
         valuation(0, 2)
 
 
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_valuation_rejects_units_and_zero(p):
+    # Dividing out +-1 would never end, and dividing by 0 is undefined.
+    with pytest.raises(ValueError):
+        valuation(12, p)
+
+
+def test_valuation_of_signs_and_prime_powers():
+    assert valuation(-12, 2) == 2
+    assert valuation(12, 4) == 1
+    assert valuation(12, -2) == 2
+
+
 def test_prime_to_s_part():
     R = SRing((2, 3))
     assert R.prime_to_s_part(48) == 1
