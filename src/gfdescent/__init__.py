@@ -19,7 +19,6 @@ _LAYERS = {
         "PipelineMismatch",
         "SingularCurve",
         "WorkLimitExceeded",
-        "ZeroCoordinate",
         "ZeroPoint",
     ),
     "exact": (
@@ -35,14 +34,12 @@ _LAYERS = {
         "lcm_triple",
         "normalize_projective",
     ),
-    "smith": ("IntMatrix", "SNFResult", "invariant_factors", "kernel_basis", "smith_normal_form"),
+    "smith": ("IntMatrix", "SNFResult", "smith_normal_form"),
     "groups": (
         "HStructure",
         "Signature",
         "WeightData",
-        "h_membership",
         "h_structure",
-        "stabilizer_order",
         "triangle_abelianization",
         "weight_vector",
     ),
@@ -55,7 +52,6 @@ _LAYERS = {
         "euler_characteristic",
         "is_stack_point",
         "root_point_test",
-        "stack_point_automorphism_order",
     ),
     "gfe": (
         "GFE",

@@ -103,19 +103,6 @@ def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCert
     return StackPointCertificate(Q, "smooth", roots=tuple(roots))
 
 
-def stack_point_automorphism_order(Q: ProjPointQ, sig: Signature, ring: SRing) -> int:
-    """Automorphism count of the point over the base ring.
-
-    Marked points of multiplicity n carry mu_n(R) = {u : u^n = 1}; smooth
-    points are rigid.  (The geometric orders a, b, c live in
-    groups.stabilizer_order instead.)
-    """
-    cert = is_stack_point(Q, sig, ring)
-    if not cert.accepted:
-        raise NotAStackPoint(f"{Q} is not a point of the rooted line over {ring}")
-    return certificate_automorphism_order(cert, sig)
-
-
 def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) -> int:
     """Automorphism count of the point an accepted certificate describes,
     read off the certificate without testing the point again."""

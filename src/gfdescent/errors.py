@@ -20,10 +20,6 @@ class WorkLimitExceeded(GFDescentError):
         )
 
 
-class ZeroCoordinate(GFDescentError):
-    """Group membership is only defined for triples of nonzero rationals."""
-
-
 class NotAStackPoint(GFDescentError):
     """The point fails the root conditions over the given S-integer ring."""
 

@@ -2,26 +2,19 @@
 
 For a signature (a, b, c) the group of scaling symmetries of the equation is
 cut out of three copies of the multiplicative group by l0^a = l1^b = l2^c.
-Its character lattice is Z^3 modulo the row lattice of the relation matrix
-below.  The torsion and the weight vector have closed forms in d = gcd(a,b,c)
-and m = gcd(bc,ac,ab), the gcds of the minors of the presentation matrices;
-Smith normal form remains for the kernel generator and for testing those
-closed forms against the matrices.
+Its character lattice is Z^3 modulo the rows (a,-b,0), (0,b,-c), (-a,0,c),
+and the abelianized triangle group is Z^3 modulo the rows (a,0,0), (0,b,0),
+(0,0,c), (1,1,1).  The torsion and the weight vector have closed forms in
+d = gcd(a,b,c) and m = gcd(bc,ac,ab), the gcds of the minors of those two
+presentation matrices, so no matrix is built here; the tests check the
+closed forms against the Smith normal forms of the matrices.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from ._record import Record, set_field
-from .errors import ZeroCoordinate
-
-# Only the matrix functions below need smith; they import it themselves so
-# that the closed forms, which every command uses, do not load it.
-if TYPE_CHECKING:
-    from .smith import IntMatrix
 
 
 class Signature(Record):
@@ -64,22 +57,6 @@ class HStructure(Record):
         set_field(self, "torsion", torsion)
 
 
-def relation_matrix(sig: Signature) -> IntMatrix:
-    """Rows span the relation lattice of the character group."""
-    from .smith import IntMatrix
-
-    a, b, c = sig
-    return IntMatrix([[a, -b, 0], [0, b, -c], [-a, 0, c]])
-
-
-def triangle_relation_matrix(sig: Signature) -> IntMatrix:
-    """Rows present the abelianized triangle group of the signature."""
-    from .smith import IntMatrix
-
-    a, b, c = sig
-    return IntMatrix([[a, 0, 0], [0, b, 0], [0, 0, c], [1, 1, 1]])
-
-
 def weight_vector(sig: Signature) -> WeightData:
     """Weight data of the signature.
 
@@ -108,39 +85,3 @@ def triangle_abelianization(sig: Signature) -> list[int]:
 def h_structure(sig: Signature) -> HStructure:
     """The symmetry group is a rank-one torus times the finite group below."""
     return HStructure(1, tuple(triangle_abelianization(sig)))
-
-
-def weight_kernel_generator(sig: Signature) -> list[int]:
-    """Primitive kernel generator of the relation matrix; equals the weights."""
-    from .smith import kernel_basis
-
-    basis = kernel_basis(relation_matrix(sig))
-    if len(basis) != 1:
-        raise AssertionError(f"relation matrix of {sig} should have rank 2")
-    return basis[0]
-
-
-def h_membership(lam: tuple[Fraction, Fraction, Fraction], sig: Signature) -> bool:
-    """Whether (l0, l1, l2) satisfies l0^a = l1^b = l2^c over Q.
-
-    Only rational points are testable here; roots of unity beyond +-1 do not
-    exist in Q, so the defining equations are the whole story.
-    """
-    l0, l1, l2 = (Fraction(x) for x in lam)
-    if 0 in (l0, l1, l2):
-        raise ZeroCoordinate("membership needs nonzero coordinates")
-    a, b, c = sig
-    return l0**a == l1**b == l2**c
-
-
-def stabilizer_order(locus: str, sig: Signature) -> int:
-    """Geometric stabilizer order of a coordinate vanishing locus.
-
-    Over an algebraically closed field of characteristic prime to abc the
-    stabilizers at x=0, y=0, z=0 are the roots of unity of order a, b, c;
-    points with all coordinates nonzero are free.
-    """
-    orders = {"x=0": sig.a, "y=0": sig.b, "z=0": sig.c, "generic": 1}
-    if locus not in orders:
-        raise ValueError(f"unknown locus {locus!r}; expected one of {sorted(orders)}")
-    return orders[locus]

@@ -191,8 +191,9 @@ class CandidateVerdict(Record):
 class Sieve442Report(Record):
     """Full trace of the covering/twisting/sieving pipeline.
 
-    assumed_finite names the twists whose finiteness is an input; unless
-    given, it is the admissible twists, smallest |d| first.
+    assumed_finite names the twists whose finiteness is an input: the
+    admissible twists, smallest |d| first.  It is read off admissible, so it
+    is not a field, but the repr shows it after the fields.
     """
 
     __slots__ = (
@@ -202,7 +203,6 @@ class Sieve442Report(Record):
         "candidates",
         "solutions",
         "bound_check",
-        "assumed_finite",
     )
 
     def __init__(
@@ -213,18 +213,20 @@ class Sieve442Report(Record):
         candidates: tuple[CandidateVerdict, ...],
         solutions: tuple[PrimitiveSolution, ...],
         bound_check: int,
-        assumed_finite: Optional[tuple[int, ...]] = None,
     ):
-        if assumed_finite is None:
-            assumed_finite = tuple(sorted(admissible, key=abs))
         set_field(self, "unit_classes", unit_classes)
         set_field(self, "admissible", admissible)
         set_field(self, "torsion_orders", torsion_orders)
         set_field(self, "candidates", candidates)
         set_field(self, "solutions", solutions)
         set_field(self, "bound_check", bound_check)
-        set_field(self, "assumed_finite", assumed_finite)
 
+    @property
+    def assumed_finite(self) -> tuple[int, ...]:
+        return tuple(sorted(self.admissible, key=abs))
+
+    def __repr__(self):
+        return f"{super().__repr__()[:-1]}, assumed_finite={self.assumed_finite!r})"
 
 
 def run_sieve_442(

@@ -116,10 +116,6 @@ def unit_class_key(u, ring: SRing, n: int):
     return (sign, vals)
 
 
-def same_unit_class(u, v, ring: SRing, n: int) -> bool:
-    return unit_class_key(u, ring, n) == unit_class_key(v, ring, n)
-
-
 def is_nth_power_ideal(s: int, n: int, ring: SRing) -> Optional[int]:
     """Positive generator g with (g)^n = (s) as ideals of Z[S^-1], or None.
 

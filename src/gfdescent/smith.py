@@ -6,9 +6,7 @@ lowest (row, col)), which keeps entry growth tame at desk scale and makes
 outputs reproducible run to run.  One elimination, _snf, works on plain
 lists of rows and always tracks both transforms: U rides in D's rows as
 extra columns, and V is kept transposed so that column operations are row
-operations on it.  smith_normal_form returns U, D and V; invariant_factors
-reads D's diagonal and kernel_basis the trailing columns of V from the same
-result, so the three always agree.
+operations on it.  smith_normal_form returns U, D and V.
 """
 
 from __future__ import annotations
@@ -38,14 +36,6 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self.data = data
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_rows(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -77,37 +67,8 @@ class IntMatrix:
                         orow_out[j] += aik * orow[j]
         return IntMatrix(out)
 
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(row[j] * v[j] for j in range(self.cols)) for row in self.data]
-
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
-
-    def determinant(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 class SNFResult(Record):
@@ -215,34 +176,3 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     U = [row[A.cols :] for row in DU]
     D = [row[: A.cols] for row in DU]
     return SNFResult(_wrap(U), _wrap(D), _wrap([list(col) for col in zip(*Vt)]))
-
-
-def invariant_factors(A: IntMatrix) -> tuple[list[int], int]:
-    """Invariant factors > 1 of coker(rows of A in Z^cols), plus its free rank.
-
-    Returns (factors, free_rank) where factors drops trivial entries and
-    free_rank = cols - rank counts the zero diagonal entries of the padded
-    Smith form.
-    """
-    DU, _ = _snf(A.data)
-    diag = [DU[i][i] for i in range(min(A.rows, A.cols))]
-    rank = sum(1 for d in diag if d != 0)
-    factors = [d for d in diag if d not in (0, 1)]
-    return factors, A.cols - rank
-
-
-def kernel_basis(A: IntMatrix) -> list[list[int]]:
-    """Basis of the integer (right) kernel of A.
-
-    Each vector is primitive (content 1, guaranteed by the unimodularity of
-    V) with its first nonzero entry positive.
-    """
-    DU, Vt = _snf(A.data)
-    rank = sum(1 for i in range(min(A.rows, A.cols)) if DU[i][i] != 0)
-    basis = []
-    for v in Vt[rank:]:
-        lead = next((x for x in v if x != 0), 0)
-        if lead < 0:
-            v = [-x for x in v]
-        basis.append(v)
-    return basis

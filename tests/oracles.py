@@ -32,6 +32,21 @@ def random_gfes(seed, count, max_coeff=3, max_exp=5):
     return out
 
 
+def m_matrix(a, b, c):
+    """Relation matrix of the signature's character lattice: Z^3 modulo its
+    rows is the character group of the symmetry group."""
+    from gfdescent.smith import IntMatrix
+
+    return IntMatrix([[a, -b, 0], [0, b, -c], [-a, 0, c]])
+
+
+def j_matrix(a, b, c):
+    """Presentation matrix of the abelianized (a, b, c) triangle group."""
+    from gfdescent.smith import IntMatrix
+
+    return IntMatrix([[a, 0, 0], [0, b, 0], [0, 0, c], [1, 1, 1]])
+
+
 def minor_gcd_diagonal(rows):
     """Diagonal of the Smith normal form via gcds of k x k minors.
 

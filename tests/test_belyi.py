@@ -13,7 +13,6 @@ from gfdescent.belyi import (
     is_stack_point,
     mu_order,
     root_point_test,
-    stack_point_automorphism_order,
 )
 from gfdescent.errors import NotAStackPoint
 from gfdescent.exact import (
@@ -149,36 +148,30 @@ def test_field_limit_accepts_everything():
         assert is_stack_point(Q, Signature(5, 4, 3), ring).accepted
 
 
+def automorphism_order(Q, sig, ring):
+    return certificate_automorphism_order(is_stack_point(Q, sig, ring), sig)
+
+
 def test_certificate_automorphism_order_reads_the_certificate():
-    cases = [
-        (POINT_ZERO, Signature(4, 4, 2), SRing((2,))),
-        (POINT_INFINITY, Signature(2, 3, 7), Z),
-        (POINT_ONE, Signature(3, 4, 7), Z),
-        (normalize_projective(9, 1), Signature(2, 3, 7), Z),
-    ]
-    for Q, sig, ring in cases:
-        cert = is_stack_point(Q, sig, ring)
-        assert certificate_automorphism_order(cert, sig) == stack_point_automorphism_order(
-            Q, sig, ring
-        )
+    # A marked point carries mu_n of its multiplicity n, a smooth one none,
+    # and a rejected certificate has no automorphism order.
+    assert automorphism_order(POINT_ZERO, Signature(4, 4, 2), SRing((2,))) == 2
+    assert automorphism_order(POINT_ONE, Signature(3, 4, 7), Z) == 2
+    assert automorphism_order(POINT_INFINITY, Signature(2, 3, 7), Z) == 1
+    assert automorphism_order(normalize_projective(9, 1), Signature(2, 3, 7), Z) == 1
     rejected = is_stack_point(normalize_projective(1, 2), Signature(4, 4, 2), Z)
     with pytest.raises(NotAStackPoint):
         certificate_automorphism_order(rejected, Signature(4, 4, 2))
 
 
 def test_automorphism_orders():
-    assert stack_point_automorphism_order(POINT_ZERO, Signature(4, 4, 2), SRing((2,))) == 2
-    assert stack_point_automorphism_order(POINT_INFINITY, Signature(2, 3, 7), Z) == 1
-    assert stack_point_automorphism_order(POINT_INFINITY, Signature(2, 3, 7), SRing((2, 3, 7))) == 1
-    assert (
-        stack_point_automorphism_order(normalize_projective(9, 1), Signature(2, 3, 7), Z)
-        == 1
-    )
+    assert automorphism_order(POINT_ZERO, Signature(4, 4, 2), SRing((2,))) == 2
+    assert automorphism_order(POINT_INFINITY, Signature(2, 3, 7), Z) == 1
+    assert automorphism_order(POINT_INFINITY, Signature(2, 3, 7), SRing((2, 3, 7))) == 1
+    assert automorphism_order(normalize_projective(9, 1), Signature(2, 3, 7), Z) == 1
     assert mu_order(2) == 2 and mu_order(9) == 1
     with pytest.raises(NotAStackPoint):
-        stack_point_automorphism_order(
-            normalize_projective(1, 2), Signature(4, 4, 2), Z
-        )
+        automorphism_order(normalize_projective(1, 2), Signature(4, 4, 2), Z)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ Every probe runs in a fresh interpreter, so that no module imported by an
 earlier test hides a load.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -16,19 +17,17 @@ import gfdescent
 import gfdescent.exact as exact
 
 # The public names of a bare `import gfdescent`, by the layer that defines
-# them, as they stood when the package still imported every layer eagerly.
+# them.
 SURFACE = {
     "errors": "DegeneratePoint GFDescentError NotAStackPoint PipelineMismatch SingularCurve "
-    "WorkLimitExceeded ZeroCoordinate ZeroPoint",
+    "WorkLimitExceeded ZeroPoint",
     "exact": "Factorization POINT_INFINITY POINT_ONE POINT_ZERO ProjPointQ factorize "
     "intersection_ideal is_perfect_nth_power is_probable_prime lcm_triple normalize_projective",
-    "smith": "IntMatrix SNFResult invariant_factors kernel_basis smith_normal_form",
-    "groups": "HStructure Signature WeightData h_membership h_structure stabilizer_order "
-    "triangle_abelianization weight_vector",
+    "smith": "IntMatrix SNFResult smith_normal_form",
+    "groups": "HStructure Signature WeightData h_structure triangle_abelianization weight_vector",
     "sarith": "SRing UnitClassGroup is_nth_power_ideal s_unit_reps valuation",
     "belyi": "SignatureClass StackPointCertificate certificate_automorphism_order "
-    "classify_signature euler_characteristic is_stack_point root_point_test "
-    "stack_point_automorphism_order",
+    "classify_signature euler_characteristic is_stack_point root_point_test",
     "gfe": "GFE DescentReport PrimitiveSolution RecoveredSolution bad_prime_set "
     "enumerate_primitive_solutions j_map recover_solutions verify_descent_inclusion",
     "quartic": "CurvePoint POINT_AT_INFINITY Sieve442Report TwistedCurve admissible_twists "
@@ -76,6 +75,32 @@ def test_sieve442_does_not_load_smith():
     loaded = loaded_after_main("sieve442", "--bound", "10")
     assert "gfdescent.quartic" in loaded
     assert "gfdescent.smith" not in loaded
+
+
+def imports_smith(tree) -> bool:
+    """Whether the module's AST imports smith anywhere, relatively or by its
+    full name, at module level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "" if base.endswith(".") else "."
+            names = [base] + [base + sep + alias.name for alias in node.names]
+        else:
+            continue
+        if any(name in (".smith", "gfdescent.smith") for name in names):
+            return True
+    return False
+
+
+def test_only_cli_imports_smith():
+    # smith serves only the snf command; groups and every other layer get by
+    # without it.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    assert [p.stem for p in layers if imports_smith(ast.parse(p.read_text()))] == ["cli"]
+    for code in ("from . import smith", "import gfdescent.smith", "from gfdescent import smith"):
+        assert imports_smith(ast.parse(code)), code
 
 
 def test_public_surface_unchanged():

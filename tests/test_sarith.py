@@ -9,7 +9,6 @@ from gfdescent.sarith import (
     SRing,
     is_nth_power_ideal,
     s_unit_reps,
-    same_unit_class,
     unit_class_key,
     valuation,
 )
@@ -89,13 +88,14 @@ def test_s_unit_reps_counts_and_distinctness():
 
 
 def test_unit_class_equivalence():
+    # Two units are in one class modulo n-th powers iff their keys agree.
     ring = SRing((2,))
-    assert same_unit_class(2, 32, ring, 4)  # 32 = 2 * 2^4
-    assert same_unit_class(-1, Fraction(-16), ring, 4)
-    assert not same_unit_class(2, -2, ring, 4)
-    assert not same_unit_class(2, 4, ring, 4)
+    assert unit_class_key(2, ring, 4) == unit_class_key(32, ring, 4)  # 32 = 2 * 2^4
+    assert unit_class_key(-1, ring, 4) == unit_class_key(Fraction(-16), ring, 4)
+    assert unit_class_key(2, ring, 4) != unit_class_key(-2, ring, 4)
+    assert unit_class_key(2, ring, 4) != unit_class_key(4, ring, 4)
     # Odd modulus kills the sign.
-    assert same_unit_class(2, -2, SRing((2,)), 3)
+    assert unit_class_key(2, ring, 3) == unit_class_key(-2, ring, 3)
     with pytest.raises(ValueError):
         unit_class_key(3, ring, 4)
 
