@@ -6,9 +6,6 @@ so that every number is a decimal string and arbitrary-precision values
 survive any consumer.  Exit codes: 0 success, 1 invalid input, 2
 factorization work cap exceeded, 3 sieve/enumerator mismatch.  Errors go to
 stderr as one JSON object with a machine-readable code.
-
-The environment variable GFDESCENT_FACTOR_WORK overrides the factorization
-iteration cap for one call of main, which restores the previous cap.
 """
 
 from __future__ import annotations
@@ -51,25 +48,21 @@ EXIT_WORK_LIMIT = 2
 EXIT_MISMATCH = 3
 
 
-class CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 means something else
     # here, so re-route through the invalid-input path.
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _parse_ints(text: str, n: int, what: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
-        raise CliError(f"{what} needs {n} comma-separated integers, got {text!r}")
+        raise ValueError(f"{what} needs {n} comma-separated integers, got {text!r}")
     try:
         return [int(p) for p in parts]
     except ValueError as e:
-        raise CliError(f"bad {what}: {e}") from None
+        raise ValueError(f"bad {what}: {e}") from None
 
 
 def _parse_signature(text: str) -> Signature:
@@ -83,18 +76,18 @@ def _parse_primes(text: str) -> SRing:
     try:
         return SRing.from_iterable(int(p) for p in text.split(","))
     except ValueError as e:
-        raise CliError(str(e)) from None
+        raise ValueError(str(e)) from None
 
 
 def _parse_point(text: str) -> ProjPointQ:
     sep = "/" if "/" in text else ":"
     parts = text.split(sep)
     if len(parts) != 2:
-        raise CliError(f"point must look like s{sep}t, got {text!r}")
+        raise ValueError(f"point must look like s{sep}t, got {text!r}")
     try:
         s, t = int(parts[0]), int(parts[1])
     except ValueError as e:
-        raise CliError(f"bad point: {e}") from None
+        raise ValueError(f"bad point: {e}") from None
     return normalize_projective(s, t)
 
 
@@ -105,7 +98,7 @@ def _parse_matrix(text: str) -> IntMatrix:
         rows = [[int(v) for v in row.split(",")] for row in text.split(";")]
         return IntMatrix(rows)
     except ValueError as e:
-        raise CliError(f"bad matrix: {e}") from None
+        raise ValueError(f"bad matrix: {e}") from None
 
 
 def _parse_gfe(args) -> GFE:
@@ -400,18 +393,8 @@ def _emit_error(code: str, message: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    saved_cap = exact.DEFAULT_RHO_ITERATION_CAP
-    cap = os.environ.get("GFDESCENT_FACTOR_WORK")
-    if cap is not None:
-        try:
-            exact.DEFAULT_RHO_ITERATION_CAP = int(cap)
-        except ValueError:
-            _emit_error("invalid-input", f"bad GFDESCENT_FACTOR_WORK value {cap!r}")
-            return EXIT_INVALID
-
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         payload = args.fn(args)
     except WorkLimitExceeded as e:
         _emit_error("work-limit-exceeded", str(e))
@@ -419,13 +402,9 @@ def main(argv=None) -> int:
     except PipelineMismatch as e:
         _emit_error("pipeline-mismatch", str(e))
         return EXIT_MISMATCH
-    except (ValueError, GFDescentError) as e:  # CliError is a ValueError
+    except (ValueError, GFDescentError) as e:
         _emit_error("invalid-input", str(e))
         return EXIT_INVALID
-    finally:
-        # The override lasts for this call only: later factorize calls in
-        # the same process see the previous cap again.
-        exact.DEFAULT_RHO_ITERATION_CAP = saved_cap
 
     payload = _plain(payload)
     try:

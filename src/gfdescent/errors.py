@@ -12,12 +12,10 @@ class ZeroPoint(GFDescentError):
 class WorkLimitExceeded(GFDescentError):
     """Factorization gave up before splitting the input completely."""
 
-    def __init__(self, n, remaining, message=None):
+    def __init__(self, n, remaining):
         self.n = n
         self.remaining = remaining
-        super().__init__(
-            message or f"factorization work cap hit on {n} (unsplit part {remaining})"
-        )
+        super().__init__(f"factorization work cap hit on {n} (unsplit part {remaining})")
 
 
 class NotAStackPoint(GFDescentError):

@@ -1,10 +1,7 @@
 """Exact integer arithmetic: factorization, perfect powers, projective points.
 
-Everything here works on plain Python ints (arbitrary precision).  Every
-function is pure except factorize, which falls back to the module global
-DEFAULT_RHO_ITERATION_CAP when called without a cap.  gfdescent.cli.main
-rewrites that global for the length of a call, so a factorize call without a
-cap that runs concurrently with main may see main's cap.
+Everything here works on plain Python ints (arbitrary precision), and every
+function is pure.
 """
 
 from __future__ import annotations
@@ -154,9 +151,9 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     over); any other is split by Brent's rho seeded deterministically from
     the input, so failures are reproducible.
 
-    The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP as it
-    stands at the call when that is None.  Raises WorkLimitExceeded when the
-    budget runs out before the remaining cofactor is split.
+    The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
+    that is None.  Raises WorkLimitExceeded when the budget runs out before
+    the remaining cofactor is split.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

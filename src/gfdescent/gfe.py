@@ -263,15 +263,13 @@ def _scale_bound(F: GFE) -> list[tuple[int, int]]:
     """Factorization (p, e) of the bound that every scale |mu| divides.
 
     Solutions map to scalar multiples (scale mu) of the canonical point, and
-    |mu| divides prod_p p^max(v_p(A), v_p(B), v_p(C)).  Primitivity forces
-    the support of mu into the primes of A*B*C, and at each such prime the
-    valuation is capped by the largest coefficient valuation.  The scales
-    to try are the divisors of the bound, built from these pairs.
+    |mu| divides lcm(|A|, |B|, |C|) = prod_p p^max(v_p(A), v_p(B), v_p(C)).
+    Primitivity forces the support of mu into the primes of A*B*C, and at
+    each such prime the valuation is capped by the largest coefficient
+    valuation.  The scales to try are the divisors of the bound, built from
+    these pairs.
     """
-    return [
-        (p, max(valuation(coef, p) for coef in (F.A, F.B, F.C)))
-        for p in factorize(F.A * F.B * F.C).primes()
-    ]
+    return list(factorize(math.lcm(F.A, F.B, F.C)).factors)
 
 
 def recover_solutions(

@@ -60,9 +60,6 @@ class SRing(Record):
         )
 
 
-ZRING = SRing(())
-
-
 def valuation(s: int, p: int) -> int:
     """Largest e with p^e dividing s; s must be nonzero and |p| >= 2."""
     return _divide_out(s, p)[1]

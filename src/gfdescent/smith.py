@@ -37,10 +37,6 @@ class IntMatrix:
         self.cols = width
         self.data = data
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)

@@ -103,6 +103,36 @@ def test_only_cli_imports_smith():
         assert imports_smith(ast.parse(code)), code
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_environment(tree) -> bool:
+    """Whether the module's AST touches os.environ or os.getenv, as an
+    attribute of os or imported from it by name."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT for alias in node.names):
+                return True
+    return False
+
+
+def test_no_layer_reads_the_environment():
+    # Every setting comes from arguments, so the same call gives the same
+    # answer whatever the environment holds.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    assert [p.stem for p in layers if reads_environment(ast.parse(p.read_text()))] == []
+    for code in ("os.environ.get('X')", "os.getenv('X')", "from os import environ"):
+        assert reads_environment(ast.parse(code)), code
+    assert not reads_environment(ast.parse("os.devnull"))
+
+
 def test_public_surface_unchanged():
     # After a bare import each name resolves to the object its layer holds,
     # dir() lists it and a star import binds it.

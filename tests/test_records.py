@@ -38,7 +38,6 @@ from gfdescent import (
 from gfdescent._record import Record
 from gfdescent.gfe import DescentEntry
 from gfdescent.quartic import CandidateVerdict
-from gfdescent.sarith import ZRING
 
 SOL = PrimitiveSolution(1, 0, 1)
 CERT = StackPointCertificate(POINT_ONE, "marked", marked_at="1")
@@ -90,7 +89,7 @@ SAMPLES = [
     ),
     (DescentEntry(SOL, POINT_ONE, CERT), ENTRY_REPR),
     (
-        DescentReport(F442, 1, ZRING, (DescentEntry(SOL, POINT_ONE, CERT),)),
+        DescentReport(F442, 1, SRing(()), (DescentEntry(SOL, POINT_ONE, CERT),)),
         f"DescentReport(gfe={F442_REPR}, bound=1, ring=SRing(primes=()), "
         f"entries=({ENTRY_REPR},))",
     ),

@@ -19,7 +19,7 @@ def check_snf_contract(A):
     for i in range(A.rows):
         for j in range(A.cols):
             if i != j:
-                assert res.D[i, j] == 0
+                assert res.D.data[i][j] == 0
     assert all(d >= 0 for d in diag)
     for d1, d2 in zip(diag, diag[1:]):
         if d2 != 0:
