@@ -9,19 +9,63 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from typing import Optional
 
 from ._record import Record, set_field
 from .errors import WorkLimitExceeded, ZeroPoint
 
-# Trial division handles everything below this bound; Brent's rho picks up the
-# rest.  The iteration cap keeps failures reproducible instead of open-ended.
+# Trial division finds every prime factor up to this bound, through one gcd
+# with the product of those primes; Brent's rho picks up the rest.  The
+# iteration cap keeps failures reproducible instead of open-ended.
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_ITERATION_CAP = 5_000_000
 
-# The first 13 primes: as Miller-Rabin witnesses they decide primality for
-# every n below psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
+
+def _primes_up_to(n: int) -> tuple[int, ...]:
+    """The primes <= n, for n >= 2, by a sieve of Eratosthenes on a
+    bytearray of the odd numbers: entry i stands for 2i + 3."""
+    sieve = bytearray([1]) * ((n - 1) // 2)
+    for i in range((math.isqrt(n) - 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 3
+            start = (p * p - 3) // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return (2, *itertools.compress(range(3, n + 1, 2), sieve))
+
+
+# The 1,229 primes up to the trial bound and their product (about 14,000
+# bits): one gcd with it finds every trial prime that divides the input.
+# Built once at import; multiplying blocks of 64 primes first makes the
+# product about twice as fast as one prime at a time.
+_TRIAL_PRIMES = _primes_up_to(TRIAL_DIVISION_BOUND)
+_PRIMORIAL = math.prod(
+    [math.prod(_TRIAL_PRIMES[i : i + 64]) for i in range(0, len(_TRIAL_PRIMES), 64)]
+)
+
+# The first 13 primes: is_probable_prime divides by all of them, then uses
+# the first k as Miller-Rabin witnesses, each one modular exponentiation.
+# All 13 decide primality for every n below
+# psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_1 .. psi_12 (OEIS A014233; Sorenson-Webster 2017): psi_k is the least
+# odd composite that is a strong probable prime to each of the first k
+# primes, so for n < psi_k those k witnesses decide.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def lcm_triple(a: int, b: int, c: int) -> int:
@@ -32,11 +76,13 @@ def lcm_triple(a: int, b: int, c: int) -> int:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first 13 primes as witnesses.
+    """Miller-Rabin with the first k primes as witnesses, k <= 13.
 
-    Deterministic for n < psi_13 ~ 3.3 * 10^24 (Sorenson-Webster, Math. Comp.
-    86, 2017); a strong probabilistic test beyond that, which is all the
-    desk-scale inputs here ever need.
+    After trial division by those 13 primes, k is the least index with
+    n < psi_k, and 13 from psi_12 on: 4 witnesses settle 2^31 - 1, and a
+    64-bit n needs at most 12.  Deterministic for n < psi_13 ~ 3.3 * 10^24
+    (Sorenson-Webster, Math. Comp. 86, 2017); a strong probabilistic test
+    beyond that, which is all the desk-scale inputs here ever need.
     """
     if n < 2:
         return False
@@ -47,7 +93,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -146,10 +192,16 @@ def _divide_out(m: int, p: int) -> tuple[int, int]:
 def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     """Full prime factorization of a nonzero integer.
 
-    Trial division by 2 and the odd numbers up to TRIAL_DIVISION_BOUND.  A
-    composite cofactor that is a perfect power r^k is replaced by r (k times
-    over); any other is split by Brent's rho seeded deterministically from
-    the input, so failures are reproducible.
+    The trial stage takes one gcd of |n| with the product of the primes up
+    to TRIAL_DIVISION_BOUND, trial-divides that squarefree gcd rather than
+    n until p^2 exceeds what is left of it, and divides each prime found out
+    of n.  So an input with no prime factor up to the bound costs one gcd,
+    and one whose small primes are all below 100 costs at most 25 trial
+    divisions of the gcd.  A cofactor up to the square of the bound is then
+    prime.  A composite cofactor that is a perfect power r^k is replaced by
+    r (k times over); any other is split by Brent's rho, seeded
+    deterministically from the input (the generator is built only when rho
+    runs), so failures are reproducible.
 
     The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
     that is None.  Raises WorkLimitExceeded when the budget runs out before
@@ -161,17 +213,22 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
-        if p * p > m:
+    g = math.gcd(m, _PRIMORIAL)
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
             break
-        if m % p == 0:
+        if g % p == 0:
+            g //= p
             m, counts[p] = _divide_out(m, p)
+    if g > 1:
+        # What is left of a squarefree gcd below p^2 is one prime.
+        m, counts[g] = _divide_out(m, g)
     if m > 1 and m <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
         # Below the square of the trial bound the leftover must be prime.
         counts[m] = counts.get(m, 0) + 1
         m = 1
 
-    rng = random.Random(abs(n) ^ 0x5EED)
+    rng = None
     budget = cap
     # (cofactor, multiplicity) pairs still to split.
     stack = [(m, 1)] if m > 1 else []
@@ -186,6 +243,8 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
         if k > 1:
             stack.append((r, mult * k))
             continue
+        if rng is None:
+            rng = random.Random(abs(n) ^ 0x5EED)
         f = None
         while f is None:
             f, spent = _brent_rho(v, rng, budget)

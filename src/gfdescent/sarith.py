@@ -9,7 +9,6 @@ bookkeeping on ordinary integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Optional
 
 from ._record import Record, set_field
@@ -82,17 +81,18 @@ class UnitClassGroup(Record):
 
 
 def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
-    """Complete irredundant representatives of R^x/(R^x)^n."""
+    """Complete irredundant representatives of R^x/(R^x)^n.
+
+    The units sign * prod p^e with 0 <= e < n, listed with the sign slowest
+    and each prime's exponent faster than the one before.  Built by running
+    products, one multiplication per entry per prime.
+    """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    signs = (1, -1) if n % 2 == 0 else (1,)
-    reps = []
-    for eps in signs:
-        for exps in product(range(n), repeat=len(ring.primes)):
-            v = eps
-            for p, e in zip(ring.primes, exps):
-                v *= p**e
-            reps.append(v)
+    reps = [1, -1] if n % 2 == 0 else [1]
+    for p in ring.primes:
+        powers = [p**e for e in range(n)]
+        reps = [v * q for v in reps for q in powers]
     return UnitClassGroup(n, ring, tuple(reps))
 
 

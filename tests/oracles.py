@@ -5,12 +5,14 @@ uses gcds of k x k minors, the enumeration oracles never extract roots, the
 torsion oracle has its own group law, the box-point oracle evaluates the
 curve on Fractions without the square-denominator lemma, and the
 point-test oracle factors each coordinate by trial division instead of
-taking integer roots.
+taking integer roots.  The strong-probable-prime check reads the 2-adic
+split of n - 1 off its bits and tests one base; the unit-class oracle
+multiplies each exponent vector out from scratch.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt
 
 
@@ -247,3 +249,29 @@ def trial_division_point_test(s, t, sig, primes):
     if failed:
         return ("rejected", None, tuple(failed))
     return ("smooth", tuple(roots), ())
+
+
+def is_strong_probable_prime(n, a):
+    """Whether odd n > 2 is a strong probable prime to base a: with
+    n - 1 = 2^s * d and d odd, a^d = 1 or a^(2^r * d) = -1 mod n for some
+    r < s.  Every prime passes for every base prime to it."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    if pow(a, d, n) == 1:
+        return True
+    return any(pow(a, d << r, n) == n - 1 for r in range(s))
+
+
+def s_unit_reps_by_product(primes, n):
+    """Representatives of Z[1/primes]^x modulo n-th powers, in the order
+    s_unit_reps lists them: sign slowest, then the exponent vectors of
+    product(range(n), ...) in lexicographic order, each multiplied out."""
+    signs = (1, -1) if n % 2 == 0 else (1,)
+    reps = []
+    for eps in signs:
+        for exps in product(range(n), repeat=len(primes)):
+            v = eps
+            for p, e in zip(primes, exps):
+                v *= p**e
+            reps.append(v)
+    return tuple(reps)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gfdescent import exact
 from gfdescent.errors import WorkLimitExceeded, ZeroPoint
 from gfdescent.exact import (
     Factorization,
@@ -18,8 +19,22 @@ from gfdescent.exact import (
 )
 from gfdescent.sarith import SRing
 
+from oracles import is_strong_probable_prime
+
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
+M61 = 2**61 - 1
+
+
+def sieve_primes(n):
+    """The primes <= n, by a list-of-bools sieve."""
+    is_prime = [True] * (n + 1)
+    is_prime[0] = is_prime[1] = False
+    for i in range(2, n + 1):
+        if is_prime[i]:
+            for j in range(i * i, n + 1, i):
+                is_prime[j] = False
+    return [i for i in range(n + 1) if is_prime[i]]
 
 
 @pytest.mark.parametrize(
@@ -61,6 +76,52 @@ def test_factorize_trial_division_boundaries():
     )
     assert factorize(100000007) == Factorization(1, ((100000007, 1),))
     assert factorize(100000007 * 9973) == Factorization(1, ((9973, 1), (100000007, 1)))
+
+
+def test_trial_prime_table_matches_sieve():
+    assert exact._TRIAL_PRIMES == tuple(sieve_primes(exact.TRIAL_DIVISION_BOUND))
+    assert len(exact._TRIAL_PRIMES) == 1229
+    assert exact._PRIMORIAL == math.prod(exact._TRIAL_PRIMES)
+
+
+def test_factorize_trial_stage_edges():
+    primes = sieve_primes(10_000)
+    primorial = math.prod(primes)
+    # Every trial prime at once, and each twice.
+    assert factorize(primorial).factors == tuple((p, 1) for p in primes)
+    assert factorize(-(primorial**2)).factors == tuple((p, 2) for p in primes)
+    # 10000! by Legendre's formula: v_p(N!) = sum of N // p^i.
+    legendre = []
+    for p in primes:
+        e, q = 0, p
+        while q <= 10_000:
+            e += 10_000 // q
+            q *= p
+        legendre.append((p, e))
+    assert factorize(math.factorial(10_000)) == Factorization(1, tuple(legendre))
+    # The gcd loop stops at p = 101 > sqrt(9973), with 9973 left in the gcd.
+    assert factorize(2 * 9973 * M61).factors == ((2, 1), (9973, 1), (M61, 1))
+    # Squares on both sides of the bound: 10007^2 is left to the power split.
+    assert factorize(9973**2 * 10007**2).factors == ((9973, 2), (10007, 2))
+    # No prime up to 10^4 divides this, and it exceeds 10^8: rho splits it.
+    assert factorize(10007 * 100000007).factors == ((10007, 1), (100000007, 1))
+    assert factorize(1) == Factorization(1, ())
+    assert factorize(-1) == Factorization(-1, ())
+
+
+def test_factorize_without_rho_builds_no_generator(monkeypatch):
+    # Trial division, the prime shortcut and the power split finish these,
+    # so factorize must not seed a generator for rho.
+    def refuse(seed):
+        raise AssertionError(f"random.Random({seed}) built")
+
+    monkeypatch.setattr(exact.random, "Random", refuse)
+    q = 2**31 - 1
+    assert factorize(q**2).factors == ((q, 2),)
+    assert factorize(M61**2, rho_iteration_cap=200_000).factors == ((M61, 2),)
+    assert factorize(2**100 * 3**7).factors == ((2, 100), (3, 7))
+    assert factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))
+    assert factorize(100000007 * 9973).factors == ((9973, 1), (100000007, 1))
 
 
 def test_factorize_round_trip_dense():
@@ -105,6 +166,29 @@ def test_brent_rho_pinned(n, full, capped):
     # pairs pin the iteration, so a rewrite of the loop must not move them.
     assert _brent_rho(n, random.Random(n ^ 0x5EED), 5_000_000) == full
     assert _brent_rho(n, random.Random(n ^ 0x5EED), 1000) == capped
+
+
+@pytest.mark.parametrize(
+    "n,p,spent",
+    [
+        (68734389138596057, 266148347, 17407),
+        (48279464130652331, 202098101, 11903),
+        (57149245472426669, 245155577, 5887),
+        (52380665978922823, 236443303, 5503),
+        (56093278537482643, 246954509, 13470),
+    ],
+)
+def test_factorize_splits_pinned_semiprimes(n, p, spent):
+    # The pinned rho runs above, through factorize and its seeding: the
+    # pinned factor and cofactor come out with exactly the pinned budget,
+    # and one iteration less runs out.
+    q, r = divmod(n, p)
+    assert r == 0
+    want = tuple(sorted(((p, 1), (q, 1))))
+    assert factorize(n).factors == want
+    assert factorize(n, rho_iteration_cap=spent).factors == want
+    with pytest.raises(WorkLimitExceeded):
+        factorize(n, rho_iteration_cap=spent - 1)
 
 
 def test_factorize_splits_perfect_powers():
@@ -219,14 +303,22 @@ def test_integer_nth_root_matches_isqrt():
 
 
 def test_is_probable_prime_small():
-    sieve = [True] * 2000
-    sieve[0] = sieve[1] = False
-    for i in range(2, 2000):
-        if sieve[i]:
-            for j in range(i * i, 2000, i):
-                sieve[j] = False
+    primes = set(sieve_primes(1999))
     for n in range(2000):
-        assert is_probable_prime(n) == sieve[n]
+        assert is_probable_prime(n) == (n in primes)
+
+
+def test_psi_table_entries_are_the_strong_pseudoprimes():
+    # psi_k is composite (some base below 100 is a witness), yet a strong
+    # probable prime to each of the first k primes; is_probable_prime, which
+    # uses those k witnesses just below psi_k, must still reject it.
+    assert len(exact._PSI) == 12
+    assert list(exact._PSI) == sorted(exact._PSI)
+    assert exact._PSI[-1] == PSI_12
+    for k, psi in enumerate(exact._PSI, 1):
+        assert not all(is_strong_probable_prime(psi, a) for a in range(2, 100)), k
+        assert all(is_strong_probable_prime(psi, a) for a in exact._SMALL_PRIMES[:k])
+        assert not is_probable_prime(psi), k
 
 
 def test_is_probable_prime_rejects_psi12():

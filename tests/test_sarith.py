@@ -13,6 +13,8 @@ from gfdescent.sarith import (
     valuation,
 )
 
+from oracles import s_unit_reps_by_product
+
 
 def test_sring_validation():
     assert SRing.from_iterable([7, 2, 2]).primes == (2, 7)
@@ -85,6 +87,15 @@ def test_s_unit_reps_counts_and_distinctness():
                 assert len(group.representatives) == expected
                 keys = {unit_class_key(u, ring, n) for u in group.representatives}
                 assert len(keys) == expected
+
+
+def test_s_unit_reps_order_matches_product_oracle():
+    primes = (2, 3, 5, 7, 11)
+    for r in range(len(primes) + 1):
+        for subset in combinations(primes, r):
+            for n in range(2, 8):
+                got = s_unit_reps(SRing(subset), n).representatives
+                assert got == s_unit_reps_by_product(subset, n), (subset, n)
 
 
 def test_unit_class_equivalence():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gfdescent.exact import factorize, is_probable_prime
+from gfdescent.exact import _PSI, factorize, is_probable_prime
 from gfdescent.smith import IntMatrix, smith_normal_form
 
 from test_smith import corpus_matrices
@@ -14,6 +14,9 @@ normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
+# Smallest strong pseudoprime to the bases 2..41 (Sorenson-Webster 2017),
+# the bound below which the 13 witnesses decide primality.
+PSI_13 = 3317044064679887385961981
 
 
 def test_factorize_matches_factorint():
@@ -35,6 +38,22 @@ def test_factorize_matches_factorint():
 def test_is_probable_prime_matches_isprime():
     start = random.Random(2024).randrange(10**12)
     for n in [*range(start, start + 5000), PSI_12]:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_is_probable_prime_matches_isprime_around_psi():
+    # Every odd n within 2000 of each psi_k, where the witness count steps.
+    for psi in sorted(set(_PSI)):
+        for n in range(psi - 2000, psi + 2001, 2):
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_is_probable_prime_matches_isprime_below_psi13():
+    # Log-uniform sizes, so that every witness count is drawn.
+    rng = random.Random(1993)
+    for _ in range(20_000):
+        bits = rng.randrange(2, PSI_13.bit_length() + 1)
+        n = rng.randrange(2, min(PSI_13, 2**bits))
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
