@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 _LAYERS = {
     "errors": (
-        "DegeneratePoint",
         "GFDescentError",
         "NotAStackPoint",
         "PipelineMismatch",

@@ -1,12 +1,15 @@
 """Immutable value records: slotted classes with value semantics.
 
-A record lists its fields in __slots__ and writes its own __init__, which
-checks its arguments and stores them with set_field.  Record supplies the
-rest: equality and hashing by the tuple of fields, a repr of the form
-Name(field=value, ...), pickling and copying through the constructor, and
-no assignment after construction.  Unlike the standard library's record
-decorator, this needs no import of inspect and no code generation per
-class, which together cost about a third of a command-line run.
+A record lists its fields in __slots__.  Record supplies the constructor,
+which takes each field once, positionally or by keyword, in __slots__
+order, and stores it with set_field; equality and hashing by the tuple of
+fields; a repr of the form Name(field=value, ...); pickling and copying
+through the constructor; and no assignment after construction.  A record
+writes its own __init__ only to check its arguments (ProjPointQ, Signature,
+GFE, SRing) or to give fields defaults (StackPointCertificate), and then
+stores the fields itself.  Unlike the standard library's record decorator,
+this needs no import of inspect and no code generation per class, which
+together cost a fifth to a third of a command-line run.
 """
 
 from operator import attrgetter
@@ -25,6 +28,18 @@ class Record:
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple.
         cls._values = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(
+                f"{type(self).__qualname__} takes each of the fields {', '.join(names)} "
+                f"once; got {len(args)} of them and the extra keywords {sorted(kwargs)}"
+            )
+        for name, value in zip(names, args):
+            set_field(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

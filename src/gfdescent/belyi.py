@@ -124,24 +124,14 @@ def euler_characteristic(sig: Signature) -> Fraction:
 class SignatureClass(Record):
     """Trichotomy data for a signature.
 
-    genus is that of a Galois cover realizing the signature: 0 when chi > 0,
-    1 when chi = 0, and None (meaning >= 2, not computed) when chi < 0.  The
-    cover degree 2/chi is only defined in the spherical case.
+    kind is "spherical", "euclidean" or "hyperbolic" as chi is positive,
+    zero or negative.  genus is that of a Galois cover realizing the
+    signature: 0 when chi > 0, 1 when chi = 0, and None (meaning >= 2, not
+    computed) when chi < 0.  The cover degree 2/chi is only defined in the
+    spherical case.
     """
 
     __slots__ = ("chi", "kind", "genus", "degree")
-
-    def __init__(
-        self,
-        chi: Fraction,
-        kind: str,  # "spherical", "euclidean", "hyperbolic"
-        genus: Optional[int],
-        degree: Optional[int],
-    ):
-        set_field(self, "chi", chi)
-        set_field(self, "kind", kind)
-        set_field(self, "genus", genus)
-        set_field(self, "degree", degree)
 
     def genus_label(self) -> str:
         return str(self.genus) if self.genus is not None else ">= 2 (not computed)"

@@ -22,10 +22,6 @@ class NotAStackPoint(GFDescentError):
     """The point fails the root conditions over the given S-integer ring."""
 
 
-class DegeneratePoint(GFDescentError):
-    """Both coordinates of the image point vanish; impossible for valid input."""
-
-
 class SingularCurve(GFDescentError):
     """d = 0 does not define a smooth twist."""
 

@@ -47,7 +47,7 @@ _PRIMORIAL = math.prod(
 # the first k as Miller-Rabin witnesses, each one modular exponentiation.
 # All 13 decide primality for every n below
 # psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = _TRIAL_PRIMES[:13]
 
 # psi_1 .. psi_12 (OEIS A014233; Sorenson-Webster 2017): psi_k is the least
 # odd composite that is a strong probable prime to each of the first k
@@ -110,16 +110,6 @@ class Factorization(Record):
     """sign * product(p^e) == original input; primes strictly increasing."""
 
     __slots__ = ("sign", "factors")
-
-    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
-        set_field(self, "sign", sign)
-        set_field(self, "factors", factors)
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors:
-            v *= p**e
-        return v
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -21,7 +21,7 @@ from operator import sub
 
 from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
-from .errors import DegeneratePoint, NotAStackPoint
+from .errors import NotAStackPoint
 from .exact import (
     ProjPointQ,
     factorize,
@@ -68,11 +68,6 @@ class PrimitiveSolution(Record):
     """Integer triple with gcd 1 solving its equation; ordered as triples."""
 
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: int, y: int, z: int):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -214,8 +209,6 @@ def j_map(F: GFE, sol: PrimitiveSolution) -> ProjPointQ:
     a, _, c = F.sig
     s = -F.A * sol.x**a
     t = F.C * sol.z**c
-    if s == 0 and t == 0:
-        raise DegeneratePoint("x = z = 0 cannot happen for a primitive solution")
     return normalize_projective(s, t)
 
 
@@ -228,20 +221,6 @@ class RecoveredSolution(Record):
     """
 
     __slots__ = ("x", "y", "z", "coefficients", "exact_coefficients")
-
-    def __init__(
-        self,
-        x: int,
-        y: int,
-        z: int,
-        coefficients: tuple[Fraction, Fraction, Fraction],
-        exact_coefficients: bool,
-    ):
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "exact_coefficients", exact_coefficients)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
@@ -365,27 +344,11 @@ def _recover(
 class DescentEntry(Record):
     __slots__ = ("solution", "image", "certificate")
 
-    def __init__(
-        self,
-        solution: PrimitiveSolution,
-        image: ProjPointQ,
-        certificate: StackPointCertificate,
-    ):
-        set_field(self, "solution", solution)
-        set_field(self, "image", image)
-        set_field(self, "certificate", certificate)
-
 
 class DescentReport(Record):
     """Outcome of pushing every enumerated solution through the point test."""
 
     __slots__ = ("gfe", "bound", "ring", "entries")
-
-    def __init__(self, gfe: GFE, bound: int, ring: SRing, entries: tuple[DescentEntry, ...]):
-        set_field(self, "gfe", gfe)
-        set_field(self, "bound", bound)
-        set_field(self, "ring", ring)
-        set_field(self, "entries", entries)
 
     @property
     def violations(self) -> tuple[DescentEntry, ...]:

@@ -41,20 +41,11 @@ class WeightData(Record):
 
     __slots__ = ("d", "m", "w")
 
-    def __init__(self, d: int, m: int, w: tuple[int, int, int]):
-        set_field(self, "d", d)
-        set_field(self, "m", m)
-        set_field(self, "w", w)
-
 
 class HStructure(Record):
     """Torus rank and torsion invariant factors of the symmetry group."""
 
     __slots__ = ("torus_rank", "torsion")
-
-    def __init__(self, torus_rank: int, torsion: tuple[int, ...]):
-        set_field(self, "torus_rank", torus_rank)
-        set_field(self, "torsion", torsion)
 
 
 def weight_vector(sig: Signature) -> WeightData:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import PipelineMismatch, SingularCurve
 from .exact import (
     POINT_INFINITY,
@@ -26,7 +25,7 @@ from .exact import (
     normalize_projective,
 )
 from .gfe import GFE, PrimitiveSolution, _recover, enumerate_primitive_solutions
-from .belyi import StackPointCertificate, is_stack_point
+from .belyi import is_stack_point
 from .groups import Signature
 from .sarith import SRing, UnitClassGroup, s_unit_reps
 
@@ -38,10 +37,6 @@ class CurvePoint(Record):
     """Affine point (u, v) or the point at infinity (u = v = None)."""
 
     __slots__ = ("u", "v")
-
-    def __init__(self, u: Optional[Fraction], v: Optional[Fraction]):
-        set_field(self, "u", u)
-        set_field(self, "v", v)
 
     @property
     def is_infinity(self) -> bool:
@@ -62,14 +57,6 @@ class TwistedCurve(Record):
     """v^2 = u^3 - d u; nonsingular for every d != 0."""
 
     __slots__ = ("d",)
-
-    def __init__(self, d: int):
-        set_field(self, "d", d)
-
-    def contains(self, P: CurvePoint) -> bool:
-        if P.is_infinity:
-            return True
-        return P.v**2 == P.u**3 - self.d * P.u
 
 
 def twist_curve(d: int) -> TwistedCurve:
@@ -174,19 +161,6 @@ def admissible_twists(reps: UnitClassGroup) -> list[int]:
 class CandidateVerdict(Record):
     __slots__ = ("point", "sources", "certificate", "recovered")
 
-    def __init__(
-        self,
-        point: ProjPointQ,
-        sources: tuple[str, ...],
-        certificate: StackPointCertificate,
-        recovered: tuple[PrimitiveSolution, ...],
-    ):
-        set_field(self, "point", point)
-        set_field(self, "sources", sources)
-        set_field(self, "certificate", certificate)
-        set_field(self, "recovered", recovered)
-
-
 
 class Sieve442Report(Record):
     """Full trace of the covering/twisting/sieving pipeline.
@@ -205,22 +179,6 @@ class Sieve442Report(Record):
         "bound_check",
     )
 
-    def __init__(
-        self,
-        unit_classes: tuple[int, ...],
-        admissible: tuple[int, ...],
-        torsion_orders: dict[int, int],
-        candidates: tuple[CandidateVerdict, ...],
-        solutions: tuple[PrimitiveSolution, ...],
-        bound_check: int,
-    ):
-        set_field(self, "unit_classes", unit_classes)
-        set_field(self, "admissible", admissible)
-        set_field(self, "torsion_orders", torsion_orders)
-        set_field(self, "candidates", candidates)
-        set_field(self, "solutions", solutions)
-        set_field(self, "bound_check", bound_check)
-
     @property
     def assumed_finite(self) -> tuple[int, ...]:
         return tuple(sorted(self.admissible, key=abs))
@@ -237,8 +195,9 @@ def run_sieve_442(
     """Execute the pipeline and cross-check against the enumerator.
 
     Finiteness of the rational points on the two admissible twists is an
-    input here (their torsion is provably everything they have); the
-    cross-check against exhaustive enumeration guards the whole chain.  With
+    input here: that each has rank 0, so that its torsion is all its rational
+    points, is a classical fact this code does not check.  The cross-check
+    against exhaustive enumeration up to bound_check is the only guard.  With
     include_nonadmissible, bounded point searches on the other six twists
     are fed through the same filter, which provably cannot change the output.
     Each search is rational_points_bounded at extra_height = H: u = p/q with

@@ -74,11 +74,6 @@ class UnitClassGroup(Record):
 
     __slots__ = ("modulus", "ring", "representatives")
 
-    def __init__(self, modulus: int, ring: SRing, representatives: tuple[int, ...]):
-        set_field(self, "modulus", modulus)
-        set_field(self, "ring", ring)
-        set_field(self, "representatives", representatives)
-
 
 def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
     """Complete irredundant representatives of R^x/(R^x)^n.

@@ -11,7 +11,7 @@ operations on it.  smith_normal_form returns U, D and V.
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from ._record import Record
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -71,11 +71,6 @@ class SNFResult(Record):
     """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
 
     __slots__ = ("U", "D", "V")
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        set_field(self, "U", U)
-        set_field(self, "D", D)
-        set_field(self, "V", V)
 
 
 def _wrap(data: list[list[int]]) -> IntMatrix:

@@ -7,7 +7,9 @@ curve on Fractions without the square-denominator lemma, and the
 point-test oracle factors each coordinate by trial division instead of
 taking integer roots.  The strong-probable-prime check reads the 2-adic
 split of n - 1 off its bits and tests one base; the unit-class oracle
-multiplies each exponent vector out from scratch.
+multiplies each exponent vector out from scratch.  Curve membership is the
+curve equation on Fractions, and a factorization's value the product of
+its factors.
 """
 
 import random
@@ -137,6 +139,15 @@ def integral_points_on_twist(d, box):
     return sorted(set(pts))
 
 
+def on_curve(E, P):
+    """Whether the curve point P lies on E: v^2 = u^3 - d*u, evaluated on
+    Fractions; the point at infinity always does."""
+    if P.is_infinity:
+        return True
+    u, v = Fraction(P.u), Fraction(P.v)
+    return v * v == u**3 - E.d * u
+
+
 def fraction_box_points(d, height):
     """Points (u, v) of v^2 = u^3 - d*u with u = p/q in lowest terms,
     |p| <= height and 1 <= q <= height, as a set of Fraction pairs.
@@ -249,6 +260,14 @@ def trial_division_point_test(s, t, sig, primes):
     if failed:
         return ("rejected", None, tuple(failed))
     return ("smooth", tuple(roots), ())
+
+
+def factorization_product(f):
+    """sign * product of p^e over the factors of a Factorization."""
+    v = f.sign
+    for p, e in f.factors:
+        v *= p**e
+    return v
 
 
 def is_strong_probable_prime(n, a):

@@ -19,7 +19,7 @@ from gfdescent.exact import (
 )
 from gfdescent.sarith import SRing
 
-from oracles import is_strong_probable_prime
+from oracles import factorization_product, is_strong_probable_prime
 
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
@@ -126,8 +126,8 @@ def test_factorize_without_rho_builds_no_generator(monkeypatch):
 
 def test_factorize_round_trip_dense():
     for n in range(1, 20001):
-        assert factorize(n).value() == n
-        assert factorize(-n).value() == -n
+        assert factorization_product(factorize(n)) == n
+        assert factorization_product(factorize(-n)) == -n
 
 
 def test_factorize_round_trip_random_large():
@@ -135,7 +135,7 @@ def test_factorize_round_trip_random_large():
     for _ in range(1000):
         n = rng.randrange(10**6, 10**12) * rng.choice((1, -1))
         f = factorize(n)
-        assert f.value() == n
+        assert factorization_product(f) == n
         assert all(is_probable_prime(p) for p in f.primes())
         assert list(f.primes()) == sorted(set(f.primes()))
 

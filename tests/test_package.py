@@ -19,7 +19,7 @@ import gfdescent.exact as exact
 # The public names of a bare `import gfdescent`, by the layer that defines
 # them.
 SURFACE = {
-    "errors": "DegeneratePoint GFDescentError NotAStackPoint PipelineMismatch SingularCurve "
+    "errors": "GFDescentError NotAStackPoint PipelineMismatch SingularCurve "
     "WorkLimitExceeded ZeroPoint",
     "exact": "Factorization POINT_INFINITY POINT_ONE POINT_ZERO ProjPointQ factorize "
     "intersection_ideal is_perfect_nth_power is_probable_prime lcm_triple normalize_projective",
@@ -131,6 +131,36 @@ def test_no_layer_reads_the_environment():
     for code in ("os.environ.get('X')", "os.getenv('X')", "from os import environ"):
         assert reads_environment(ast.parse(code)), code
     assert not reads_environment(ast.parse("os.devnull"))
+
+
+def unused_imports(tree) -> list[str]:
+    """The names the module's imports bind that no expression in it reads;
+    a name read only in an annotation counts as read."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(bound - read)
+
+
+def test_no_layer_imports_an_unused_name():
+    # No linter runs on the package, so an import orphaned by an edit would
+    # otherwise stay.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    assert {p.stem: unused_imports(ast.parse(p.read_text())) for p in layers} == {
+        p.stem: [] for p in layers
+    }
+    assert unused_imports(ast.parse("import os.path\nfrom . import a as b")) == ["b", "os"]
+    assert unused_imports(ast.parse("from __future__ import annotations")) == []
+    assert unused_imports(ast.parse("import os.path\nos.path.join")) == []
+    assert unused_imports(ast.parse("from t import O\ndef f(x: O) -> None: pass")) == []
 
 
 def test_public_surface_unchanged():

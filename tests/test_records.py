@@ -174,10 +174,26 @@ def test_keyword_construction_and_defaults():
     match ProjPointQ(3, 2):
         case ProjPointQ(s, t):
             assert (s, t) == (3, 2)
+    # Records without an __init__ of their own take the fields in __slots__
+    # order, positionally or by keyword, each exactly once.
+    assert CurvePoint(v=Fraction(-4), u=Fraction(2)) == CurvePoint(Fraction(2), Fraction(-4))
+    assert DescentEntry(SOL, certificate=CERT, image=POINT_ONE) == DescentEntry(
+        SOL, POINT_ONE, CERT
+    )
     with pytest.raises(TypeError):
         ProjPointQ(1)
     with pytest.raises(TypeError):
         Signature(2, 3, 7, 11)
+    with pytest.raises(TypeError):
+        PrimitiveSolution(1, 2)
+    with pytest.raises(TypeError):
+        PrimitiveSolution(1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        CurvePoint(u=1)
+    with pytest.raises(TypeError):
+        TwistedCurve(e=1)
+    with pytest.raises(TypeError):
+        DescentEntry(SOL, POINT_ONE, CERT, solution=SOL)
 
 
 def test_validations_still_raise():
