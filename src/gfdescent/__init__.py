@@ -27,10 +27,8 @@ _LAYERS = {
         "POINT_ZERO",
         "ProjPointQ",
         "factorize",
-        "intersection_ideal",
         "is_perfect_nth_power",
         "is_probable_prime",
-        "lcm_triple",
         "normalize_projective",
     ),
     "smith": ("IntMatrix", "SNFResult", "smith_normal_form"),
@@ -50,7 +48,6 @@ _LAYERS = {
         "classify_signature",
         "euler_characteristic",
         "is_stack_point",
-        "root_point_test",
     ),
     "gfe": (
         "GFE",

@@ -14,37 +14,20 @@ from typing import Optional
 
 from ._record import Record, set_field
 from .errors import NotAStackPoint
-from .exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, ProjPointQ, intersection_ideal
+from .exact import ProjPointQ
 from .groups import Signature
 from .sarith import SRing, is_nth_power_ideal
 
-# Each marked point with its label and the coordinate of Q = (s:t) that
-# vanishes there: Q meets 0, 1, inf in the ideals (s), (s-t), (t).  Zipped
-# with a signature (a, b, c) it pairs each point with its exponent.
-MARKED_POINTS = (
-    (POINT_ZERO, "0", "s"),
-    (POINT_ONE, "1", "s-t"),
-    (POINT_INFINITY, "inf", "t"),
-)
+# The marked points 0, 1, inf, and the coordinate of Q = (s:t) that vanishes
+# at each: Q meets them in the ideals (s), (s-t), (t).  Both line up with the
+# exponents of a signature (a, b, c).
+MARKED_AT = ("0", "1", "inf")
+COORDINATES = ("s", "s-t", "t")
 
 
 def mu_order(n: int) -> int:
     """#{u in R^x : u^n = 1} for any subring R of Q: 2 for even n, else 1."""
     return 2 if n % 2 == 0 else 1
-
-
-def root_point_test(P: ProjPointQ, Q: ProjPointQ, n: int, ring: SRing) -> Optional[int]:
-    """Does Q lift to the n-th root of the line at P, over Z[S^-1]?
-
-    Returns the positive generator g of the n-th root of the ideal where Q
-    meets P, or None when that ideal is not an n-th ideal power.  At Q = P
-    the ideal is (0) = (0)^n, so the root is 0, and 0 is returned exactly
-    there: the lift exists with mu_n(R) automorphisms (see mu_order).
-    """
-    ideal = intersection_ideal(P, Q)
-    if ideal == 0:
-        return 0
-    return is_nth_power_ideal(ideal, n, ring)
 
 
 class StackPointCertificate(Record):
@@ -77,25 +60,26 @@ class StackPointCertificate(Record):
         return self.status != "rejected"
 
 
-
 def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCertificate:
     """Test whether Q lies on the rooted line of the signature over Z[S^-1].
 
-    One root_point_test at each marked point, with its exponent from the
-    signature: None fails that coordinate, the root 0 means Q is that marked
-    point, and any other root is kept.  Acceptance is well defined on the
-    canonical representative: any other scaling multiplies (s, s-t, t) by a
-    common unit.  A marked Q meets the marked points before it in the unit
-    ideal, so the loop reaches the marked verdict without a failure.
+    Reads (s, s-t, t) off the canonical Q = (s:t).  When one of them is 0, Q
+    is the marked point where that coordinate vanishes; only one can, since
+    s and t are coprime.  Otherwise each must generate an a-th, b-th, c-th
+    ideal power respectively: the coordinates that do not are listed as
+    failed, and when none fails the roots are kept.  Acceptance is well
+    defined on the canonical representative: any other scaling multiplies
+    (s, s-t, t) by a common unit.
     """
+    values = (Q.s, Q.s - Q.t, Q.t)
+    if 0 in values:
+        return StackPointCertificate(Q, "marked", marked_at=MARKED_AT[values.index(0)])
     roots = []
     failed = []
-    for (P, label, coordinate), n in zip(MARKED_POINTS, sig):
-        g = root_point_test(P, Q, n, ring)
+    for value, n, coordinate in zip(values, sig, COORDINATES):
+        g = is_nth_power_ideal(value, n, ring)
         if g is None:
             failed.append(coordinate)
-        elif g == 0:
-            return StackPointCertificate(Q, "marked", marked_at=label)
         else:
             roots.append(g)
     if failed:
@@ -109,9 +93,7 @@ def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) 
     if not cert.accepted:
         raise NotAStackPoint(f"{cert.point} was rejected, so it has no automorphisms")
     if cert.status == "marked":
-        return mu_order(
-            next(n for (_, label, _), n in zip(MARKED_POINTS, sig) if label == cert.marked_at)
-        )
+        return mu_order(tuple(sig)[MARKED_AT.index(cert.marked_at)])
     return 1
 
 

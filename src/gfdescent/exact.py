@@ -68,13 +68,6 @@ _PSI = (
 )
 
 
-def lcm_triple(a: int, b: int, c: int) -> int:
-    """lcm(a, b, c) for positive integers; equals abc / gcd(bc, ac, ab)."""
-    if a < 1 or b < 1 or c < 1:
-        raise ValueError("lcm_triple needs positive arguments")
-    return math.lcm(a, b, c)
-
-
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with the first k primes as witnesses, k <= 13.
 
@@ -224,8 +217,6 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     stack = [(m, 1)] if m > 1 else []
     while stack:
         v, mult = stack.pop()
-        if v == 1:
-            continue
         if is_probable_prime(v):
             counts[v] = counts.get(v, 0) + mult
             continue
@@ -264,8 +255,6 @@ def integer_nth_root(v: int, n: int) -> int:
         if y >= x:
             break
         x = y
-    while x**n > v:
-        x -= 1
     return x
 
 
@@ -329,11 +318,3 @@ def normalize_projective(s: int, t: int) -> ProjPointQ:
 POINT_ZERO = ProjPointQ(0, 1)
 POINT_ONE = ProjPointQ(1, 1)
 POINT_INFINITY = ProjPointQ(1, 0)
-
-
-def intersection_ideal(P: ProjPointQ, Q: ProjPointQ) -> int:
-    """Positive generator of the ideal where P and Q meet; 0 iff P == Q.
-
-    For P = (c:d) and Q = (a:b) this is |ad - bc|.
-    """
-    return abs(Q.s * P.t - Q.t * P.s)

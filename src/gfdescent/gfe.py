@@ -238,19 +238,6 @@ def _signed_roots(value: int, n: int) -> list[int]:
     return [r]
 
 
-def _scale_bound(F: GFE) -> list[tuple[int, int]]:
-    """Factorization (p, e) of the bound that every scale |mu| divides.
-
-    Solutions map to scalar multiples (scale mu) of the canonical point, and
-    |mu| divides lcm(|A|, |B|, |C|) = prod_p p^max(v_p(A), v_p(B), v_p(C)).
-    Primitivity forces the support of mu into the primes of A*B*C, and at
-    each such prime the valuation is capped by the largest coefficient
-    valuation.  The scales to try are the divisors of the bound, built from
-    these pairs.
-    """
-    return list(factorize(math.lcm(F.A, F.B, F.C)).factors)
-
-
 def recover_solutions(
     Q: ProjPointQ,
     F: GFE,
@@ -262,7 +249,7 @@ def recover_solutions(
     With the original coefficients: writes (-A x^a, C z^c) = mu * (s, t) and
     scans the finitely many possible scales mu; over S = {} this finds every
     primitive integral solution mapping to Q.  The scales are the divisors
-    of the bound from _scale_bound, pruned prime by prime: |mu| * value / coef
+    of lcm(|A|, |B|, |C|), pruned prime by prime: |mu| * value / coef
     must be an integral n-th power for each nonzero value in (s, s - t, t)
     with its coefficient and exponent, so the exponent i of p in |mu| is kept
     only if i + v_p(value) - v_p(coef) is a nonnegative multiple of n for
@@ -290,8 +277,10 @@ def _recover(
     seen = set()
     base = (Fraction(F.A), Fraction(F.B), Fraction(F.C))
 
+    # |mu| divides lcm(|A|, |B|, |C|): primitivity puts the support of mu in
+    # the primes of ABC, each with valuation at most that of some coefficient.
     scales = [1]
-    for p, e in _scale_bound(F):
+    for p, e in factorize(math.lcm(F.A, F.B, F.C)).factors:
         shifts = [
             (valuation(value, p) - valuation(coef, p), n)
             for value, coef, n in zip(values, (F.A, F.B, F.C), (a, b, c))

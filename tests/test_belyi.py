@@ -6,13 +6,11 @@ from itertools import product
 import pytest
 
 from gfdescent.belyi import (
-    MARKED_POINTS,
     certificate_automorphism_order,
     classify_signature,
     euler_characteristic,
     is_stack_point,
     mu_order,
-    root_point_test,
 )
 from gfdescent.errors import NotAStackPoint
 from gfdescent.exact import (
@@ -22,22 +20,11 @@ from gfdescent.exact import (
     normalize_projective,
 )
 from gfdescent.groups import Signature
-from gfdescent.sarith import SRing
+from gfdescent.sarith import SRing, is_nth_power_ideal
 
 from oracles import trial_division_point_test
 
 Z = SRing(())
-
-
-def test_root_point_test_marked():
-    # (0) = (0)^n, so the root at the marked point itself is 0.
-    assert root_point_test(POINT_ZERO, POINT_ZERO, 4, Z) == 0
-    assert root_point_test(POINT_ONE, POINT_ONE, 7, Z) == 0
-
-
-def test_root_point_test_roots():
-    assert root_point_test(POINT_ZERO, normalize_projective(16, 1), 4, Z) == 2
-    assert root_point_test(POINT_ZERO, normalize_projective(2, 1), 2, Z) is None
 
 
 def test_is_stack_point_examples():
@@ -58,11 +45,10 @@ def test_is_stack_point_examples():
 def test_is_stack_point_against_trial_division_oracle():
     # Status, roots and failed labels against factoring s, s - t and t by
     # trial division, on seeded points with |s|, |t| <= 200 and on the three
-    # marked points, over signatures in {2,3,4}^3 and three rings.  Each
-    # root_point_test is checked on its own too: 0 exactly at Q itself, 1
-    # at the other marked points when Q is marked, and otherwise the
-    # oracle's root for that coordinate alone (exponent 1 at the other two),
-    # or None exactly when the oracle fails it.
+    # marked points, over signatures in {2,3,4}^3 and three rings.  Away
+    # from the marked points each coordinate's is_nth_power_ideal is checked
+    # on its own too: the oracle's root for that coordinate alone (exponent
+    # 1 at the other two), or None exactly when the oracle fails it.
     rng = random.Random(2027)
     rings = [SRing(()), SRing((2,)), SRing((2, 3))]
     sigs = [Signature(*e) for e in product((2, 3, 4), repeat=3)]
@@ -83,16 +69,13 @@ def test_is_stack_point_against_trial_division_oracle():
         expected = trial_division_point_test(Q.s, Q.t, tuple(sig), ring.primes)
         assert (cert.status, cert.roots, cert.failed) == expected, (Q, sig, ring)
         statuses.add(cert.status)
-        for i, ((P, _, _), n) in enumerate(zip(MARKED_POINTS, sig)):
-            g = root_point_test(P, Q, n, ring)
-            if P == Q:
-                assert g == 0, (P, Q)
-            elif cert.status == "marked":
-                assert g == 1, (P, Q)
-            else:
-                alone = tuple(n if j == i else 1 for j in range(3))
-                status, roots, _ = trial_division_point_test(Q.s, Q.t, alone, ring.primes)
-                assert g == (roots[i] if status == "smooth" else None), (P, Q, n, ring)
+        if cert.status == "marked":
+            continue
+        for i, (value, n) in enumerate(zip((Q.s, Q.s - Q.t, Q.t), sig)):
+            g = is_nth_power_ideal(value, n, ring)
+            alone = tuple(n if j == i else 1 for j in range(3))
+            status, roots, _ = trial_division_point_test(Q.s, Q.t, alone, ring.primes)
+            assert g == (roots[i] if status == "smooth" else None), (Q, i, n, ring)
     assert statuses == {"marked", "smooth", "rejected"}
 
 

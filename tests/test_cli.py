@@ -159,8 +159,16 @@ def test_invalid_inputs_exit_1(capsys):
         ["enumerate", "--signature", "2,3,7", "--coeffs", "0,1,1", "--bound", "5"],
         ["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "10",
          "--sieve-primes", "3"],
+        ["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "0"],
         ["stack-point", "--q", "0/0", "--signature", "2,3,7"],
+        ["stack-point", "--q", "1/2/3", "--signature", "2,3,7"],
+        ["stack-point", "--q", "a/b", "--signature", "2,3,7"],
+        ["chi", "--signature", "2,x,7"],
+        ["h1", "--primes", "2,x"],
+        ["h1", "--primes", "2,4"],
+        ["h1", "--primes", "2", "--n", "1"],
         ["snf", "--matrix", "1,2;3"],
+        ["snf", "--matrix", "1,a;2,3"],
         ["weights", "--signature", "2,3"],
         ["nonsense"],
     ):

@@ -11,10 +11,8 @@ from gfdescent.exact import (
     _brent_rho,
     factorize,
     integer_nth_root,
-    intersection_ideal,
     is_perfect_nth_power,
     is_probable_prime,
-    lcm_triple,
     normalize_projective,
 )
 from gfdescent.sarith import SRing
@@ -35,28 +33,6 @@ def sieve_primes(n):
             for j in range(i * i, n + 1, i):
                 is_prime[j] = False
     return [i for i in range(n + 1) if is_prime[i]]
-
-
-@pytest.mark.parametrize(
-    "triple,expected",
-    [((2, 3, 7), 42), ((1, 1, 1), 1), ((4, 4, 2), 4), ((6, 10, 15), 30)],
-)
-def test_lcm_triple(triple, expected):
-    assert lcm_triple(*triple) == expected
-
-
-def test_lcm_identity():
-    # lcm(a,b,c) * gcd(bc, ac, ab) == abc, exactly.
-    for a in range(1, 16):
-        for b in range(1, 16):
-            for c in range(1, 16):
-                m = math.gcd(b * c, a * c, a * b)
-                assert lcm_triple(a, b, c) * m == a * b * c
-
-
-def test_lcm_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lcm_triple(0, 1, 1)
 
 
 def test_factorize_examples():
@@ -245,26 +221,6 @@ def test_projpoint_rejects_non_canonical():
         ProjPointQ(1, -2)
 
 
-def test_intersection_ideal_examples():
-    P0 = ProjPointQ(0, 1)
-    assert intersection_ideal(P0, normalize_projective(9, 1)) == 9
-    assert intersection_ideal(ProjPointQ(1, 1), ProjPointQ(1, 1)) == 0
-    assert intersection_ideal(ProjPointQ(1, 0), normalize_projective(3, 1)) == 1
-
-
-def test_intersection_ideal_symmetric_and_diagonal():
-    rng = random.Random(13)
-    pts = []
-    while len(pts) < 40:
-        s, t = rng.randrange(-30, 31), rng.randrange(-30, 31)
-        if (s, t) != (0, 0):
-            pts.append(normalize_projective(s, t))
-    for P in pts:
-        for Q in pts:
-            assert intersection_ideal(P, Q) == intersection_ideal(Q, P)
-            assert (intersection_ideal(P, Q) == 0) == (P == Q)
-
-
 @pytest.mark.parametrize(
     "v,n,expected",
     [(16, 4, 2), (4, 4, None), (-8, 3, -2), (0, 5, 0), (1, 8, 1), (-16, 4, None)],
@@ -294,12 +250,23 @@ def test_is_perfect_nth_power_against_enumeration():
 
 
 def test_integer_nth_root_matches_isqrt():
+    # Floor roots for n = 2..40 on seeded v up to 2^4096, and at r^n - 1,
+    # r^n and r^n + 1, where an off-by-one root would show.
     rng = random.Random(3)
     for _ in range(500):
         v = rng.randrange(0, 10**24)
         assert integer_nth_root(v, 2) == math.isqrt(v)
         r3 = integer_nth_root(v, 3)
         assert r3**3 <= v < (r3 + 1) ** 3
+    for n in range(2, 41):
+        for bits in (8, 64, 256, 1024, 4096):
+            v = rng.getrandbits(bits)
+            r = integer_nth_root(v, n)
+            assert r**n <= v < (r + 1) ** n, (v, n)
+        for r in (2, 3, rng.randrange(4, 2**20), rng.randrange(2 ** (4096 // n - 1), 2 ** (4096 // n))):
+            for v in (r**n - 1, r**n, r**n + 1):
+                root = integer_nth_root(v, n)
+                assert root**n <= v < (root + 1) ** n, (v, n)
 
 
 def test_is_probable_prime_small():

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from gfdescent.exact import lcm_triple
 from gfdescent.groups import (
     HStructure,
     Signature,
@@ -50,7 +49,7 @@ def test_weight_identities():
         for b in range(2, 31):
             for c in range(2, 31):
                 wd = weight_vector(Signature(a, b, c))
-                L = lcm_triple(a, b, c)
+                L = math.lcm(a, b, c)
                 assert a * wd.w[0] == b * wd.w[1] == c * wd.w[2] == L
                 assert math.gcd(*wd.w) == 1
                 assert wd.m % wd.d == 0

@@ -22,12 +22,12 @@ SURFACE = {
     "errors": "GFDescentError NotAStackPoint PipelineMismatch SingularCurve "
     "WorkLimitExceeded ZeroPoint",
     "exact": "Factorization POINT_INFINITY POINT_ONE POINT_ZERO ProjPointQ factorize "
-    "intersection_ideal is_perfect_nth_power is_probable_prime lcm_triple normalize_projective",
+    "is_perfect_nth_power is_probable_prime normalize_projective",
     "smith": "IntMatrix SNFResult smith_normal_form",
     "groups": "HStructure Signature WeightData h_structure triangle_abelianization weight_vector",
     "sarith": "SRing UnitClassGroup is_nth_power_ideal s_unit_reps valuation",
     "belyi": "SignatureClass StackPointCertificate certificate_automorphism_order "
-    "classify_signature euler_characteristic is_stack_point root_point_test",
+    "classify_signature euler_characteristic is_stack_point",
     "gfe": "GFE DescentReport PrimitiveSolution RecoveredSolution bad_prime_set "
     "enumerate_primitive_solutions j_map recover_solutions verify_descent_inclusion",
     "quartic": "CurvePoint POINT_AT_INFINITY Sieve442Report TwistedCurve admissible_twists "
