@@ -3,9 +3,14 @@
 Handlers return plain values (ints, tuples, fractions, points, rings); main
 converts each payload once, to str keys and lists with str and bool leaves,
 so that every number is a decimal string and arbitrary-precision values
-survive any consumer.  Exit codes: 0 success, 1 invalid input, 2
-factorization work cap exceeded, 3 sieve/enumerator mismatch.  Errors go to
-stderr as one JSON object with a machine-readable code.
+survive any consumer.  Exit codes: 0 success, 1 invalid input, 2 a named
+work cap exceeded, 3 sieve/enumerator mismatch.  Errors go to stderr as one
+JSON object with a machine-readable code; on exit 2 its "cap" names the cap:
+"rho iterations" (5,000,000, factorization), "power bits" (2^25, a value
+table of enumerate, a term of an equation, the unit classes), "unit
+classes" (2^20, h1) or "box points" (2^22 square-root tests per twist,
+sieve442 --include-nonadmissible).  Each size cap is checked before the
+build it bounds starts.
 """
 
 from __future__ import annotations
@@ -385,8 +390,8 @@ def _plain(v):
     return str(v)
 
 
-def _emit_error(code: str, message: str):
-    print(json.dumps({"error": code, "message": message}), file=sys.stderr)
+def _emit_error(code: str, message: str, **extra):
+    print(json.dumps({"error": code, "message": message, **extra}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -394,7 +399,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         payload = args.fn(args)
     except WorkLimitExceeded as e:
-        _emit_error("work-limit-exceeded", str(e))
+        _emit_error("work-limit-exceeded", str(e), cap=e.cap)
         return EXIT_WORK_LIMIT
     except PipelineMismatch as e:
         _emit_error("pipeline-mismatch", str(e))

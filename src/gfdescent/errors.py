@@ -10,12 +10,17 @@ class ZeroPoint(GFDescentError):
 
 
 class WorkLimitExceeded(GFDescentError):
-    """Factorization gave up before splitting the input completely."""
+    """A named work cap ran out, or would run out before a build could end.
 
-    def __init__(self, n, remaining):
-        self.n = n
-        self.remaining = remaining
-        super().__init__(f"factorization work cap hit on {n} (unsplit part {remaining})")
+    cap names the budget ("rho iterations", "power bits", "unit classes" or
+    "box points"), limit is its value and detail says what hit it.  The CLI
+    exits with code 2 on this error and reports cap in its stderr JSON.
+    """
+
+    def __init__(self, cap: str, limit: int, detail: str):
+        self.cap = cap
+        self.limit = limit
+        super().__init__(f"{cap} cap of {limit} exceeded: {detail}")
 
 
 class NotAStackPoint(GFDescentError):

@@ -21,6 +21,14 @@ from .errors import WorkLimitExceeded, ZeroPoint
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_ITERATION_CAP = 5_000_000
 
+# The most bits a build of powers whose size the input sets may hold: a
+# value table of the enumerator, a term of GFE.evaluate, the unit-class
+# representatives.  Each build is checked against it before it starts.  The
+# largest table the benchmark builds, (4,4,2) at bound 2000, holds about
+# 164 k bits, 200 times less; three exponent-2 tables at the cap (bound
+# about 450,000) take about 350 MB.
+POWER_BIT_CAP = 2**25
+
 
 def _primes_up_to(n: int) -> tuple[int, ...]:
     """The primes <= n, for n >= 2, by a sieve of Eratosthenes on a
@@ -187,8 +195,8 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     runs), so failures are reproducible.
 
     The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
-    that is None.  Raises WorkLimitExceeded when the budget runs out before
-    the remaining cofactor is split.
+    that is None.  Raises WorkLimitExceeded, with cap "rho iterations", when
+    the budget runs out before the remaining cofactor is split.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -231,7 +239,9 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
             f, spent = _brent_rho(v, rng, budget)
             budget -= spent
             if budget <= 0 and f is None:
-                raise WorkLimitExceeded(n, v)
+                raise WorkLimitExceeded(
+                    "rho iterations", cap, f"factoring {n} (unsplit part {v})"
+                )
         stack.append((f, mult))
         stack.append((v // f, mult))
 
@@ -247,6 +257,9 @@ def integer_nth_root(v: int, n: int) -> int:
         raise ValueError("root index must be positive")
     if v in (0, 1) or n == 1:
         return v
+    if v.bit_length() <= n:
+        # 2 <= v < 2^n: the root is 1, and Newton would build 2^(n-1).
+        return 1
     if n == 2:
         return math.isqrt(v)
     x = 1 << (-(-v.bit_length() // n))  # upper-bound initial guess

@@ -21,10 +21,12 @@ from operator import sub
 
 from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
-from .errors import NotAStackPoint
+from .errors import NotAStackPoint, WorkLimitExceeded
 from .exact import (
+    POWER_BIT_CAP,
     ProjPointQ,
     factorize,
+    integer_nth_root,
     is_perfect_nth_power,
     normalize_projective,
 )
@@ -46,7 +48,11 @@ class GFE(Record):
         set_field(self, "C", C)
 
     def evaluate(self, x: int, y: int, z: int) -> int:
+        """A x^a + B y^b + C z^c.  Raises WorkLimitExceeded when a term
+        would exceed POWER_BIT_CAP bits."""
         a, b, c = self.sig
+        for coef, v, n in ((self.A, x, a), (self.B, y, b), (self.C, z, c)):
+            _check_power_bits(1, coef, n, v)
         return self.A * x**a + self.B * y**b + self.C * z**c
 
     def __str__(self):
@@ -88,9 +94,23 @@ def bad_prime_set(F: GFE) -> SRing:
     return SRing(factorize(a * b * c * F.A * F.B * F.C).primes())
 
 
+def _check_power_bits(entries: int, coef: int, n: int, radius: int):
+    """Raise WorkLimitExceeded unless entries values coef * v^n with
+    |v| <= |radius| fit in POWER_BIT_CAP bits, by entries times a lower bound
+    on the bits of the largest, |coef| * |radius|^n."""
+    bits = entries * (abs(coef).bit_length() + n * (radius.bit_length() - 1))
+    if bits > POWER_BIT_CAP:
+        what = f"{entries} values of {coef}*v^{n}, |v| <= {radius}"
+        raise WorkLimitExceeded(
+            "power bits", POWER_BIT_CAP, f"{coef}*({radius})^{n}" if entries == 1 else what
+        )
+
+
 def _value_table(coef: int, n: int, bound: int) -> tuple[list[int], dict[int, list[int]]]:
     """Sorted distinct values of coef * v^n over |v| <= bound, and a dict
-    from each value to the v that give it, in increasing order."""
+    from each value to the v that give it, in increasing order.  Checked
+    against POWER_BIT_CAP before it is built."""
+    _check_power_bits(2 * bound + 1, coef, n, bound)
     roots: dict[int, list[int]] = {}
     for v in range(-bound, bound + 1):
         roots.setdefault(coef * v**n, []).append(v)
@@ -131,9 +151,16 @@ def enumerate_primitive_solutions(
     variable with an even exponent needs nothing, because the value tables
     already merge +-v.
 
-    Cost: three tables of 2*bound + 1 entries, then per joined value t two
-    bisections into each inner table and one set intersection over the
-    shorter window.  A largest exponent outside leaves few outer values
+    Cost: two inner tables of 2*bound + 1 entries, and an outer one cut to
+    the v whose |coef * v^n| the inner sums can reach, which drops nothing
+    the join could match; then per joined value t two bisections into each
+    inner table and one set intersection over the shorter window.  Each
+    table is sized before it is built: when its entries times a lower bound
+    on the bits of its largest entry exceed POWER_BIT_CAP, WorkLimitExceeded
+    (cap "power bits") is raised instead.  So an exponent like 10^9 + 7
+    fails at once on an inner table past |v| <= 1, and costs nothing on the
+    outer one, which the cut keeps to |v| <= 1 while the inner sums stay
+    below 2^(10^9 + 7).  A largest exponent outside leaves few outer values
     within reach of the inner sums, and the symmetries cut the joined region
     by about the size of their group or more: the shorter windows sum to
     17 k on (7,7,7) at bound 600 (12 maps) and to 330 k on (2,2,2) at bound
@@ -156,9 +183,13 @@ def enumerate_primitive_solutions(
     )
     p, q = sorted((i for i in range(3) if i != o), key=lambda i: terms[i] != terms[o])
     outer_match, inner_match = terms[o] == terms[p], terms[p] == terms[q]
-    ts, oroots = _value_table(-terms[o][1], exps[o], bound)
     ws, wroots = _value_table(terms[p][1], exps[p], bound)
     rs, rroots = _value_table(terms[q][1], exps[q], bound)
+    # A joined t = w + r has |t| <= reach, so the outer variable has
+    # |coef| * |v|^n <= reach: the rest of its table could never be joined.
+    reach = max(-ws[0], ws[-1]) + max(-rs[0], rs[-1])
+    radius = min(bound, integer_nth_root(reach // abs(coefs[o]), exps[o]))
+    ts, oroots = _value_table(-terms[o][1], exps[o], radius)
     top = ws[-1] + rs[-1]
     if negation and (inner_match or not outer_match):
         top = min(top, 0)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .errors import PipelineMismatch, SingularCurve
+from .errors import PipelineMismatch, SingularCurve, WorkLimitExceeded
 from .exact import (
     POINT_INFINITY,
     POINT_ONE,
@@ -31,6 +31,11 @@ from .sarith import SRing, UnitClassGroup, s_unit_reps
 
 SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
+
+# The most square-root tests one rational_points_bounded call makes.  The
+# golden height 100 makes 2,010 per twist, about 2,000 times less; the
+# default height 12 makes 75.
+BOX_POINT_CAP = 2**22
 
 
 class CurvePoint(Record):
@@ -119,10 +124,16 @@ def rational_points_bounded(E: TwistedCurve, height: int) -> list[CurvePoint]:
     isqrt(height) * (2 height + 1) integer square-root tests and builds
     Fractions only for points on the curve.  Contains the torsion subgroup
     for any box large enough to hold its (integral) u-coordinates; extra
-    points flag positive rank.
+    points flag positive rank.  Raises WorkLimitExceeded (cap "box points")
+    before the search when that count exceeds BOX_POINT_CAP.
     """
     if height < 1:
         raise ValueError("height must be positive")
+    tests = math.isqrt(height) * (2 * height + 1)
+    if tests > BOX_POINT_CAP:
+        raise WorkLimitExceeded(
+            "box points", BOX_POINT_CAP, f"{tests} square-root tests at height {height}"
+        )
     pts = {POINT_AT_INFINITY}
     for k in range(1, math.isqrt(height) + 1):
         q = k * k

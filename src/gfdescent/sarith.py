@@ -12,7 +12,13 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._record import Record, set_field
-from .exact import _divide_out, is_perfect_nth_power, is_probable_prime
+from .errors import WorkLimitExceeded
+from .exact import POWER_BIT_CAP, _divide_out, is_perfect_nth_power, is_probable_prime
+
+# The most unit classes s_unit_reps lists.  The benchmark's largest group,
+# Z[1/{2,3,5,7}] modulo 4th powers, has 512, 2,048 times less; the largest
+# a test builds, Z[1/{2,3,5,7,11}] modulo 13th powers, has 13^5 = 371,293.
+UNIT_CLASS_CAP = 2**20
 
 
 class SRing(Record):
@@ -80,10 +86,23 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
 
     The units sign * prod p^e with 0 <= e < n, listed with the sign slowest
     and each prime's exponent faster than the one before.  Built by running
-    products, one multiplication per entry per prime.
+    products, one multiplication per entry per prime.  Raises
+    WorkLimitExceeded before building when the (2 or 1) * n^|S| classes
+    exceed UNIT_CLASS_CAP (cap "unit classes"), or when a lower bound on
+    their bits, count * (n - 1)/2 * sum(bits of p - 1), exceeds
+    POWER_BIT_CAP (cap "power bits").
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
+    count = (2 if n % 2 == 0 else 1) * n ** len(ring.primes)
+    what = f"{count} classes of {ring} modulo {n}th powers"
+    if count > UNIT_CLASS_CAP:
+        raise WorkLimitExceeded("unit classes", UNIT_CLASS_CAP, what)
+    # The exponent of p averages (n - 1)/2 over the classes, and p^e has at
+    # least e * (bits of p - 1) bits.
+    bits = count * (n - 1) * sum(p.bit_length() - 1 for p in ring.primes) // 2
+    if bits > POWER_BIT_CAP:
+        raise WorkLimitExceeded("power bits", POWER_BIT_CAP, what)
     reps = [1, -1] if n % 2 == 0 else [1]
     for p in ring.primes:
         powers = [p**e for e in range(n)]

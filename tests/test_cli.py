@@ -1,8 +1,16 @@
+import argparse
 import json
+import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import time
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
@@ -189,7 +197,10 @@ def test_work_limit_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "work-limit-exceeded"
+    error = json.loads(err)
+    assert error["error"] == "work-limit-exceeded"
+    assert error["cap"] == "rho iterations"
+    assert "rho iterations cap of 1 exceeded" in error["message"]
 
 
 def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
@@ -244,3 +255,192 @@ def test_closed_pipe_exits_0_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0, err
     assert err == b""
+
+
+# Children of the tests below run under this address-space limit, so that a
+# build nobody sized shows up as a MemoryError rather than as swapping.
+ADDRESS_SPACE = 1536 << 20
+P = 10**9 + 7  # a prime, and an ordinary exponent for the equations
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run_child(*argv, timeout=30):
+    """(exit code, stdout, stderr, seconds) of `python -m gfdescent.cli argv`
+    in a fresh process under ADDRESS_SPACE."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfdescent.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=_limit_address_space,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def test_huge_exponent_outer_term_is_cut_to_its_reach():
+    code, out, err, seconds = run_child(
+        "enumerate", "--signature", f"2,3,{P}", "--coeffs", "1,1,1", "--bound", 3
+    )
+    assert code == 0, err
+    assert seconds < 2
+    solutions = [tuple(map(int, s)) for s in json.loads(out)["solutions"]]
+    # For |z| >= 2, |z^P| exceeds x^2 + |y^3| <= 36, so z in {-1, 0, 1}.
+    brute = sorted(
+        (x, y, z)
+        for x, y, z in product(range(-3, 4), range(-3, 4), (-1, 0, 1))
+        if x * x + y**3 + z**P == 0 and math.gcd(x, y, z) == 1
+    )
+    assert solutions == brute == [
+        (-3, -2, -1), (-1, -1, 0), (-1, 0, -1), (0, -1, 1),
+        (0, 1, -1), (1, -1, 0), (1, 0, -1), (3, -2, -1),
+    ]
+
+
+def test_cheap_inputs_with_huge_exponents_still_answer(capsys):
+    code, out, err, _ = run_child(
+        "enumerate", "--signature", f"2,{P},{P}", "--coeffs", "1,1,1", "--bound", 1
+    )
+    assert code == 0, err
+    assert json.loads(out)["solutions"] == [
+        ["-1", "-1", "0"], ["-1", "0", "-1"], ["0", "-1", "1"],
+        ["0", "1", "-1"], ["1", "-1", "0"], ["1", "0", "-1"],
+    ]
+    code, out, err, seconds = run_child("stack-point", "--q", "5:1", "--signature", f"{P},3,2")
+    assert code == 0, err
+    assert seconds < 2
+    payload = json.loads(out)
+    assert payload["accepted"] is False and payload["failed"] == ["s", "s-t"]
+    code, out, err, _ = run_child("h1", "--primes", "2,3,5,7,11", "--n", 13)
+    assert code == 0, err
+    assert json.loads(out)["count"] == "371293"
+    # Without --include-nonadmissible the height bounds no search.
+    code, out, err, _ = run_child("sieve442", "--height", 10**6)
+    assert code == 0, err
+    assert (code, out) == run_cli(capsys, "sieve442")[:2]
+
+
+def test_oversized_builds_exit_2_naming_their_cap():
+    for cap, argv in (
+        ("power bits", ["enumerate", "--signature", f"{P},{P},2", "--coeffs", "1,1,-1",
+                        "--bound", 3]),
+        ("power bits", ["jmap", "--signature", f"{P},3,2", "--coeffs", "1,1,1",
+                        "--solution", "10,1,1"]),
+        ("power bits", ["jmap", "--signature", f"{P},3,2", "--coeffs", "1,1,1",
+                        "--solution", "2,1,1"]),
+        ("unit classes", ["h1", "--primes", "2,3,5,7,11", "--n", 40]),
+        ("box points", ["sieve442", "--include-nonadmissible", "--height", 10**6]),
+    ):
+        code, out, err, seconds = run_child(*argv)
+        assert (code, out) == (2, ""), (argv, err)
+        error = json.loads(err)
+        assert error["error"] == "work-limit-exceeded" and error["cap"] == cap, argv
+        assert f"{cap} cap of " in error["message"], argv
+        assert seconds < 5, argv
+
+
+# Argument strategies for the fuzz below: lists of small values that are
+# mostly valid for their role, with 0, -1 and P among them; bounds and
+# heights are at most 60.  Hypothesis draws the ends of a tuple more often
+# than its middle, so the values that make a command invalid sit inside.
+# Signatures draw from 2 to 7 and P, which ends their tuple: 0 and -1 would
+# make most of them invalid, and test_invalid_inputs_exit_1 pins those.
+def joined(values, size, sep=","):
+    return st.lists(st.sampled_from(values), min_size=size, max_size=size).map(
+        lambda drawn: sep.join(map(str, drawn))
+    )
+
+
+SMALL = (1, -3, 0, 2, P, -1, 3, 5, 7, 12)
+ENTRY = joined(SMALL, 1)
+BOUND = st.integers(0, 60)
+FLAG = st.booleans()
+SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
+COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5), 3)
+TRIPLE = joined(SMALL, 3)
+PRIMES = st.integers(0, 3).flatmap(lambda k: joined((2, 3, 0, 5, P, -1, 7, 13), k))
+POINT = st.sampled_from("/:").flatmap(lambda sep: joined(SMALL, 2, sep))
+MATRIX = st.integers(1, 3).flatmap(
+    lambda width: st.lists(joined(SMALL, width), min_size=1, max_size=3).map(";".join)
+)
+
+
+def command(name, **options):
+    """argv strategy for one subcommand: --flag=value for each option, and
+    a bare --flag for a store_true option that draws True."""
+
+    def argv(values):
+        out = [name]
+        for option, value in values.items():
+            flag = "--" + option.replace("_", "-")
+            if value is True:
+                out.append(flag)
+            elif value is not False:
+                out.append(f"{flag}={value}")
+        return out
+
+    return st.fixed_dictionaries(options).map(argv)
+
+
+COMMANDS = {
+    "snf": command("snf", matrix=MATRIX),
+    "weights": command("weights", signature=SIGNATURE),
+    "group-structure": command("group-structure", signature=SIGNATURE),
+    "h1": command("h1", primes=PRIMES, n=ENTRY),
+    "stack-point": command("stack-point", q=POINT, signature=SIGNATURE, primes=PRIMES),
+    "chi": command("chi", signature=SIGNATURE),
+    "classify": command("classify", signature=SIGNATURE),
+    "enumerate": command(
+        "enumerate", signature=SIGNATURE, coeffs=COEFFS, bound=BOUND, no_sieve=FLAG
+    ),
+    "jmap": command("jmap", signature=SIGNATURE, coeffs=COEFFS, solution=TRIPLE),
+    "recover": command(
+        "recover", q=POINT, signature=SIGNATURE, coeffs=COEFFS, primes=PRIMES,
+        search_units=FLAG,
+    ),
+    "verify-inclusion": command(
+        "verify-inclusion", signature=SIGNATURE, coeffs=COEFFS, bound=BOUND
+    ),
+    "twist": command("twist", d=ENTRY),
+    "torsion": command("torsion", d=ENTRY),
+    "sieve442": command("sieve442", bound=BOUND, include_nonadmissible=FLAG, height=BOUND),
+}
+
+
+def test_fuzz_draws_every_subcommand():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(COMMANDS)
+
+
+# The commands whose work an argument sizes get 6 runs each, the other seven
+# 2: 56 in all.  The draws are derandomized, so every run of the suite makes
+# the same 56.
+SIZED = {"enumerate", "h1", "jmap", "recover", "sieve442", "stack-point", "verify-inclusion"}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_no_input_hangs_or_prints_a_traceback(name):
+    # Each run ends inside the timeout and the address-space limit with a
+    # defined exit code; an error is one JSON object on stderr, after no
+    # output at all.
+    @settings(
+        max_examples=6 if name in SIZED else 2, deadline=None, derandomize=True, database=None
+    )
+    @given(COMMANDS[name], FLAG)
+    def run(argv, text):
+        if text:
+            argv = ["--format", "text", *argv]
+        code, out, err, _ = run_child(*argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        if code:
+            assert out == "", argv
+            assert isinstance(json.loads(err), dict), argv
+        else:
+            assert err == "", argv
+
+    run()

@@ -93,7 +93,16 @@ def test_enumerate_matches_brute_force():
 
 
 def test_enumerate_matches_brute_force_bound_50():
-    for F in [F237, GFE(Signature(3, 3, 3), 1, 1, 1), GFE(Signature(2, 3, 4), 2, -3, 1)]:
+    # The last two cut the outer z table to its reach, |z| <= 5 and 3, and
+    # have solutions on that edge, (-41, -38, -5) and (-26, -43, 3): one with
+    # |C| > 1, one with C < 0 on an odd exponent.
+    for F in [
+        F237,
+        GFE(Signature(3, 3, 3), 1, 1, 1),
+        GFE(Signature(2, 3, 4), 2, -3, 1),
+        GFE(Signature(2, 2, 5), 2, 2, 2),
+        GFE(Signature(2, 2, 7), 1, 2, -2),
+    ]:
         got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 50)]
         assert got == brute_force_solutions_zdict(F, 50), str(F)
 

@@ -203,3 +203,49 @@ def test_package_reads_through_to_the_layer(monkeypatch):
     monkeypatch.undo()
     assert gfdescent.factorize is exact.factorize
     assert "factorize" not in vars(gfdescent)
+
+
+SWALLOWING = {"Exception", "BaseException", "MemoryError", "RecursionError"}
+
+
+def caught(handler) -> tuple:
+    """The names of the classes an except clause catches; () when bare."""
+    if handler.type is None:
+        return ()
+    elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return tuple(ast.unparse(e) for e in elts)
+
+
+def swallowing_handlers(tree) -> list[int]:
+    """Lines of the except clauses that are bare or catch an error any
+    input can raise, such as MemoryError: a command that outgrows its
+    budget must stop at a named cap (exit 2), not be caught whatever it
+    raised."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (not caught(node) or any(n.rpartition(".")[2] in SWALLOWING for n in caught(node)))
+    ]
+
+
+def test_no_handler_swallows_resource_errors():
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    assert {p.stem: swallowing_handlers(ast.parse(p.read_text())) for p in layers} == {
+        p.stem: [] for p in layers
+    }
+    for clause in ("except:", "except (ValueError, MemoryError):", "except builtins.Exception:"):
+        assert swallowing_handlers(ast.parse(f"try: f()\n{clause} g()")) == [2], clause
+    assert swallowing_handlers(ast.parse("try: f()\nexcept ValueError: g()")) == []
+
+
+def test_cli_main_catches_only_its_exit_paths():
+    tree = ast.parse(pathlib.Path(gfdescent.__file__).with_name("cli.py").read_text())
+    (main,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    assert [caught(n) for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)] == [
+        ("WorkLimitExceeded",),
+        ("PipelineMismatch",),
+        ("ValueError", "GFDescentError"),
+        # Only around the output, after the command has run.
+        ("BrokenPipeError",),
+    ]

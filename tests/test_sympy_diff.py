@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gfdescent.exact import _PSI, factorize, is_probable_prime
+from gfdescent.exact import _PSI, factorize, integer_nth_root, is_probable_prime
 from gfdescent.smith import IntMatrix, smith_normal_form
 
 from test_smith import corpus_matrices
@@ -55,6 +55,14 @@ def test_is_probable_prime_matches_isprime_below_psi13():
         bits = rng.randrange(2, PSI_13.bit_length() + 1)
         n = rng.randrange(2, min(PSI_13, 2**bits))
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_integer_nth_root_matches_integer_nthroot_at_powers_of_two():
+    # A v below 2^n has root 1 without a Newton step; 2^n is the first v
+    # with root 2.
+    for n in (2, 3, 4, 5, 7, 31, 64, 65, 1000, 4096, 100_003):
+        for v in (2**n - 1, 2**n, 2**n + 1):
+            assert integer_nth_root(v, n) == sympy.integer_nthroot(v, n)[0], n
 
 
 def test_smith_diagonal_matches_sympy():
