@@ -10,9 +10,8 @@ for even n and trivial for odd n.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import NotAStackPoint
 from .exact import ProjPointQ
 from .groups import Signature
@@ -33,27 +32,15 @@ def mu_order(n: int) -> int:
 class StackPointCertificate(Record):
     """Verdict for one candidate point with enough data to recheck it.
 
-    status is one of "marked", "smooth", "rejected".  For smooth points the
-    roots (g0, g1, ginf) generate ideals whose a-th, b-th, c-th powers are
-    (s), (s-t), (t) in Z[S^-1]; for rejections `failed` lists the offending
-    coordinates among "s", "s-t", "t".
+    status is one of "marked", "smooth", "rejected".  A marked point names
+    its marked_at among "0", "1", "inf"; for smooth points the roots
+    (g0, g1, ginf) generate ideals whose a-th, b-th, c-th powers are (s),
+    (s-t), (t) in Z[S^-1]; for rejections `failed` lists the offending
+    coordinates among "s", "s-t", "t".  The fields a status does not use
+    hold None, or () for failed.
     """
 
     __slots__ = ("point", "status", "marked_at", "roots", "failed")
-
-    def __init__(
-        self,
-        point: ProjPointQ,
-        status: str,
-        marked_at: Optional[str] = None,
-        roots: Optional[tuple[int, int, int]] = None,
-        failed: tuple[str, ...] = (),
-    ):
-        set_field(self, "point", point)
-        set_field(self, "status", status)
-        set_field(self, "marked_at", marked_at)
-        set_field(self, "roots", roots)
-        set_field(self, "failed", failed)
 
     @property
     def accepted(self) -> bool:
@@ -73,7 +60,7 @@ def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCert
     """
     values = (Q.s, Q.s - Q.t, Q.t)
     if 0 in values:
-        return StackPointCertificate(Q, "marked", marked_at=MARKED_AT[values.index(0)])
+        return StackPointCertificate(Q, "marked", MARKED_AT[values.index(0)], None, ())
     roots = []
     failed = []
     for value, n, coordinate in zip(values, sig, COORDINATES):
@@ -83,8 +70,8 @@ def is_stack_point(Q: ProjPointQ, sig: Signature, ring: SRing) -> StackPointCert
         else:
             roots.append(g)
     if failed:
-        return StackPointCertificate(Q, "rejected", failed=tuple(failed))
-    return StackPointCertificate(Q, "smooth", roots=tuple(roots))
+        return StackPointCertificate(Q, "rejected", None, None, tuple(failed))
+    return StackPointCertificate(Q, "smooth", None, tuple(roots), ())
 
 
 def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) -> int:

@@ -3,13 +3,15 @@
 Handlers return plain values (ints, tuples, fractions, points, rings); main
 converts each payload once, to str keys and lists with str and bool leaves,
 so that every number is a decimal string and arbitrary-precision values
-survive any consumer.  Exit codes: 0 success, 1 invalid input, 2 a named
-work cap exceeded, 3 sieve/enumerator mismatch.  Errors go to stderr as one
-JSON object with a machine-readable code; on exit 2 its "cap" names the cap:
-"rho iterations" (5,000,000, factorization), "power bits" (2^25, a value
-table of enumerate, a term of an equation, the unit classes), "unit
-classes" (2^20, h1) or "box points" (2^22 square-root tests per twist,
-sieve442 --include-nonadmissible).  Each size cap is checked before the
+survive any consumer.  Integers are read and printed exactly at any size:
+main lifts the interpreter's 4,300-digit limit on int/str conversion while
+it runs and restores it before it returns.  An option's value may start
+with a minus sign, as in --coeffs -1,1,1.  Exit codes: 0 success, 1 invalid
+input, 2 a named work cap exceeded, 3 sieve/enumerator mismatch.  Errors go
+to stderr as one JSON object with a machine-readable code; on exit 2 its
+"cap" names the cap: "rho iterations" (5,000,000, factorization), "power
+bits" (2^25, a value table of enumerate, a term of an equation, the unit
+classes) or "unit classes" (2^20, h1).  Each size cap is checked before the
 build it bounds starts.
 """
 
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -54,6 +57,13 @@ EXIT_MISMATCH = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument for a flag unless it is a plain negative
+        # number, so `--coeffs -1,1,1` would read as a missing value.  No
+        # flag here starts with a digit: read any "-<digit>..." as a value.
+        self._negative_number_matcher = re.compile(r"-\d")
+
     # argparse exits with status 2 on usage errors; 2 means something else
     # here, so re-route through the invalid-input path.
     def error(self, message):
@@ -78,7 +88,7 @@ def _parse_signature(text: str) -> Signature:
 def _parse_primes(text: str) -> SRing:
     if text.strip() == "":
         return SRing(())
-    return SRing.from_iterable(int(p) for p in text.split(","))
+    return SRing(sorted({int(p) for p in text.split(",")}))
 
 
 def _parse_point(text: str) -> ProjPointQ:
@@ -257,11 +267,7 @@ def _cmd_torsion(args) -> dict:
 def _cmd_sieve442(args) -> dict:
     from .quartic import GFE_442, run_sieve_442
 
-    report = run_sieve_442(
-        args.bound,
-        include_nonadmissible=args.include_nonadmissible,
-        extra_height=args.height,
-    )
+    report = run_sieve_442(args.bound, include_nonadmissible=args.include_nonadmissible)
     return {
         "equation": GFE_442,
         "unit_classes": report.unit_classes,
@@ -345,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_sieve442,
         bound={"type": int, "default": 100},
         include_nonadmissible={"action": "store_true"},
-        height={"type": int, "default": 12},
     )
     return parser
 
@@ -395,33 +400,40 @@ def _emit_error(code: str, message: str, **extra):
 
 
 def main(argv=None) -> int:
+    # Exact decimals at any size, in and out; the interpreter's limit is
+    # back in place when main returns, so an in-process caller keeps its own.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        payload = args.fn(args)
-    except WorkLimitExceeded as e:
-        _emit_error("work-limit-exceeded", str(e), cap=e.cap)
-        return EXIT_WORK_LIMIT
-    except PipelineMismatch as e:
-        _emit_error("pipeline-mismatch", str(e))
-        return EXIT_MISMATCH
-    except (ValueError, GFDescentError) as e:
-        _emit_error("invalid-input", str(e))
-        return EXIT_INVALID
+        try:
+            args = build_parser().parse_args(argv)
+            payload = args.fn(args)
+        except WorkLimitExceeded as e:
+            _emit_error("work-limit-exceeded", str(e), cap=e.cap)
+            return EXIT_WORK_LIMIT
+        except PipelineMismatch as e:
+            _emit_error("pipeline-mismatch", str(e))
+            return EXIT_MISMATCH
+        except (ValueError, GFDescentError) as e:
+            _emit_error("invalid-input", str(e))
+            return EXIT_INVALID
 
-    payload = _plain(payload)
-    try:
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_render_text(payload))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (`| head`).  Point stdout at devnull so
-        # the flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return EXIT_OK
+        payload = _plain(payload)
+        try:
+            if args.format == "json":
+                print(json.dumps(payload, indent=2))
+            else:
+                print(_render_text(payload))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader stopped early (`| head`).  Point stdout at devnull so
+            # the flush at interpreter exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import Record
+from ._record import Record, set_field
 from .errors import PipelineMismatch, SingularCurve, WorkLimitExceeded
 from .exact import (
     POINT_INFINITY,
@@ -32,9 +32,12 @@ from .sarith import SRing, UnitClassGroup, s_unit_reps
 SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
 
-# The most square-root tests one rational_points_bounded call makes.  The
-# golden height 100 makes 2,010 per twist, about 2,000 times less; the
-# default height 12 makes 75.
+# The height of the bounded point search on each non-admissible twist under
+# run_sieve_442(include_nonadmissible=True): 75 square-root tests per twist.
+NONADMISSIBLE_HEIGHT = 12
+
+# The most square-root tests one rational_points_bounded call makes, about
+# 56,000 times the sieve's 75.
 BOX_POINT_CAP = 2**22
 
 
@@ -59,16 +62,21 @@ def affine(u, v) -> CurvePoint:
 
 
 class TwistedCurve(Record):
-    """v^2 = u^3 - d u; nonsingular for every d != 0."""
+    """The quartic twist v^2 = u^3 - d u; d = 1 is the untwisted curve.
+
+    Nonsingular for every d != 0; d = 0 raises SingularCurve.
+    """
 
     __slots__ = ("d",)
 
+    def __init__(self, d: int):
+        if d == 0:
+            raise SingularCurve("d = 0 degenerates the curve")
+        set_field(self, "d", d)
 
-def twist_curve(d: int) -> TwistedCurve:
-    """The quartic twist with parameter d; d = 1 is the untwisted curve."""
-    if d == 0:
-        raise SingularCurve("d = 0 degenerates the curve")
-    return TwistedCurve(d)
+
+# The library's name for building a twist, kept for its callers.
+twist_curve = TwistedCurve
 
 
 def belyi_eval(E: TwistedCurve, P: CurvePoint) -> ProjPointQ:
@@ -177,8 +185,7 @@ class Sieve442Report(Record):
     """Full trace of the covering/twisting/sieving pipeline.
 
     assumed_finite names the twists whose finiteness is an input: the
-    admissible twists, smallest |d| first.  It is read off admissible, so it
-    is not a field, but the repr shows it after the fields.
+    admissible twists, smallest |d| first.
     """
 
     __slots__ = (
@@ -188,21 +195,11 @@ class Sieve442Report(Record):
         "candidates",
         "solutions",
         "bound_check",
+        "assumed_finite",
     )
 
-    @property
-    def assumed_finite(self) -> tuple[int, ...]:
-        return tuple(sorted(self.admissible, key=abs))
 
-    def __repr__(self):
-        return f"{super().__repr__()[:-1]}, assumed_finite={self.assumed_finite!r})"
-
-
-def run_sieve_442(
-    bound_check: int,
-    include_nonadmissible: bool = False,
-    extra_height: int = 12,
-) -> Sieve442Report:
+def run_sieve_442(bound_check: int, include_nonadmissible: bool = False) -> Sieve442Report:
     """Execute the pipeline and cross-check against the enumerator.
 
     Finiteness of the rational points on the two admissible twists is an
@@ -211,16 +208,14 @@ def run_sieve_442(
     against exhaustive enumeration up to bound_check is the only guard.  With
     include_nonadmissible, bounded point searches on the other six twists
     are fed through the same filter, which provably cannot change the output.
-    Each search is rational_points_bounded at extra_height = H: u = p/q with
-    |p| <= H and q <= H, where u^3 - d u = p (p^2 - d q^2) / q^3 is a square
-    only when q is a square, so it costs isqrt(H) * (2H + 1) integer
+    Each search is rational_points_bounded at NONADMISSIBLE_HEIGHT = H: u = p/q
+    with |p| <= H and q <= H, where u^3 - d u = p (p^2 - d q^2) / q^3 is a
+    square only when q is a square, so it costs isqrt(H) * (2H + 1) integer
     square-root tests per twist.  Each candidate point is tested once, and
     an accepted one is recovered from its certificate.
     """
     if bound_check < 1:
         raise ValueError("bound must be positive")
-    if extra_height < 1:
-        raise ValueError("height must be positive")
     reps = s_unit_reps(SRing((2,)), 4)
     admissible = admissible_twists(reps)
 
@@ -234,7 +229,7 @@ def run_sieve_442(
 
     torsion_orders = {}
     for d in admissible:
-        E = twist_curve(d)
+        E = TwistedCurve(d)
         tors = torsion_points(E)
         torsion_orders[d] = len(tors)
         for P in tors:
@@ -243,9 +238,9 @@ def run_sieve_442(
         for d in reps.representatives:
             if d in admissible:
                 continue
-            E = twist_curve(d)
-            for P in rational_points_bounded(E, extra_height):
-                note(belyi_eval(E, P), f"twist d={d} (height {extra_height})")
+            E = TwistedCurve(d)
+            for P in rational_points_bounded(E, NONADMISSIBLE_HEIGHT):
+                note(belyi_eval(E, P), f"twist d={d} (height {NONADMISSIBLE_HEIGHT})")
 
     ring_z = SRing(())
     verdicts = []
@@ -278,6 +273,7 @@ def run_sieve_442(
         candidates=tuple(verdicts),
         solutions=tuple(final),
         bound_check=bound_check,
+        assumed_finite=tuple(sorted(admissible, key=abs)),
     )
 
 

@@ -35,10 +35,6 @@ class SRing(Record):
                 raise ValueError(f"{p} is not prime")
         set_field(self, "primes", primes)
 
-    @classmethod
-    def from_iterable(cls, primes: Iterable[int]) -> "SRing":
-        return cls(tuple(sorted(set(int(p) for p in primes))))
-
     def __str__(self):
         inner = ",".join(str(p) for p in self.primes)
         return "Z" if not self.primes else f"Z[1/{{{inner}}}]"

@@ -215,17 +215,20 @@ def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
     assert json.loads(err)["error"] == "pipeline-mismatch"
 
 
-def test_sieve442_nonpositive_height_is_invalid_input(capsys):
+def test_sieve442_has_no_height_flag(capsys):
+    # The non-admissible search runs at the fixed quartic.NONADMISSIBLE_HEIGHT.
     base = ("sieve442", "--bound", "10")
     for argv in (
+        base + ("--include-nonadmissible", "--height", "5"),
         base + ("--include-nonadmissible", "--height", "0"),
-        base + ("--include-nonadmissible", "--height", "-3"),
-        base + ("--height", "-3"),
+        base + ("--height", "5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert json.loads(err)["error"] == "invalid-input"
+        error = json.loads(err)
+        assert error["error"] == "invalid-input"
+        assert "unrecognized arguments: --height" in error["message"]
 
 
 def test_sieve442_nonpositive_bound_is_invalid_input(capsys):
@@ -302,7 +305,7 @@ def test_huge_exponent_outer_term_is_cut_to_its_reach():
     ]
 
 
-def test_cheap_inputs_with_huge_exponents_still_answer(capsys):
+def test_cheap_inputs_with_huge_exponents_still_answer():
     code, out, err, _ = run_child(
         "enumerate", "--signature", f"2,{P},{P}", "--coeffs", "1,1,1", "--bound", 1
     )
@@ -319,10 +322,6 @@ def test_cheap_inputs_with_huge_exponents_still_answer(capsys):
     code, out, err, _ = run_child("h1", "--primes", "2,3,5,7,11", "--n", 13)
     assert code == 0, err
     assert json.loads(out)["count"] == "371293"
-    # Without --include-nonadmissible the height bounds no search.
-    code, out, err, _ = run_child("sieve442", "--height", 10**6)
-    assert code == 0, err
-    assert (code, out) == run_cli(capsys, "sieve442")[:2]
 
 
 def test_oversized_builds_exit_2_naming_their_cap():
@@ -334,7 +333,6 @@ def test_oversized_builds_exit_2_naming_their_cap():
         ("power bits", ["jmap", "--signature", f"{P},3,2", "--coeffs", "1,1,1",
                         "--solution", "2,1,1"]),
         ("unit classes", ["h1", "--primes", "2,3,5,7,11", "--n", 40]),
-        ("box points", ["sieve442", "--include-nonadmissible", "--height", 10**6]),
     ):
         code, out, err, seconds = run_child(*argv)
         assert (code, out) == (2, ""), (argv, err)
@@ -345,9 +343,9 @@ def test_oversized_builds_exit_2_naming_their_cap():
 
 
 # Argument strategies for the fuzz below: lists of small values that are
-# mostly valid for their role, with 0, -1 and P among them; bounds and
-# heights are at most 60.  Hypothesis draws the ends of a tuple more often
-# than its middle, so the values that make a command invalid sit inside.
+# mostly valid for their role, with 0, -1 and P among them; bounds are at
+# most 60.  Hypothesis draws the ends of a tuple more often than its middle,
+# so the values that make a command invalid sit inside.
 # Signatures draw from 2 to 7 and P, which ends their tuple: 0 and -1 would
 # make most of them invalid, and test_invalid_inputs_exit_1 pins those.
 def joined(values, size, sep=","):
@@ -371,20 +369,22 @@ MATRIX = st.integers(1, 3).flatmap(
 
 
 def command(name, **options):
-    """argv strategy for one subcommand: --flag=value for each option, and
-    a bare --flag for a store_true option that draws True."""
+    """argv strategy for one subcommand: each option as --flag=value or as
+    the two words --flag value, and a bare --flag for a store_true option
+    that draws True."""
 
     def argv(values):
         out = [name]
-        for option, value in values.items():
+        for option, (value, joined) in values.items():
             flag = "--" + option.replace("_", "-")
             if value is True:
                 out.append(flag)
             elif value is not False:
-                out.append(f"{flag}={value}")
+                out += [f"{flag}={value}"] if joined else [flag, str(value)]
         return out
 
-    return st.fixed_dictionaries(options).map(argv)
+    forms = {option: st.tuples(values, st.booleans()) for option, values in options.items()}
+    return st.fixed_dictionaries(forms).map(argv)
 
 
 COMMANDS = {
@@ -408,8 +408,80 @@ COMMANDS = {
     ),
     "twist": command("twist", d=ENTRY),
     "torsion": command("torsion", d=ENTRY),
-    "sieve442": command("sieve442", bound=BOUND, include_nonadmissible=FLAG, height=BOUND),
+    "sieve442": command("sieve442", bound=BOUND, include_nonadmissible=FLAG),
 }
+
+
+def joined_form(argv):
+    """argv with each `--flag value` pair written as the one word
+    `--flag=value`; no drawn value starts with `--`."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(*COMMANDS.values()))
+def test_both_option_forms_parse_alike(argv):
+    # Values such as -3,0,2 or -1:5 start with a minus sign; argparse must
+    # still read them as the value of the flag before them.
+    parser = cli.build_parser()
+    assert parser.parse_args(argv) == parser.parse_args(joined_form(argv))
+
+
+def test_values_may_start_with_a_minus_sign(capsys):
+    for argv in (
+        ["enumerate", "--signature", "2,2,2", "--bound", "3", "--coeffs", "-1,1,1"],
+        ["jmap", "--signature", "2,3,7", "--coeffs", "1,1,-1", "--solution", "-3,-2,1"],
+        ["stack-point", "--q", "-9:1", "--signature", "2,3,7"],
+        ["snf", "--matrix", "-1,2;3,4"],
+        ["twist", "--d", "-4"],
+    ):
+        spaced = run_cli(capsys, *argv)
+        assert spaced == run_cli(capsys, *joined_form(argv)), argv
+        assert spaced[0] == 0 and spaced[2] == "", (argv, spaced[2])
+    payload = run_json(capsys, "stack-point", "--q", "-9:1", "--signature", "2,3,7")
+    assert payload["point"] == "(-9:1)"
+
+
+def test_primes_are_sorted_and_deduplicated(capsys):
+    assert run_json(capsys, "h1", "--primes", "7,2,2", "--n", "2")["ring"] == "Z[1/{2,7}]"
+
+
+def test_integers_print_at_any_size():
+    # The largest class of Z[1/{M89}] modulo 200th powers is M89^199, 5,327
+    # digits: past the interpreter's default limit of 4,300 on int/str
+    # conversion, which main lifts while it runs.
+    m89 = 2**89 - 1
+    code, out, err, _ = run_child("h1", "--primes", m89, "--n", 200)
+    assert (code, err) == (0, ""), err
+    representatives = json.loads(out)["representatives"]
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert representatives[199] == str(m89**199)
+        assert [int(r) for r in representatives] == [
+            sign * m89**e for sign in (1, -1) for e in range(200)
+        ]
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_main_restores_the_digit_limit(capsys):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        # M89^199 has 5,327 digits.
+        assert run_cli(capsys, "h1", "--primes", str(2**89 - 1), "--n", "200")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run_cli(capsys, "chi", "--signature", "1,3,7")[0] == 1
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def test_fuzz_draws_every_subcommand():

@@ -49,13 +49,8 @@ CASES = {
     "torsion": ["torsion", "--d", "-4"],
     "sieve442": ["sieve442", "--bound", "1000"],
     "sieve442-text": ["--format", "text", "sieve442", "--bound", "1000"],
-    # The bounded twist point search at the default height, and at height
-    # 100, the first whose box holds u = 49/36 on d = -8 (candidate
-    # (2401:12769)).
+    # The bounded twist point search, at its fixed height 12.
     "sieve442-nonadmissible": ["sieve442", "--bound", "1000", "--include-nonadmissible"],
-    "sieve442-nonadmissible-h100": [
-        "sieve442", "--bound", "200", "--include-nonadmissible", "--height", "100",
-    ],
     # The certificate-root recovery at a marked point and at a smooth point,
     # and a point rejected at two coordinates (pins the order of `failed`).
     "recover-marked-units": [

@@ -103,6 +103,36 @@ def test_only_cli_imports_smith():
         assert imports_smith(ast.parse(code)), code
 
 
+def records_defining(tree, method) -> list[str]:
+    """The classes in the module's AST that derive from Record and define
+    the method themselves."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).rpartition(".")[2] == "Record" for base in node.bases)
+        and any(isinstance(f, ast.FunctionDef) and f.name == method for f in node.body)
+    ]
+
+
+def test_records_have_one_constructor():
+    # Record's own constructor is the one way to build a record: a record
+    # writes __init__ only to check its arguments, and prints its fields.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    trees = [ast.parse(p.read_text()) for p in layers]
+    assert sorted(name for t in trees for name in records_defining(t, "__init__")) == [
+        "GFE", "ProjPointQ", "SRing", "Signature", "TwistedCurve",
+    ]
+    assert [name for t in trees for name in records_defining(t, "__repr__")] == []
+    snippet = ast.parse(
+        "class A(Record):\n    def __repr__(self): pass\n"
+        "class B(_record.Record):\n    def __init__(self): pass\n"
+        "class C:\n    def __init__(self): pass\n"
+    )
+    assert records_defining(snippet, "__repr__") == ["A"]
+    assert records_defining(snippet, "__init__") == ["B"]
+
+
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -4,11 +4,19 @@ from fractions import Fraction
 import pytest
 
 import gfdescent.cli as cli
-from gfdescent.errors import SingularCurve
-from gfdescent.exact import POINT_ONE, ProjPointQ, normalize_projective
+from gfdescent.belyi import is_stack_point
+from gfdescent.errors import SingularCurve, WorkLimitExceeded
+from gfdescent.exact import (
+    POINT_INFINITY,
+    POINT_ONE,
+    POINT_ZERO,
+    ProjPointQ,
+    normalize_projective,
+)
 from gfdescent.quartic import (
     POINT_AT_INFINITY,
-    Sieve442Report,
+    SIG_442,
+    TwistedCurve,
     affine,
     admissible_twists,
     belyi_eval,
@@ -40,6 +48,9 @@ def test_twist_curve():
     assert not on_curve(twist_curve(-4), affine(2, 5))
     with pytest.raises(SingularCurve):
         twist_curve(0)
+    # The class checks d itself (tests/test_records.py), so no way of
+    # building a twist skips the check.
+    assert twist_curve is TwistedCurve
 
 
 def _as_pair(P):
@@ -181,6 +192,29 @@ def test_rational_points_bounded_non_integral_denominators():
     assert point in at49 and point not in at48
 
 
+def test_height_100_point_on_d_minus_8_is_rejected_over_z():
+    # u = 49/36 maps to (49^2 : 49^2 + 8 * 36^2) = (2401:12769), where s = 7^4
+    # and t = 113^2 pass but s - t = -2^7 * 3^4 is no 4th power.
+    E = twist_curve(-8)
+    P = affine(Fraction(49, 36), Fraction(791, 216))
+    assert P in rational_points_bounded(E, 100)
+    image = belyi_eval(E, P)
+    assert image == ProjPointQ(2401, 12769)
+    cert = is_stack_point(image, SIG_442, SRing(()))
+    assert (cert.status, cert.failed) == ("rejected", ("s-t",))
+
+
+def test_rational_points_bounded_checks_height_and_box_cap():
+    with pytest.raises(ValueError, match="height must be positive"):
+        rational_points_bounded(twist_curve(-8), 0)
+    # isqrt(10^6) * (2 * 10^6 + 1) tests pass the cap: it raises before the
+    # search, which would take hours.
+    with pytest.raises(WorkLimitExceeded) as raised:
+        rational_points_bounded(twist_curve(-8), 10**6)
+    assert raised.value.cap == "box points"
+    assert "2000001000 square-root tests at height 1000000" in str(raised.value)
+
+
 def test_belyi_images_never_indeterminate():
     for d in (1, -1, 2, -2, 4, -4, 8, -8):
         E = twist_curve(d)
@@ -221,24 +255,19 @@ def test_sieve_report_details(capsys):
     # The finiteness input is the admissible twists, smallest |d| first.
     assert report.assumed_finite == (-1, -4)
     assert d["rank_zero_input"] == ["-1", "-4"]
-    other = Sieve442Report((), (-9, -1, -4), {}, (), (), 1)
-    assert other.assumed_finite == (-1, -4, -9)
 
 
 def test_admissible_torsion_images_survive_only_at_marked_points():
     # The mechanism behind the eight-triple theorem: over Z, the torsion
     # images of the two admissible twists pass the point test only at
     # 0, 1, infinity.
-    from gfdescent.belyi import is_stack_point
-    from gfdescent.groups import Signature
-
     Z = SRing(())
     marked = {"(0:1)", "(1:1)", "(1:0)"}
     for d in (-1, -4):
         E = twist_curve(d)
         for P in torsion_points(E):
             image = belyi_eval(E, P)
-            cert = is_stack_point(image, Signature(4, 4, 2), Z)
+            cert = is_stack_point(image, SIG_442, Z)
             assert cert.accepted == (str(image) in marked)
 
 
@@ -246,20 +275,21 @@ def test_sieve_invariance():
     base = [s.as_tuple() for s in sieve_442(50)]
     assert base == FERMAT_442_TRIPLES
     assert base == [s.as_tuple() for s in sieve_442(120)]
-    plain = run_sieve_442(50)
-    for height in (1, 4, 9, 49):
-        widened = run_sieve_442(50, include_nonadmissible=True, extra_height=height)
-        assert [s.as_tuple() for s in widened.solutions] == base, height
-        # The extra twists contribute candidates, none of which survive.
-        assert len(widened.candidates) >= len(plain.candidates), height
-
-
-def test_run_sieve_442_rejects_nonpositive_height():
-    # Checked up front, with or without the non-admissible search.
-    for include in (False, True):
-        for height in (0, -3):
-            with pytest.raises(ValueError):
-                run_sieve_442(10, include_nonadmissible=include, extra_height=height)
+    # The points the six non-admissible twists have in a box of any height
+    # map to points that pass the test over Z only at 0, 1 and infinity,
+    # which the sieve tests anyway, so widening the search adds no solution.
+    reps = s_unit_reps(SRing((2,)), 4)
+    others = sorted(set(reps.representatives) - set(admissible_twists(reps)))
+    assert others == [-8, -2, 1, 2, 4, 8]
+    marked = {POINT_ZERO, POINT_ONE, POINT_INFINITY}
+    for height in (1, 4, 9, 49, 100):
+        images = set()
+        for d in others:
+            E = twist_curve(d)
+            images |= {belyi_eval(E, P) for P in rational_points_bounded(E, height)}
+        accepted = {Q for Q in images if is_stack_point(Q, SIG_442, SRing(())).accepted}
+        assert accepted == marked & images, height
+        assert len(images) > len(accepted), height
 
 
 def test_sieve_tests_each_candidate_once(monkeypatch):
@@ -278,5 +308,5 @@ def test_sieve_tests_each_candidate_once(monkeypatch):
     is_stack_point = belyi.is_stack_point
     for module in (belyi, gfe, quartic):
         monkeypatch.setattr(module, "is_stack_point", counted)
-    report = run_sieve_442(50, include_nonadmissible=True, extra_height=4)
+    report = run_sieve_442(50, include_nonadmissible=True)
     assert [args[0] for args in calls] == [c.point for c in report.candidates]

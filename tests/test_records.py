@@ -25,6 +25,7 @@ from gfdescent import (
     RecoveredSolution,
     Sieve442Report,
     Signature,
+    SingularCurve,
     SNFResult,
     SRing,
     StackPointCertificate,
@@ -40,7 +41,7 @@ from gfdescent.gfe import DescentEntry
 from gfdescent.quartic import CandidateVerdict
 
 SOL = PrimitiveSolution(1, 0, 1)
-CERT = StackPointCertificate(POINT_ONE, "marked", marked_at="1")
+CERT = StackPointCertificate(POINT_ONE, "marked", "1", None, ())
 CERT_REPR = (
     "StackPointCertificate(point=ProjPointQ(s=1, t=1), status='marked', "
     "marked_at='1', roots=None, failed=())"
@@ -72,7 +73,7 @@ SAMPLES = [
         "UnitClassGroup(modulus=2, ring=SRing(primes=(2,)), representatives=(1, 2, -1, -2))",
     ),
     (
-        StackPointCertificate(POINT_ZERO, "marked"),
+        StackPointCertificate(POINT_ZERO, "marked", None, None, ()),
         "StackPointCertificate(point=ProjPointQ(s=0, t=1), status='marked', "
         "marked_at=None, roots=None, failed=())",
     ),
@@ -104,7 +105,7 @@ SAMPLES = [
         f"certificate={CERT_REPR}, recovered=(PrimitiveSolution(x=1, y=0, z=1),))",
     ),
     (
-        Sieve442Report((1, -1), (-4, -1), {-4: 4, -1: 2}, (), (SOL,), 10),
+        Sieve442Report((1, -1), (-4, -1), {-4: 4, -1: 2}, (), (SOL,), 10, (-1, -4)),
         "Sieve442Report(unit_classes=(1, -1), admissible=(-4, -1), "
         "torsion_orders={-4: 4, -1: 2}, candidates=(), "
         "solutions=(PrimitiveSolution(x=1, y=0, z=1),), bound_check=10, "
@@ -164,11 +165,14 @@ def test_record_copy_and_pickle(r, text):
 
 
 def test_keyword_construction_and_defaults():
-    cert = StackPointCertificate(POINT_ZERO, "marked")
-    assert (cert.marked_at, cert.roots, cert.failed) == (None, None, ())
+    # No field has a default: a record takes all of its fields.
+    with pytest.raises(TypeError):
+        StackPointCertificate(POINT_ZERO, "marked")
+    with pytest.raises(TypeError):
+        Sieve442Report((1, -1), (-4, -1), {}, (), (), 10)
     assert StackPointCertificate(
-        point=POINT_ZERO, status="marked", marked_at="0"
-    ) == StackPointCertificate(POINT_ZERO, "marked", "0")
+        point=POINT_ZERO, status="marked", marked_at="0", roots=None, failed=()
+    ) == StackPointCertificate(POINT_ZERO, "marked", "0", None, ())
     assert ProjPointQ(t=2, s=3) == ProjPointQ(3, 2)
     assert GFE(sig=Signature(2, 3, 7), A=1, B=1, C=1).C == 1
     match ProjPointQ(3, 2):
@@ -211,6 +215,8 @@ def test_validations_still_raise():
         SRing((4,))
     with pytest.raises(ValueError, match="strictly increasing"):
         SRing((3, 2))
+    with pytest.raises(SingularCurve, match="d = 0"):
+        TwistedCurve(0)
 
 
 def test_primitive_solutions_are_ordered():
