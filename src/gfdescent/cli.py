@@ -2,17 +2,19 @@
 
 Handlers return plain values (ints, tuples, fractions, points, rings); main
 converts each payload once, to str keys and lists with str and bool leaves,
-so that every number is a decimal string and arbitrary-precision values
-survive any consumer.  Integers are read and printed exactly at any size:
-main lifts the interpreter's 4,300-digit limit on int/str conversion while
-it runs and restores it before it returns.  An option's value may start
-with a minus sign, as in --coeffs -1,1,1.  Exit codes: 0 success, 1 invalid
-input, 2 a named work cap exceeded, 3 sieve/enumerator mismatch.  Errors go
-to stderr as one JSON object with a machine-readable code; on exit 2 its
-"cap" names the cap: "rho iterations" (5,000,000, factorization), "power
-bits" (2^25, a value table of enumerate, a term of an equation, the unit
-classes) or "unit classes" (2^20, h1).  Each size cap is checked before the
-build it bounds starts.
+and prints it as indented JSON, so that every number is a decimal string and
+arbitrary-precision values survive any consumer.  Integers are read and
+printed exactly at any size: main lifts the interpreter's 4,300-digit limit
+on int/str conversion while it runs and restores it before it returns.  An
+option's value may start with a minus sign, as in --coeffs -1,1,1.  Exit
+codes: 0 success, 1 invalid input, 2 a named work cap exceeded, 3
+sieve/enumerator mismatch.  Errors go to stderr as one JSON object with a
+machine-readable code; on exit 2 its "cap" names the cap: "rho iterations"
+(5,000,000, factorization), "power bits" (2^25, a value table of enumerate,
+a term of an equation, the unit classes), "unit classes" (2^20, h1) or
+"elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
+largest |entry|, snf).  Each size cap is checked before the build it bounds
+starts.
 """
 
 from __future__ import annotations
@@ -290,7 +292,6 @@ def _cmd_sieve442(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gfdescent", description=__doc__)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **arguments):
@@ -355,33 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_text(payload, indent=0) -> str:
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        items = [(f"{k}:", v) for k, v in payload.items()]
-    else:
-        items = [("-", v) for v in payload]
-    lines = []
-    for head, v in items:
-        if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
-            lines += (pad + head, _render_text(v, indent + 1))
-        else:
-            lines.append(f"{pad}{head} {_scalar(v)}")
-    return "\n".join(lines)
-
-
-def _is_scalar_list(v) -> bool:
-    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
-
-
-def _scalar(v) -> str:
-    if isinstance(v, list):
-        return "[" + ", ".join(_scalar(x) for x in v) + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return v
-
-
 def _plain(v):
     """The wire form of a handler's value: str keys, lists, str and bool
     leaves, and every other value as its str, which for numbers is decimal."""
@@ -420,10 +394,7 @@ def main(argv=None) -> int:
 
         payload = _plain(payload)
         try:
-            if args.format == "json":
-                print(json.dumps(payload, indent=2))
-            else:
-                print(_render_text(payload))
+            print(json.dumps(payload, indent=2))
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader stopped early (`| head`).  Point stdout at devnull so

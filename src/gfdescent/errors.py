@@ -12,9 +12,10 @@ class ZeroPoint(GFDescentError):
 class WorkLimitExceeded(GFDescentError):
     """A named work cap ran out, or would run out before a build could end.
 
-    cap names the budget ("rho iterations", "power bits", "unit classes" or
-    "box points"), limit is its value and detail says what hit it.  The CLI
-    exits with code 2 on this error and reports cap in its stderr JSON.
+    cap names the budget ("rho iterations", "power bits", "unit classes",
+    "elimination bits" or "box points"), limit is its value and detail says
+    what hit it.  The CLI exits with code 2 on this error and reports cap in
+    its stderr JSON.
     """
 
     def __init__(self, cap: str, limit: int, detail: str):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -148,14 +149,6 @@ def test_twist_torsion_sieve(capsys):
     assert payload["admissible_twists"] == ["-4", "-1"]
 
 
-def test_text_format_same_data(capsys):
-    payload = run_json(capsys, "chi", "--signature", "4,4,2")
-    code, out, _ = run_cli(capsys, "--format", "text", "chi", "--signature", "4,4,2")
-    assert code == 0
-    assert "chi: 0" in out and "signature: (4,4,2)" in out
-    assert payload["chi"] == "0"
-
-
 def test_json_round_trips(capsys):
     payload = run_json(capsys, "sieve442", "--bound", "50")
     assert json.loads(json.dumps(payload)) == payload
@@ -231,6 +224,23 @@ def test_sieve442_has_no_height_flag(capsys):
         assert "unrecognized arguments: --height" in error["message"]
 
 
+def test_there_is_no_format_flag(capsys):
+    # Every command prints JSON, and only JSON.  Before the command, argparse
+    # reads the flag's value as the command; after it, the flag is unknown.
+    chi = ("chi", "--signature", "2,3,7")
+    for value in ("text", "json"):
+        for argv, message in (
+            (("--format", value, *chi), f"invalid choice: '{value}'"),
+            ((*chi, "--format", value), f"unrecognized arguments: --format {value}"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            error = json.loads(err)
+            assert error["error"] == "invalid-input"
+            assert message in error["message"], argv
+
+
 def test_sieve442_nonpositive_bound_is_invalid_input(capsys):
     for bound in ("0", "-5"):
         code, out, err = run_cli(capsys, "sieve442", "--bound", bound)
@@ -245,7 +255,7 @@ def test_closed_pipe_exits_0_without_traceback():
     # `gfdescent ... | head -1`: the reader closes the pipe after one line,
     # while more output than a pipe buffer holds is still to be written.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    argv = ["--format", "text", "enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1"]
+    argv = ["enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "gfdescent.cli", *argv, "--bound", "3000"],
         stdout=subprocess.PIPE,
@@ -253,7 +263,7 @@ def test_closed_pipe_exits_0_without_traceback():
         bufsize=0,
         env=env,
     )
-    assert proc.stdout.readline() == b"equation: x^2 + y^2 - z^2 = 0\n"
+    assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0, err
@@ -340,6 +350,24 @@ def test_oversized_builds_exit_2_naming_their_cap():
         assert error["error"] == "work-limit-exceeded" and error["cap"] == cap, argv
         assert f"{cap} cap of " in error["message"], argv
         assert seconds < 5, argv
+
+
+def test_snf_is_sized_before_its_elimination():
+    # Unsized, the first ran 13.6 s in smith_normal_form and the second ran
+    # 10 s and printed 29 MB.
+    rng = random.Random(64)
+    digits = 10**28 - 1
+    for rows, cols, bound in ((64, 64, digits), (100, 100, 99)):
+        matrix = ";".join(
+            ",".join(str(rng.randint(-bound, bound)) for _ in range(cols)) for _ in range(rows)
+        )
+        code, out, err, seconds = run_child("snf", f"--matrix={matrix}")
+        assert (code, out) == (2, ""), err
+        error = json.loads(err)
+        assert error["error"] == "work-limit-exceeded"
+        assert error["cap"] == "elimination bits"
+        assert f"{rows}x{cols} matrix" in error["message"]
+        assert seconds < 1
 
 
 # Argument strategies for the fuzz below: lists of small values that are
@@ -503,10 +531,8 @@ def test_no_input_hangs_or_prints_a_traceback(name):
     @settings(
         max_examples=6 if name in SIZED else 2, deadline=None, derandomize=True, database=None
     )
-    @given(COMMANDS[name], FLAG)
-    def run(argv, text):
-        if text:
-            argv = ["--format", "text", *argv]
+    @given(COMMANDS[name])
+    def run(argv):
         code, out, err, _ = run_child(*argv)
         assert code in (0, 1, 2, 3), (argv, err)
         if code:

@@ -24,11 +24,11 @@ import gfdescent.cli as cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
-# name -> argv.  The README's CLI section in order (a test checks that each of
-# its lines is a case here), its text-format example, the non-admissible
-# sieve, three point-test and recovery cases, four more output branches, then
-# the benchmark's enumeration shapes at bound 200, then six shapes with sign
-# or swap symmetry.
+# name -> argv; each case's stdout is the JSON file of its name.  The README's
+# CLI section in order (a test checks that each of its lines is a case here),
+# the non-admissible sieve, three point-test and recovery cases, three more
+# output branches, then the benchmark's enumeration shapes at bound 200, then
+# six shapes with sign or swap symmetry.
 CASES = {
     "snf": ["snf", "--matrix", "2,-3,0;0,3,-7;-2,0,7"],
     "weights": ["weights", "--signature", "2,3,7"],
@@ -48,7 +48,6 @@ CASES = {
     "twist": ["twist", "--d", "-4"],
     "torsion": ["torsion", "--d", "-4"],
     "sieve442": ["sieve442", "--bound", "1000"],
-    "sieve442-text": ["--format", "text", "sieve442", "--bound", "1000"],
     # The bounded twist point search, at its fixed height 12.
     "sieve442-nonadmissible": ["sieve442", "--bound", "1000", "--include-nonadmissible"],
     # The certificate-root recovery at a marked point and at a smooth point,
@@ -61,15 +60,11 @@ CASES = {
         "--primes", "2", "--search-units",
     ],
     "stack-point-rejected": ["stack-point", "--q", "2/3", "--signature", "2,2,2", "--primes", ""],
-    # The other output branches: a hyperbolic and a euclidean signature, a
-    # point accepted at a marked point, and a bool and fractions in text.
+    # The other output branches: a hyperbolic and a euclidean signature, and
+    # a point accepted at a marked point.
     "classify-237": ["classify", "--signature", "2,3,7"],
     "classify-333": ["classify", "--signature", "3,3,3"],
     "stack-point-marked": ["stack-point", "--q", "0:1", "--signature", "4,4,2", "--primes", "2"],
-    "recover-smooth-units-text": [
-        "--format", "text", "recover", "--q", "1:2", "--signature", "4,4,2", "--coeffs",
-        "1,1,-1", "--primes", "2", "--search-units",
-    ],
 }
 for _sig, _coeffs, _sieve in (
     ("4,4,2", "1,1,-1", True),
@@ -102,8 +97,7 @@ for _name, _sig, _coeffs, _bound in (
 
 
 def golden_path(name: str) -> pathlib.Path:
-    suffix = ".txt" if "text" in CASES[name] else ".json"
-    return GOLDEN / f"{name}{suffix}"
+    return GOLDEN / f"{name}.json"
 
 
 def run(argv) -> str:

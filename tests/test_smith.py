@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from gfdescent.smith import IntMatrix, smith_normal_form
+from gfdescent.errors import WorkLimitExceeded
+from gfdescent.smith import ELIMINATION_BIT_CAP, IntMatrix, smith_normal_form
 
 from oracles import _det, j_matrix, m_matrix, minor_gcd_diagonal
 
@@ -148,6 +149,24 @@ def test_determinant():
         n = rng.randrange(1, 5)
         A = IntMatrix([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
         assert abs(_det(A.data)) == math.prod(smith_normal_form(A).D.diagonal())
+
+
+@pytest.mark.parametrize("rows, cols", [(16, 16), (8, 32), (32, 8)])
+def test_elimination_bit_cap_is_checked_first(rows, cols):
+    # rows * cols * min(rows, cols) * (bits of the largest |entry|): a matrix
+    # at the cap answers, and one more bit raises before the elimination.
+    bits = ELIMINATION_BIT_CAP // (rows * cols * min(rows, cols))
+    rng = random.Random(rows * cols)
+    data = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+    data[rows - 1][0] = -(2 ** (bits - 1))
+    A = IntMatrix(data)
+    res = smith_normal_form(A)
+    assert res.U @ A @ res.V == res.D
+    data[rows - 1][0] = -(2**bits)
+    with pytest.raises(WorkLimitExceeded) as info:
+        smith_normal_form(IntMatrix(data))
+    assert (info.value.cap, info.value.limit) == ("elimination bits", ELIMINATION_BIT_CAP)
+    assert f"{rows}x{cols} matrix of {bits + 1}-bit entries" in str(info.value)
 
 
 def test_snf_corpus_is_byte_identical():
