@@ -37,7 +37,6 @@ _LAYERS = {
         "Signature",
         "WeightData",
         "h_structure",
-        "triangle_abelianization",
         "weight_vector",
     ),
     "sarith": ("SRing", "UnitClassGroup", "is_nth_power_ideal", "s_unit_reps", "valuation"),

@@ -1,4 +1,7 @@
-"""Command-line front end: one subcommand per library capability.
+"""Command-line front end: one subcommand per object.  `classify` prints
+everything about a signature (chi, kind, weights, the symmetry group's
+torsion) and `torsion` everything about a twist curve (its equation and
+torsion points).
 
 Handlers return plain values (ints, tuples, fractions, points, rings); main
 converts each payload once, to str keys and lists with str and bool leaves,
@@ -31,7 +34,6 @@ from .belyi import (
     StackPointCertificate,
     certificate_automorphism_order,
     classify_signature,
-    euler_characteristic,
     is_stack_point,
 )
 from .errors import GFDescentError, PipelineMismatch, WorkLimitExceeded
@@ -138,24 +140,6 @@ def _cmd_snf(args) -> dict:
     return {"D": res.D.data, "U": res.U.data, "V": res.V.data, "diag": res.D.diagonal()}
 
 
-def _cmd_weights(args) -> dict:
-    sig = _parse_signature(args.signature)
-    wd = weight_vector(sig)
-    return {"signature": sig, "d": wd.d, "m": wd.m, "w": wd.w, "lcm": math.lcm(*sig)}
-
-
-def _cmd_group_structure(args) -> dict:
-    sig = _parse_signature(args.signature)
-    hs = h_structure(sig)
-    return {
-        "signature": sig,
-        "torus_rank": hs.torus_rank,
-        "torsion": hs.torsion,
-        # h_structure's torsion is the triangle abelianization.
-        "triangle_abelianization": hs.torsion,
-    }
-
-
 def _cmd_h1(args) -> dict:
     ring = _parse_primes(args.primes)
     group = s_unit_reps(ring, args.n)
@@ -179,17 +163,16 @@ def _cmd_stack_point(args) -> dict:
     return out
 
 
-def _cmd_chi(args) -> dict:
-    sig = _parse_signature(args.signature)
-    return {"signature": sig, "chi": euler_characteristic(sig)}
-
-
 def _cmd_classify(args) -> dict:
     sig = _parse_signature(args.signature)
     cls = classify_signature(sig)
     out = {"signature": sig, "chi": cls.chi, "kind": cls.kind, "genus": cls.genus_label()}
     if cls.degree is not None:
         out["degree"] = cls.degree
+    wd = weight_vector(sig)
+    hs = h_structure(sig)
+    out.update(d=wd.d, m=wd.m, w=wd.w, lcm=math.lcm(*sig))
+    out.update(torus_rank=hs.torus_rank, torsion=hs.torsion)
     return out
 
 
@@ -250,20 +233,14 @@ def _cmd_verify_inclusion(args) -> dict:
     }
 
 
-def _cmd_twist(args) -> dict:
-    from .quartic import twist_curve
-
-    E = twist_curve(args.d)
-    sign = "-" if E.d > 0 else "+"
-    return {"d": E.d, "equation": f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"}
-
-
 def _cmd_torsion(args) -> dict:
     from .quartic import torsion_points, twist_curve
 
     E = twist_curve(args.d)
     pts = torsion_points(E)
-    return {"d": E.d, "order": len(pts), "points": pts}
+    sign = "-" if E.d > 0 else "+"
+    equation = f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"
+    return {"d": E.d, "equation": equation, "order": len(pts), "points": pts}
 
 
 def _cmd_sieve442(args) -> dict:
@@ -302,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("snf", _cmd_snf, matrix={"required": True})
-    add("weights", _cmd_weights, signature={"required": True})
-    add("group-structure", _cmd_group_structure, signature={"required": True})
     add("h1", _cmd_h1, primes={"required": True}, n={"type": int, "default": 4})
     add(
         "stack-point",
@@ -312,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         signature={"required": True},
         primes={"default": ""},
     )
-    add("chi", _cmd_chi, signature={"required": True})
     add("classify", _cmd_classify, signature={"required": True})
     add(
         "enumerate",
@@ -345,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         coeffs={"required": True},
         bound={"type": int, "required": True},
     )
-    add("twist", _cmd_twist, d={"type": int, "required": True})
     add("torsion", _cmd_torsion, d={"type": int, "required": True})
     add(
         "sieve442",

@@ -169,14 +169,19 @@ def _split_power(v: int) -> tuple[int, int]:
 
 
 def _divide_out(m: int, p: int) -> tuple[int, int]:
-    """(m / p^e, e) for the largest e with p^e dividing m.  Raises ValueError
-    for m = 0 or |p| < 2, where that loop would never end or divide by 0."""
+    """(m / p^e, e) for the largest e with p^e dividing m.  Each pass divides
+    by the largest p^(2^i) dividing m, so it takes O(log^2 e) divisions, not
+    e.  Raises ValueError for m = 0 or |p| < 2, where that loop would never
+    end or divide by 0."""
     if m == 0 or -2 < p < 2:
         raise ValueError(f"cannot divide {p} out of {m}")
     e = 0
     while m % p == 0:
-        m //= p
-        e += 1
+        q, k = p, 1
+        while m % (q * q) == 0:
+            q, k = q * q, 2 * k
+        m //= q
+        e += k
     return m, e
 
 

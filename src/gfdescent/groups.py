@@ -61,18 +61,14 @@ def weight_vector(sig: Signature) -> WeightData:
     return WeightData(d, m, w)
 
 
-def triangle_abelianization(sig: Signature) -> list[int]:
-    """Invariant factors (> 1) of the abelianized triangle group.
+def h_structure(sig: Signature) -> HStructure:
+    """The symmetry group: a rank-one torus times a finite group, whose
+    invariant factors (> 1) are those of the abelianized triangle group.
 
     The 4x3 presentation matrix has 1 as the gcd of its entries, d as the
     gcd of its 2x2 minors and m as the gcd of its 3x3 minors, so its Smith
-    form is (1, d, m/d) and the answer is [d, m/d] with trivial entries
+    form is (1, d, m/d) and the torsion is (d, m/d) with trivial entries
     dropped; d divides m/d because d^2 divides each of bc, ac, ab.
     """
     data = weight_vector(sig)
-    return [f for f in (data.d, data.m // data.d) if f > 1]
-
-
-def h_structure(sig: Signature) -> HStructure:
-    """The symmetry group is a rank-one torus times the finite group below."""
-    return HStructure(1, tuple(triangle_abelianization(sig)))
+    return HStructure(1, tuple(f for f in (data.d, data.m // data.d) if f > 1))

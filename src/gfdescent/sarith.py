@@ -90,10 +90,14 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    count = (2 if n % 2 == 0 else 1) * n ** len(ring.primes)
+    # Counted up one prime at a time, so that a huge n ** |S| is never built.
+    count = 2 if n % 2 == 0 else 1
+    for _ in ring.primes:
+        count *= n
+        if count > UNIT_CLASS_CAP:
+            what = f"at least {count} classes of {ring} modulo {n}th powers"
+            raise WorkLimitExceeded("unit classes", UNIT_CLASS_CAP, what)
     what = f"{count} classes of {ring} modulo {n}th powers"
-    if count > UNIT_CLASS_CAP:
-        raise WorkLimitExceeded("unit classes", UNIT_CLASS_CAP, what)
     # The exponent of p averages (n - 1)/2 over the classes, and p^e has at
     # least e * (bits of p - 1) bits.
     bits = count * (n - 1) * sum(p.bit_length() - 1 for p in ring.primes) // 2

@@ -9,6 +9,7 @@ from gfdescent.exact import (
     Factorization,
     ProjPointQ,
     _brent_rho,
+    _divide_out,
     factorize,
     integer_nth_root,
     is_perfect_nth_power,
@@ -33,6 +34,26 @@ def sieve_primes(n):
             for j in range(i * i, n + 1, i):
                 is_prime[j] = False
     return [i for i in range(n + 1) if is_prime[i]]
+
+
+def divide_out_one_power_at_a_time(m, p):
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return m, e
+
+
+def test_divide_out_matches_one_power_at_a_time():
+    rng = random.Random(171)
+    for _ in range(2000):
+        p = rng.choice((2, 3, 7, 6, 12, 101, 2**61 - 1)) * rng.choice((1, -1))
+        cofactor = rng.randint(1, 10**6) * rng.choice((1, -1))
+        m = cofactor * p ** rng.randint(0, 300)
+        assert _divide_out(m, p) == divide_out_one_power_at_a_time(m, p), (m, p)
+    for m, p in ((0, 2), (5, 1), (5, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            _divide_out(m, p)
 
 
 def test_factorize_examples():

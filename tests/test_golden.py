@@ -11,6 +11,7 @@ Only the named cases are rewritten, or every case when none is named, so
 adding a case cannot silently rewrite the others.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -31,11 +32,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 # six shapes with sign or swap symmetry.
 CASES = {
     "snf": ["snf", "--matrix", "2,-3,0;0,3,-7;-2,0,7"],
-    "weights": ["weights", "--signature", "2,3,7"],
-    "group-structure": ["group-structure", "--signature", "4,4,2"],
     "h1": ["h1", "--primes", "2", "--n", "4"],
     "stack-point": ["stack-point", "--q", "9/1", "--signature", "2,3,7", "--primes", ""],
-    "chi": ["chi", "--signature", "2,3,7"],
     "classify": ["classify", "--signature", "2,3,5"],
     "enumerate": ["enumerate", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--bound", "100"],
     "jmap": ["jmap", "--signature", "2,3,7", "--coeffs", "1,1,1", "--solution", "3,-2,-1"],
@@ -45,7 +43,6 @@ CASES = {
     "verify-inclusion": [
         "verify-inclusion", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "50",
     ],
-    "twist": ["twist", "--d", "-4"],
     "torsion": ["torsion", "--d", "-4"],
     "sieve442": ["sieve442", "--bound", "1000"],
     # The bounded twist point search, at its fixed height 12.
@@ -60,10 +57,12 @@ CASES = {
         "--primes", "2", "--search-units",
     ],
     "stack-point-rejected": ["stack-point", "--q", "2/3", "--signature", "2,2,2", "--primes", ""],
-    # The other output branches: a hyperbolic and a euclidean signature, and
-    # a point accepted at a marked point.
+    # The other output branches: a hyperbolic and two euclidean signatures,
+    # one of them (4,4,2) with the torsion [2, 4] and the weights (1, 1, 2),
+    # and a point accepted at a marked point.
     "classify-237": ["classify", "--signature", "2,3,7"],
     "classify-333": ["classify", "--signature", "3,3,3"],
+    "classify-442": ["classify", "--signature", "4,4,2"],
     "stack-point-marked": ["stack-point", "--q", "0:1", "--signature", "4,4,2", "--primes", "2"],
 }
 for _sig, _coeffs, _sieve in (
@@ -118,6 +117,11 @@ def test_every_golden_file_has_a_case():
     on_disk = {p.name for p in GOLDEN.iterdir()}
     # snf-corpus.json is the Smith-form corpus that tests/test_smith.py owns.
     assert on_disk == {golden_path(name).name for name in CASES} | {"snf-corpus.json"}
+
+
+def test_every_subcommand_has_a_golden_case():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted({argv[0] for argv in CASES.values()})
 
 
 def test_every_json_leaf_is_a_string_or_bool():

@@ -24,7 +24,7 @@ SURFACE = {
     "exact": "Factorization POINT_INFINITY POINT_ONE POINT_ZERO ProjPointQ factorize "
     "is_perfect_nth_power is_probable_prime normalize_projective",
     "smith": "IntMatrix SNFResult smith_normal_form",
-    "groups": "HStructure Signature WeightData h_structure triangle_abelianization weight_vector",
+    "groups": "HStructure Signature WeightData h_structure weight_vector",
     "sarith": "SRing UnitClassGroup is_nth_power_ideal s_unit_reps valuation",
     "belyi": "SignatureClass StackPointCertificate certificate_automorphism_order "
     "classify_signature euler_characteristic is_stack_point",
