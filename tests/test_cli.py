@@ -483,6 +483,14 @@ COMMANDS = {
     "torsion": command("torsion", d=ENTRY),
     "sieve442": command("sieve442", bound=BOUND, include_nonadmissible=FLAG),
 }
+# The commands that classify and torsion absorbed, drawn with their old
+# options: whatever follows a removed name, it is an invalid-input error.
+REMOVED = {
+    "chi": command("chi", signature=SIGNATURE),
+    "group-structure": command("group-structure", signature=SIGNATURE),
+    "twist": command("twist", d=ENTRY),
+    "weights": command("weights", signature=SIGNATURE),
+}
 
 
 def joined_form(argv):
@@ -563,12 +571,12 @@ def test_fuzz_draws_every_subcommand():
 
 
 # The commands whose work an argument sizes get 6 runs each, the other three
-# 2: 48 in all.  The draws are derandomized, so every run of the suite makes
-# the same 48.
+# and the four removed ones 2: 56 in all.  The draws are derandomized, so
+# every run of the suite makes the same 56.
 SIZED = {"enumerate", "h1", "jmap", "recover", "sieve442", "stack-point", "verify-inclusion"}
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(COMMANDS | REMOVED))
 def test_no_input_hangs_or_prints_a_traceback(name):
     # Each run ends inside the timeout and the address-space limit with a
     # defined exit code; an error is one JSON object on stderr, after no
@@ -576,7 +584,7 @@ def test_no_input_hangs_or_prints_a_traceback(name):
     @settings(
         max_examples=6 if name in SIZED else 2, deadline=None, derandomize=True, database=None
     )
-    @given(COMMANDS[name])
+    @given((COMMANDS | REMOVED)[name])
     def run(argv):
         code, out, err, _ = run_child(*argv)
         assert code in (0, 1, 2, 3), (argv, err)
@@ -585,5 +593,8 @@ def test_no_input_hangs_or_prints_a_traceback(name):
             assert isinstance(json.loads(err), dict), argv
         else:
             assert err == "", argv
+        if name in REMOVED:
+            assert code == 1, argv
+            assert json.loads(err)["error"] == "invalid-input", argv
 
     run()
