@@ -31,7 +31,7 @@ from .exact import (
     normalize_projective,
 )
 from .groups import Signature
-from .sarith import SRing, valuation
+from .sarith import SRing
 
 
 class GFE(Record):
@@ -277,14 +277,18 @@ def recover_solutions(
 ) -> list[RecoveredSolution]:
     """Solutions whose image is Q, for Q an accepted point over the ring.
 
-    With the original coefficients: writes (-A x^a, C z^c) = mu * (s, t) and
-    scans the finitely many possible scales mu; over S = {} this finds every
-    primitive integral solution mapping to Q.  The scales are the divisors
-    of lcm(|A|, |B|, |C|), pruned prime by prime: |mu| * value / coef
-    must be an integral n-th power for each nonzero value in (s, s - t, t)
-    with its coefficient and exponent, so the exponent i of p in |mu| is kept
-    only if i + v_p(value) - v_p(coef) is a nonnegative multiple of n for
-    each of them; zero values impose nothing.  With search_units, also
+    With the original coefficients: a triple maps to Q exactly when
+    (A x^a, B y^b, C z^c) = mu * (-s, s - t, t) for an integer mu, and over
+    S = {} this finds every primitive integral solution mapping to Q.  It
+    tries mu = d and mu = -d only, where d is the lcm of |k| / gcd(k, v)
+    over the nonzero values v of (s, s - t, t), k the coefficient of v's
+    term.  No other |mu| gives a primitive triple.  Fix a prime p: k divides
+    mu * v, so v_p(mu) >= v_p(k) - v_p(v) for each nonzero v; a primitive
+    triple has a coordinate prime to p, which is nonzero, and at its term
+    v_p(mu) = v_p(k) - v_p(v).  So v_p(mu) is the largest v_p(k) - v_p(v),
+    and that is v_p(d): it is at least 0, since s and t are coprime and so
+    one of them is nonzero and prime to p.  When some mu * v / k is not an
+    n-th power there is no root and no solution.  With search_units, also
     returns the canonical S-integral recovery built from the certificate
     roots, whose coefficients are unit multiples of the original ones.
     """
@@ -304,45 +308,24 @@ def _recover(
     s, t = Q.s, Q.t
     values = (s, s - t, t)
 
+    coefs = (F.A, F.B, F.C)
+    base = tuple(map(Fraction, coefs))
     results: list[RecoveredSolution] = []
-    seen = set()
-    base = (Fraction(F.A), Fraction(F.B), Fraction(F.C))
-
-    # |mu| divides lcm(|A|, |B|, |C|): primitivity puts the support of mu in
-    # the primes of ABC, each with valuation at most that of some coefficient.
-    scales = [1]
-    for p, e in factorize(math.lcm(F.A, F.B, F.C)).factors:
-        shifts = [
-            (valuation(value, p) - valuation(coef, p), n)
-            for value, coef, n in zip(values, (F.A, F.B, F.C), (a, b, c))
-            if value
+    # The one scale |mu| that a primitive solution can have at Q, with both
+    # signs; recover_solutions proves it.  Distinct signs give distinct
+    # triples, since a nonzero s or t fixes mu.
+    d = math.lcm(*(abs(k) // math.gcd(k, v) for v, k in zip(values, coefs) if v))
+    for mu in (d, -d):
+        targets = (-mu * s, mu * (s - t), mu * t)
+        root_lists = [
+            _signed_roots(tv // coef, n) for tv, coef, n in zip(targets, coefs, (a, b, c))
         ]
-        powers = [
-            p**i
-            for i in range(e + 1)
-            if all(i + k >= 0 and (i + k) % n == 0 for k, n in shifts)
-        ]
-        scales = [m * q for m in scales for q in powers]
-    for d in sorted(scales):
-        for eps in (1, -1):
-            mu = eps * d
-            targets = (-mu * s, mu * (s - t), mu * t)
-            if any(tv % coef != 0 for tv, coef in zip(targets, (F.A, F.B, F.C))):
+        for x, y, z in iter_product(*root_lists):
+            if math.gcd(x, math.gcd(y, z)) != 1:
                 continue
-            root_lists = [
-                _signed_roots(tv // coef, n)
-                for tv, coef, n in zip(targets, (F.A, F.B, F.C), (a, b, c))
-            ]
-            for x, y, z in iter_product(*root_lists):
-                if math.gcd(x, math.gcd(y, z)) != 1:
-                    continue
-                if F.evaluate(x, y, z) != 0:
-                    raise AssertionError(
-                        f"({x}, {y}, {z}) recovered from {Q} does not solve {F}"
-                    )
-                if (x, y, z) not in seen:
-                    seen.add((x, y, z))
-                    results.append(RecoveredSolution(x, y, z, base, True))
+            if F.evaluate(x, y, z) != 0:
+                raise AssertionError(f"({x}, {y}, {z}) recovered from {Q} does not solve {F}")
+            results.append(RecoveredSolution(x, y, z, base, True))
 
     if search_units:
         # Canonical S-integral recovery: each nonzero coordinate is the
@@ -354,8 +337,7 @@ def _recover(
         B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
         C1 = Fraction(t, z**c) if z else Fraction(F.C)
         triple = (A1, B1, C1)
-        # seen holds the exact-coefficient triples only.
-        if triple != base or (x, y, z) not in seen:
+        if triple != base or all(r.as_tuple() != (x, y, z) for r in results):
             results.append(RecoveredSolution(x, y, z, triple, triple == base))
 
     return results

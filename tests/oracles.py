@@ -9,13 +9,15 @@ taking integer roots.  The strong-probable-prime check reads the 2-adic
 split of n - 1 off its bits and tests one base; the unit-class oracle
 multiplies each exponent vector out from scratch.  Curve membership is the
 curve equation on Fractions, and a factorization's value the product of
-its factors.
+its factors.  The recovery oracle tries every divisor of lcm(|A|, |B|, |C|)
+that passes a per-prime exponent congruence, where recovery itself tries
+the one scale that a point fixes.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def random_gfes(seed, count, max_coeff=3, max_exp=5):
@@ -294,3 +296,73 @@ def s_unit_reps_by_product(primes, n):
                 v *= p**e
             reps.append(v)
     return tuple(reps)
+
+
+def recovery_by_divisor_scales(cert, F, search_units=False):
+    """recover_solutions at an accepted certificate, by trying every scale.
+
+    A solution over the point (s:t) has (A x^a, B y^b, C z^c) =
+    mu * (-s, s - t, t), and a primitive one has |mu| dividing
+    lcm(|A|, |B|, |C|).  The scales are those divisors, kept at each prime p
+    with an exponent i only if i + v_p(v) - v_p(k) is a nonnegative
+    multiple of n for each nonzero value v with coefficient k and exponent
+    n; each is tried with both signs, in increasing order of |mu|, and
+    every primitive triple of roots is kept once.  With search_units the
+    certificate-root recovery is appended as recover_solutions builds it.
+    """
+    from gfdescent.exact import factorize, is_perfect_nth_power
+    from gfdescent.gfe import RecoveredSolution
+
+    def valuation(m, p):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        return e
+
+    def signed_roots(m, n):
+        if m == 0:
+            return [0]
+        r = is_perfect_nth_power(m, n)
+        if r is None:
+            return []
+        return [r, -r] if n % 2 == 0 else [r]
+
+    s, t = cert.point.s, cert.point.t
+    values = (s, s - t, t)
+    coefs = (F.A, F.B, F.C)
+    base = tuple(map(Fraction, coefs))
+    scales = [1]
+    for p, e in factorize(lcm(F.A, F.B, F.C)).factors:
+        shifts = [
+            (valuation(v, p) - valuation(k, p), n)
+            for v, k, n in zip(values, coefs, F.sig)
+            if v
+        ]
+        powers = [
+            p**i
+            for i in range(e + 1)
+            if all(i + k >= 0 and (i + k) % n == 0 for k, n in shifts)
+        ]
+        scales = [m * q for m in scales for q in powers]
+    out, seen = [], set()
+    for d in sorted(scales):
+        for mu in (d, -d):
+            targets = (-mu * s, mu * (s - t), mu * t)
+            if any(tv % k for tv, k in zip(targets, coefs)):
+                continue
+            roots = [signed_roots(tv // k, n) for tv, k, n in zip(targets, coefs, F.sig)]
+            for triple in product(*roots):
+                if gcd(*triple) == 1 and triple not in seen:
+                    seen.add(triple)
+                    out.append(RecoveredSolution(*triple, base, True))
+    if search_units:
+        a, b, c = F.sig
+        x, y, z = cert.roots or tuple(map(abs, values))
+        A1 = -Fraction(s, x**a) if x else Fraction(F.A)
+        B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
+        C1 = Fraction(t, z**c) if z else Fraction(F.C)
+        triple = (A1, B1, C1)
+        if triple != base or (x, y, z) not in seen:
+            out.append(RecoveredSolution(x, y, z, triple, triple == base))
+    return out

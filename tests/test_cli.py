@@ -401,6 +401,46 @@ def test_huge_prime_powers_are_divided_out_quickly():
         assert seconds < 15, argv[0]
 
 
+def primorial_square(k):
+    """The square of the product of the first k primes."""
+    primes = []
+    n = 2
+    while len(primes) < k:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return math.prod(primes) ** 2
+
+
+def test_recover_answers_at_huge_coefficients():
+    # Trying every divisor of lcm(|A|, |B|, |C|) took 0.15-1.0 s at k = 10, 14
+    # and 16 primes and raised MemoryError at 28; factoring the semiprime ran
+    # into the rho cap and exited 2 after 11 s (2-core x86-64 VM, Python 3.11).
+    semiprime = 100000000000000000000000012349 * 300000000000000000000000000823
+    cases = [
+        ("2,2,2", primorial_square(k), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)])
+        for k in (10, 14, 16, 28)
+    ]
+    cases.append(("2,3,7", semiprime, [(0, -1, -1), (0, 1, 1)]))
+    for signature, A, solutions in cases:
+        code, out, err, seconds = run_child(
+            "recover", "--q", "0:1", "--signature", signature, "--coeffs", f"{A},1,-1"
+        )
+        assert code == 0, err
+        assert seconds < 1, (signature, A)
+        a, b, c = signature.split(",")
+        assert json.loads(out) == {
+            "equation": f"{A}*x^{a} + y^{b} - z^{c} = 0",
+            "point": "(0:1)",
+            "ring": "Z",
+            "solutions": [
+                {"xyz": list(map(str, xyz)), "coefficients": [str(A), "1", "-1"],
+                 "exact_coefficients": True}
+                for xyz in solutions
+            ],
+        }
+
+
 def test_snf_is_sized_before_its_elimination():
     # Unsized, the first ran 13.6 s in smith_normal_form and the second ran
     # 10 s and printed 29 MB.
@@ -436,7 +476,10 @@ ENTRY = joined(SMALL, 1)
 BOUND = st.integers(0, 60)
 FLAG = st.booleans()
 SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
-COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5), 3)
+# The square of the product of the first 28 primes has 3^28 divisors.
+# Recovery once tried each that passed an exponent congruence, 2^28 of them
+# at (0:1) on (2,2,2), and ran out of memory.
+COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, primorial_square(28)), 3)
 TRIPLE = joined(SMALL, 3)
 PRIMES = st.integers(0, 3).flatmap(lambda k: joined((2, 3, 0, 5, P, -1, 7, 13), k))
 POINT = st.sampled_from("/:").flatmap(lambda sep: joined(SMALL, 2, sep))

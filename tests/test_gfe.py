@@ -11,6 +11,7 @@ from itertools import permutations
 import pytest
 
 import gfdescent.cli as cli
+from gfdescent.belyi import is_stack_point
 from gfdescent.errors import NotAStackPoint
 from gfdescent.exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, normalize_projective
 from gfdescent.gfe import (
@@ -25,7 +26,12 @@ from gfdescent.gfe import (
 from gfdescent.groups import Signature
 from gfdescent.sarith import SRing
 
-from oracles import brute_force_solutions, brute_force_solutions_zdict, random_gfes
+from oracles import (
+    brute_force_solutions,
+    brute_force_solutions_zdict,
+    random_gfes,
+    recovery_by_divisor_scales,
+)
 
 F442 = GFE(Signature(4, 4, 2), 1, 1, -1)
 F237 = GFE(Signature(2, 3, 7), 1, 1, 1)
@@ -510,8 +516,8 @@ def test_recover_round_trip():
 
 
 def test_recover_large_coefficients():
-    # (2,3,5) with A = 2^16 3^8, B = 5^8, C = -(A + B): the scale bound has
-    # 23 digits, far past what trial division up to its square root reaches.
+    # (2,3,5) with A = 2^16 3^8, B = 5^8, C = -(A + B): lcm(|A|, |B|, |C|) has
+    # 23 digits and 5,508 divisors, and the image fixes the scale 1 by gcds.
     A, B = 2**16 * 3**8, 5**8
     F = GFE(Signature(2, 3, 5), A, B, -(A + B))
     image = j_map(F, PrimitiveSolution(1, 1, 1))
@@ -523,7 +529,7 @@ def test_recover_large_coefficients():
 # scale |mu| that maps the canonical image back to the solution has a prime
 # exponent above 0.  The last three solutions map to the marked points 0, 1
 # and infinity, where one coordinate of the image is zero.
-PRUNING_CASES = [
+SCALE_CASES = [
     ((2, 3, 5), (24, -132, 108), (1, 1, 1)),
     ((3, 2, 4), (12, 6, -18), (1, 1, 1)),
     ((2, 2, 3), (20, -70, 50), (1, -1, 1)),
@@ -533,11 +539,10 @@ PRUNING_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sig,coeffs,sol", PRUNING_CASES)
-def test_recover_pruned_scales_match_brute_force(sig, coeffs, sol):
-    # Recovery prunes the scales by a congruence on prime exponents; every
-    # solution in the window must still come back from its image, and
-    # nothing else in the window may.
+@pytest.mark.parametrize("sig,coeffs,sol", SCALE_CASES)
+def test_recover_scales_above_one_match_brute_force(sig, coeffs, sol):
+    # The image fixes a scale above 1; every solution in the window must
+    # still come back from its image, and nothing else in the window may.
     F = GFE(Signature(*sig), *coeffs)
     x, _, z = sol
     assert F.evaluate(*sol) == 0
@@ -550,6 +555,56 @@ def test_recover_pruned_scales_match_brute_force(sig, coeffs, sol):
     for image, expected in fibres.items():
         got = {r.as_tuple() for r in recover_solutions(image, F, bad_prime_set(F))}
         assert {t for t in got if max(map(abs, t)) <= window} == expected, (str(F), image)
+
+
+def _recoveries_agree(Q, F, rings):
+    """Compares recover_solutions with the divisor-scale oracle at Q over
+    each ring where Q is accepted, with and without search_units; returns
+    the lists recover_solutions gave."""
+    found = []
+    for ring in rings:
+        cert = is_stack_point(Q, F.sig, ring)
+        if not cert.accepted:
+            continue
+        for search_units in (False, True):
+            got = recover_solutions(Q, F, ring, search_units)
+            assert got == recovery_by_divisor_scales(cert, F, search_units), (str(F), Q, ring)
+            found.append(got)
+    return found
+
+
+def _smooth(rng):
+    """A random signed 7-smooth integer."""
+    return rng.choice((1, -1)) * math.prod(p ** rng.randrange(4) for p in (2, 3, 5, 7))
+
+
+def test_recovery_scale_matches_every_divisor_scale():
+    # One scale per point gives the list, in order, that trying every
+    # divisor of lcm(|A|, |B|, |C|) gave: at enumerated images and random
+    # points of random equations, and at the images of built solutions.
+    rng = random.Random(20261019)
+    for F in random_gfes(11, 300, max_coeff=60) + random_gfes(7, 200):
+        rings = (SRing(()), bad_prime_set(F))
+        points = {j_map(F, sol) for sol in enumerate_primitive_solutions(F, 12)}
+        for _ in range(6):
+            points.add(normalize_projective(rng.randint(-50, 50), rng.randint(1, 50)))
+        for Q in points:
+            _recoveries_agree(Q, F, rings)
+    built = 0
+    while built < 4000:
+        sig = Signature(*(rng.randrange(2, 6) for _ in range(3)))
+        A, B = _smooth(rng), _smooth(rng)
+        x, y, z = (rng.randint(-4, 4) for _ in range(3))
+        if math.gcd(x, y, z) != 1 or z == 0:
+            continue
+        w = A * x**sig.a + B * y**sig.b
+        if w == 0 or w % z**sig.c:
+            continue
+        F = GFE(sig, A, B, -w // z**sig.c)
+        found = _recoveries_agree(j_map(F, PrimitiveSolution(x, y, z)), F, [bad_prime_set(F)])
+        assert len(found) == 2, str(F)
+        assert all((x, y, z) in {r.as_tuple() for r in got} for got in found), str(F)
+        built += 1
 
 
 def test_verify_descent_inclusion_237():

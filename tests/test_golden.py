@@ -22,6 +22,8 @@ import sys
 import pytest
 
 import gfdescent.cli as cli
+import gfdescent.exact as exact
+import gfdescent.gfe as gfe
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -128,6 +130,19 @@ def test_cli_output_matches_golden(name):
         out = json.loads(run(ABSORBED[name]))
         kept = {key: out[key] for key in json.loads(golden)}
         assert json.dumps(kept, indent=2) + "\n" == golden
+
+
+def test_recovery_factors_nothing(monkeypatch):
+    # A point fixes its recovery scale, so recovery needs no factorization.
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(gfe, "factorize", refuse)
+    monkeypatch.setattr(exact, "factorize", refuse)
+    names = [name for name in CASES if name.startswith("recover")]
+    assert names == ["recover", "recover-marked-units", "recover-smooth-units"]
+    for name in names:
+        assert run(CASES[name]) == golden_path(name).read_text(), name
 
 
 def test_every_golden_file_has_a_case():
