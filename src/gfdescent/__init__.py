@@ -66,7 +66,6 @@ _LAYERS = {
         "TwistedCurve",
         "admissible_twists",
         "belyi_eval",
-        "rational_points_bounded",
         "run_sieve_442",
         "sieve_442",
         "torsion_points",

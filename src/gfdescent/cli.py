@@ -178,7 +178,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     F = _parse_gfe(args)
-    sols = enumerate_primitive_solutions(F, args.bound, use_sieve=not args.no_sieve)
+    sols = enumerate_primitive_solutions(F, args.bound)
     return {
         "equation": F,
         "bound": args.bound,
@@ -246,7 +246,7 @@ def _cmd_torsion(args) -> dict:
 def _cmd_sieve442(args) -> dict:
     from .quartic import GFE_442, run_sieve_442
 
-    report = run_sieve_442(args.bound, include_nonadmissible=args.include_nonadmissible)
+    report = run_sieve_442(args.bound)
     return {
         "equation": GFE_442,
         "unit_classes": report.unit_classes,
@@ -278,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    # Accepted and ignored, as neither changes any output: the benchmark
+    # (bench/run.py) still passes --no-sieve and --include-nonadmissible.
+    ignored = {"action": "store_true"}
     add("snf", _cmd_snf, matrix={"required": True})
     add("h1", _cmd_h1, primes={"required": True}, n={"type": int, "default": 4})
     add(
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         signature={"required": True},
         coeffs={"required": True},
         bound={"type": int, "required": True},
-        no_sieve={"action": "store_true"},
+        no_sieve=ignored,
     )
     add(
         "jmap",
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sieve442",
         _cmd_sieve442,
         bound={"type": int, "default": 100},
-        include_nonadmissible={"action": "store_true"},
+        include_nonadmissible=ignored,
     )
     return parser
 

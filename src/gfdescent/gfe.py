@@ -169,7 +169,7 @@ def enumerate_primitive_solutions(
 
     use_sieve is accepted and has no effect: the join is exact, so there is
     nothing for a modular pre-sieve to discard.  It stays because callers
-    that pass it (the --no-sieve CLI flag among them) keep working.
+    that pass it keep working.
     """
     if bound < 1:
         raise ValueError("bound must be positive")

@@ -11,11 +11,10 @@ costs one perfect-power test whatever the size of d.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .errors import PipelineMismatch, SingularCurve, WorkLimitExceeded
+from .errors import PipelineMismatch, SingularCurve
 from .exact import (
     POINT_INFINITY,
     POINT_ONE,
@@ -31,14 +30,6 @@ from .sarith import SRing, UnitClassGroup, s_unit_reps
 
 SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
-
-# The height of the bounded point search on each non-admissible twist under
-# run_sieve_442(include_nonadmissible=True): 75 square-root tests per twist.
-NONADMISSIBLE_HEIGHT = 12
-
-# The most square-root tests one rational_points_bounded call makes, about
-# 56,000 times the sieve's 75.
-BOX_POINT_CAP = 2**22
 
 
 class CurvePoint(Record):
@@ -121,47 +112,6 @@ def _point_sort_key(P: CurvePoint):
     return (1, P.u, P.v)
 
 
-def rational_points_bounded(E: TwistedCurve, height: int) -> list[CurvePoint]:
-    """All rational points whose u = p/q has |p| <= height and q <= height.
-
-    A box search in integers.  With u = p/q in lowest terms and q > 0,
-    u^3 - d u = p (p^2 - d q^2) / q^3, and that fraction is already in lowest
-    terms because gcd(p^2 - d q^2, q) = gcd(p^2, q) = 1.  So it is a rational
-    square iff q = k^2 and N = p (p^2 - d q^2) is a nonnegative perfect
-    square, and then v = +-isqrt(N) / k^3.  The search makes
-    isqrt(height) * (2 height + 1) integer square-root tests and builds
-    Fractions only for points on the curve.  Contains the torsion subgroup
-    for any box large enough to hold its (integral) u-coordinates; extra
-    points flag positive rank.  Raises WorkLimitExceeded (cap "box points")
-    before the search when that count exceeds BOX_POINT_CAP.
-    """
-    if height < 1:
-        raise ValueError("height must be positive")
-    tests = math.isqrt(height) * (2 * height + 1)
-    if tests > BOX_POINT_CAP:
-        raise WorkLimitExceeded(
-            "box points", BOX_POINT_CAP, f"{tests} square-root tests at height {height}"
-        )
-    pts = {POINT_AT_INFINITY}
-    for k in range(1, math.isqrt(height) + 1):
-        q = k * k
-        dq2 = E.d * q * q
-        for p in range(-height, height + 1):
-            n = p * (p * p - dq2)
-            if n < 0:
-                continue
-            r = math.isqrt(n)
-            # With gcd(p, k) > 1 the hit repeats the point of p/q in lowest
-            # terms, which the search meets at a smaller k.
-            if r * r != n or math.gcd(p, k) != 1:
-                continue
-            u = Fraction(p, q)
-            v = Fraction(r, q * k)
-            pts.add(CurvePoint(u, v))
-            pts.add(CurvePoint(u, -v))
-    return sorted(pts, key=_point_sort_key)
-
-
 def admissible_twists(reps: UnitClassGroup) -> list[int]:
     """Unit-class representatives d that can meet integral-solution images.
 
@@ -199,20 +149,15 @@ class Sieve442Report(Record):
     )
 
 
-def run_sieve_442(bound_check: int, include_nonadmissible: bool = False) -> Sieve442Report:
+def run_sieve_442(bound_check: int) -> Sieve442Report:
     """Execute the pipeline and cross-check against the enumerator.
 
     Finiteness of the rational points on the two admissible twists is an
     input here: that each has rank 0, so that its torsion is all its rational
     points, is a classical fact this code does not check.  The cross-check
-    against exhaustive enumeration up to bound_check is the only guard.  With
-    include_nonadmissible, bounded point searches on the other six twists
-    are fed through the same filter, which provably cannot change the output.
-    Each search is rational_points_bounded at NONADMISSIBLE_HEIGHT = H: u = p/q
-    with |p| <= H and q <= H, where u^3 - d u = p (p^2 - d q^2) / q^3 is a
-    square only when q is a square, so it costs isqrt(H) * (2H + 1) integer
-    square-root tests per twist.  Each candidate point is tested once, and
-    an accepted one is recovered from its certificate.
+    against exhaustive enumeration up to bound_check is the only guard.  Each
+    candidate point is tested once, and an accepted one is recovered from
+    its certificate.
     """
     if bound_check < 1:
         raise ValueError("bound must be positive")
@@ -234,13 +179,6 @@ def run_sieve_442(bound_check: int, include_nonadmissible: bool = False) -> Siev
         torsion_orders[d] = len(tors)
         for P in tors:
             note(belyi_eval(E, P), f"twist d={d}")
-    if include_nonadmissible:
-        for d in reps.representatives:
-            if d in admissible:
-                continue
-            E = TwistedCurve(d)
-            for P in rational_points_bounded(E, NONADMISSIBLE_HEIGHT):
-                note(belyi_eval(E, P), f"twist d={d} (height {NONADMISSIBLE_HEIGHT})")
 
     ring_z = SRing(())
     verdicts = []

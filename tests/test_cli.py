@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
@@ -235,7 +237,7 @@ def test_pipeline_mismatch_exit_3(capsys, monkeypatch):
 
 
 def test_sieve442_has_no_height_flag(capsys):
-    # The non-admissible search runs at the fixed quartic.NONADMISSIBLE_HEIGHT.
+    # --include-nonadmissible is accepted and ignored; there is no height to set.
     base = ("sieve442", "--bound", "10")
     for argv in (
         base + ("--include-nonadmissible", "--height", "5"),
@@ -401,15 +403,31 @@ def test_huge_prime_powers_are_divided_out_quickly():
         assert seconds < 15, argv[0]
 
 
-def primorial_square(k):
-    """The square of the product of the first k primes."""
+def primorial(k):
+    """The product of the first k primes."""
     primes = []
     n = 2
     while len(primes) < k:
         if all(n % p for p in primes):
             primes.append(n)
         n += 1
-    return math.prod(primes) ** 2
+    return math.prod(primes)
+
+
+def primorial_square(k):
+    """The square of the product of the first k primes."""
+    return primorial(k) ** 2
+
+
+@contextlib.contextmanager
+def any_int_size():
+    """Lift the interpreter's limit on int/str conversion, as main does."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 def test_recover_answers_at_huge_coefficients():
@@ -460,9 +478,10 @@ def test_snf_is_sized_before_its_elimination():
 
 
 # Argument strategies for the fuzz below: lists of small values that are
-# mostly valid for their role, with 0, -1 and P among them; bounds are at
-# most 60.  Hypothesis draws the ends of a tuple more often than its middle,
-# so the values that make a command invalid sit inside.
+# mostly valid for their role, with 0, -1 and P among them, and for entries,
+# triples and points also huge ones; bounds are at most 60.  Hypothesis
+# draws the ends of a tuple more often than its middle, so the values that
+# make a command invalid sit inside.
 # Signatures draw from 2 to 7 and P, which ends their tuple: 0 and -1 would
 # make most of them invalid, and test_invalid_inputs_exit_1 pins those.
 def joined(values, size, sep=","):
@@ -472,7 +491,14 @@ def joined(values, size, sep=","):
 
 
 SMALL = (1, -3, 0, 2, P, -1, 3, 5, 7, 12)
-ENTRY = joined(SMALL, 1)
+# Structured values of up to 120,412 digits, written out once because str()
+# of the largest takes about 0.3 s: powers of 2, 3 and 10, a product of many
+# small primes and the square of one.
+with any_int_size():
+    HUGE = tuple(
+        str(n) for n in (2**400000, 3**20000, 10**3000, primorial(200), primorial_square(28))
+    )
+ENTRY = joined(SMALL + HUGE, 1)
 BOUND = st.integers(0, 60)
 FLAG = st.booleans()
 SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
@@ -480,9 +506,9 @@ SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
 # Recovery once tried each that passed an exponent congruence, 2^28 of them
 # at (0:1) on (2,2,2), and ran out of memory.
 COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, primorial_square(28)), 3)
-TRIPLE = joined(SMALL, 3)
+TRIPLE = joined(SMALL + HUGE, 3)
 PRIMES = st.integers(0, 3).flatmap(lambda k: joined((2, 3, 0, 5, P, -1, 7, 13), k))
-POINT = st.sampled_from("/:").flatmap(lambda sep: joined(SMALL, 2, sep))
+POINT = st.sampled_from("/:").flatmap(lambda sep: joined(SMALL + HUGE, 2, sep))
 MATRIX = st.integers(1, 3).flatmap(
     lambda width: st.lists(joined(SMALL, width), min_size=1, max_size=3).map(";".join)
 )
@@ -554,7 +580,28 @@ def test_both_option_forms_parse_alike(argv):
     # Values such as -3,0,2 or -1:5 start with a minus sign; argparse must
     # still read them as the value of the flag before them.
     parser = cli.build_parser()
-    assert parser.parse_args(argv) == parser.parse_args(joined_form(argv))
+    with any_int_size():
+        assert parser.parse_args(argv) == parser.parse_args(joined_form(argv))
+
+
+IGNORED = ("--no-sieve", "--include-nonadmissible")
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(COMMANDS["enumerate"], COMMANDS["sieve442"]))
+def test_ignored_flags_change_nothing(argv):
+    # The benchmark still passes both flags; each is accepted and changes
+    # neither the exit code nor a byte of output.
+    assume(any(word in IGNORED for word in argv))
+    assert outcome(argv) == outcome([word for word in argv if word not in IGNORED])
 
 
 def test_values_may_start_with_a_minus_sign(capsys):
@@ -617,6 +664,9 @@ def test_fuzz_draws_every_subcommand():
 # and the four removed ones 2: 56 in all.  The draws are derandomized, so
 # every run of the suite makes the same 56.
 SIZED = {"enumerate", "h1", "jmap", "recover", "sieve442", "stack-point", "verify-inclusion"}
+# Linux refuses an argv word of 32 pages or more (MAX_ARG_STRLEN), so no
+# process can be given one, such as two of the 120,412-digit values joined.
+MAX_ARG_STRLEN = 32 * 4096
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS | REMOVED))
@@ -629,6 +679,7 @@ def test_no_input_hangs_or_prints_a_traceback(name):
     )
     @given((COMMANDS | REMOVED)[name])
     def run(argv):
+        assume(all(len(word) < MAX_ARG_STRLEN for word in argv))
         code, out, err, _ = run_child(*argv)
         assert code in (0, 1, 2, 3), (argv, err)
         if code:

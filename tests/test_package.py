@@ -8,12 +8,14 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import gfdescent
+import gfdescent.errors as errors
 import gfdescent.exact as exact
 
 # The public names of a bare `import gfdescent`, by the layer that defines
@@ -31,7 +33,7 @@ SURFACE = {
     "gfe": "GFE DescentReport PrimitiveSolution RecoveredSolution bad_prime_set "
     "enumerate_primitive_solutions j_map recover_solutions verify_descent_inclusion",
     "quartic": "CurvePoint POINT_AT_INFINITY Sieve442Report TwistedCurve admissible_twists "
-    "belyi_eval rational_points_bounded run_sieve_442 sieve_442 torsion_points twist_curve",
+    "belyi_eval run_sieve_442 sieve_442 torsion_points twist_curve",
 }
 LAYER_OF = {name: layer for layer, names in SURFACE.items() for name in names.split()}
 PUBLIC = sorted(set(LAYER_OF) | set(SURFACE))
@@ -233,6 +235,31 @@ def test_package_reads_through_to_the_layer(monkeypatch):
     monkeypatch.undo()
     assert gfdescent.factorize is exact.factorize
     assert "factorize" not in vars(gfdescent)
+
+
+def caps_raised(tree) -> list[str]:
+    """The first argument of each WorkLimitExceeded(...) call in the
+    module's AST; literal_eval raises unless it is a literal."""
+    return [
+        ast.literal_eval(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] == "WorkLimitExceeded"
+    ]
+
+
+def test_cap_lists_name_the_caps_raised():
+    # The caps a command can report on exit 2 are the ones the code raises:
+    # both lists of them name each once and no other.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    raised = {cap for p in layers for cap in caps_raised(ast.parse(p.read_text()))}
+    documented = re.findall(r'"([^"]+)"', errors.WorkLimitExceeded.__doc__)
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("The caps are module-level constants", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`, ", section, re.MULTILINE)
+    assert raised == {"rho iterations", "power bits", "unit classes", "elimination bits"}
+    assert sorted(documented) == sorted(listed) == sorted(raised)
+    assert caps_raised(ast.parse("raise errors.WorkLimitExceeded('a', 1, '')")) == ["a"]
 
 
 SWALLOWING = {"Exception", "BaseException", "MemoryError", "RecursionError"}

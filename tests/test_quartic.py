@@ -5,7 +5,7 @@ import pytest
 
 import gfdescent.cli as cli
 from gfdescent.belyi import is_stack_point
-from gfdescent.errors import SingularCurve, WorkLimitExceeded
+from gfdescent.errors import SingularCurve
 from gfdescent.exact import (
     POINT_INFINITY,
     POINT_ONE,
@@ -14,13 +14,13 @@ from gfdescent.exact import (
     normalize_projective,
 )
 from gfdescent.quartic import (
+    CurvePoint,
     POINT_AT_INFINITY,
     SIG_442,
     TwistedCurve,
     affine,
     admissible_twists,
     belyi_eval,
-    rational_points_bounded,
     run_sieve_442,
     sieve_442,
     torsion_points,
@@ -149,76 +149,28 @@ def test_nagell_lutz_candidates_can_be_nontorsion():
     assert affine(-1, 1) not in torsion_points(E)
 
 
-def test_rational_points_bounded():
-    E2 = twist_curve(2)
-    pts = rational_points_bounded(E2, 20)
-    tors = set(torsion_points(E2))
-    assert set(pts) > tors  # positive rank shows up in the box
-    assert all(on_curve(E2, P) for P in pts)
-
-    Em1 = twist_curve(-1)
-    assert rational_points_bounded(Em1, 20) == torsion_points(Em1)
-
-    E1 = twist_curve(1)
-    assert rational_points_bounded(E1, 5) == torsion_points(E1)
-
-
-BOX_ORACLE_DS = sorted(
-    {*range(-60, 0), *range(1, 61)}
-    | {s * 2**k for k in range(10) for s in (1, -1)}
-    | {-4 * k**4 for k in range(1, 5)}
-    | {k * k for k in range(1, 12)}
-)
-
-
-@pytest.mark.parametrize("height", [1, 2, 3, 4, 5, 8, 9, 12, 16, 20])
-def test_rational_points_bounded_against_fraction_oracle(height):
-    for d in BOX_ORACLE_DS:
-        pts = rational_points_bounded(twist_curve(d), height)
-        assert pts[0] == POINT_AT_INFINITY
-        got = [(P.u, P.v) for P in pts[1:]]
-        assert got == sorted(fraction_box_points(d, height)), (d, height)
-
-
-def test_rational_points_bounded_non_integral_denominators():
-    # q = 4 and q = 9 on d = 2 sit inside the height-9 box.
-    pts = {(P.u, P.v) for P in rational_points_bounded(twist_curve(2), 9)}
-    for u, v in [(Fraction(9, 4), Fraction(21, 8)), (Fraction(-8, 9), Fraction(28, 27))]:
-        assert (u, v) in pts and (u, -v) in pts
-    # u = 49/36 on d = -8 needs |p| = 49: in the box at 49, not at 48.
-    point = (Fraction(49, 36), Fraction(791, 216))
-    at49 = {(P.u, P.v) for P in rational_points_bounded(twist_curve(-8), 49)}
-    at48 = {(P.u, P.v) for P in rational_points_bounded(twist_curve(-8), 48)}
-    assert point in at49 and point not in at48
-
-
 def test_height_100_point_on_d_minus_8_is_rejected_over_z():
     # u = 49/36 maps to (49^2 : 49^2 + 8 * 36^2) = (2401:12769), where s = 7^4
     # and t = 113^2 pass but s - t = -2^7 * 3^4 is no 4th power.
     E = twist_curve(-8)
     P = affine(Fraction(49, 36), Fraction(791, 216))
-    assert P in rational_points_bounded(E, 100)
+    assert (P.u, P.v) in fraction_box_points(-8, 100)
     image = belyi_eval(E, P)
     assert image == ProjPointQ(2401, 12769)
     cert = is_stack_point(image, SIG_442, SRing(()))
     assert (cert.status, cert.failed) == ("rejected", ("s-t",))
 
 
-def test_rational_points_bounded_checks_height_and_box_cap():
-    with pytest.raises(ValueError, match="height must be positive"):
-        rational_points_bounded(twist_curve(-8), 0)
-    # isqrt(10^6) * (2 * 10^6 + 1) tests pass the cap: it raises before the
-    # search, which would take hours.
-    with pytest.raises(WorkLimitExceeded) as raised:
-        rational_points_bounded(twist_curve(-8), 10**6)
-    assert raised.value.cap == "box points"
-    assert "2000001000 square-root tests at height 1000000" in str(raised.value)
+def box_points(d, height):
+    """The curve points of the oracle's box of that height on twist d, and
+    the point at infinity."""
+    return [POINT_AT_INFINITY] + [CurvePoint(u, v) for u, v in fraction_box_points(d, height)]
 
 
 def test_belyi_images_never_indeterminate():
     for d in (1, -1, 2, -2, 4, -4, 8, -8):
         E = twist_curve(d)
-        for P in rational_points_bounded(E, 10):
+        for P in box_points(d, 10):
             image = belyi_eval(E, P)  # constructor enforces well-formedness
             assert (image.s, image.t) != (0, 0)
 
@@ -286,7 +238,7 @@ def test_sieve_invariance():
         images = set()
         for d in others:
             E = twist_curve(d)
-            images |= {belyi_eval(E, P) for P in rational_points_bounded(E, height)}
+            images |= {belyi_eval(E, P) for P in box_points(d, height)}
         accepted = {Q for Q in images if is_stack_point(Q, SIG_442, SRing(())).accepted}
         assert accepted == marked & images, height
         assert len(images) > len(accepted), height
@@ -308,5 +260,5 @@ def test_sieve_tests_each_candidate_once(monkeypatch):
     is_stack_point = belyi.is_stack_point
     for module in (belyi, gfe, quartic):
         monkeypatch.setattr(module, "is_stack_point", counted)
-    report = run_sieve_442(50, include_nonadmissible=True)
+    report = run_sieve_442(50)
     assert [args[0] for args in calls] == [c.point for c in report.candidates]
