@@ -14,10 +14,11 @@ codes: 0 success, 1 invalid input, 2 a named work cap exceeded, 3
 sieve/enumerator mismatch.  Errors go to stderr as one JSON object with a
 machine-readable code; on exit 2 its "cap" names the cap: "rho iterations"
 (5,000,000, factorization), "power bits" (2^25, a value table of enumerate,
-a term of an equation, the unit classes), "unit classes" (2^20, h1) or
+a term of an equation, the unit classes), "unit classes" (2^20, h1),
 "elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
-largest |entry|, snf).  Each size cap is checked before the build it bounds
-starts.
+largest |entry|, snf) or "prime bits" (2^11, a primality test of a prime
+given or a cofactor left by factorization).  Each size cap is checked before
+the build it bounds starts.
 """
 
 from __future__ import annotations

@@ -29,6 +29,13 @@ DEFAULT_RHO_ITERATION_CAP = 5_000_000
 # about 450,000) take about 350 MB.
 POWER_BIT_CAP = 2**25
 
+# The most bits is_probable_prime tests once trial division by its 13 small
+# primes has not settled n.  The full witness set on a prime grows about
+# eightfold per doubling of the bits: 81 ms at 1,279 bits, 0.37 s at 2,203
+# and 3.0 s at 4,423 (the Mersenne primes 2^p - 1; single runs, 2-core VM,
+# Python 3.11).
+PRIME_BIT_CAP = 2**11
+
 
 def _primes_up_to(n: int) -> tuple[int, ...]:
     """The primes <= n, for n >= 2, by a sieve of Eratosthenes on a
@@ -84,12 +91,19 @@ def is_probable_prime(n: int) -> bool:
     64-bit n needs at most 12.  Deterministic for n < psi_13 ~ 3.3 * 10^24
     (Sorenson-Webster, Math. Comp. 86, 2017); a strong probabilistic test
     beyond that, which is all the desk-scale inputs here ever need.
+
+    Raises WorkLimitExceeded, with cap "prime bits", when an n that none of
+    the 13 primes divides has more than PRIME_BIT_CAP bits.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n.bit_length() > PRIME_BIT_CAP:
+        raise WorkLimitExceeded(
+            "prime bits", PRIME_BIT_CAP, f"testing a {n.bit_length()}-bit number"
+        )
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -193,15 +207,15 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     n until p^2 exceeds what is left of it, and divides each prime found out
     of n.  So an input with no prime factor up to the bound costs one gcd,
     and one whose small primes are all below 100 costs at most 25 trial
-    divisions of the gcd.  A cofactor up to the square of the bound is then
-    prime.  A composite cofactor that is a perfect power r^k is replaced by
-    r (k times over); any other is split by Brent's rho, seeded
-    deterministically from the input (the generator is built only when rho
-    runs), so failures are reproducible.
+    divisions of the gcd.  A composite cofactor that is a perfect power r^k
+    is replaced by r (k times over); any other is split by Brent's rho,
+    seeded deterministically from the input (the generator is built only
+    when rho runs), so failures are reproducible.
 
     The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
     that is None.  Raises WorkLimitExceeded, with cap "rho iterations", when
-    the budget runs out before the remaining cofactor is split.
+    the budget runs out before the remaining cofactor is split, and with cap
+    "prime bits" when is_probable_prime refuses a cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -219,10 +233,6 @@ def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
     if g > 1:
         # What is left of a squarefree gcd below p^2 is one prime.
         m, counts[g] = _divide_out(m, g)
-    if m > 1 and m <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
-        # Below the square of the trial bound the leftover must be prime.
-        counts[m] = counts.get(m, 0) + 1
-        m = 1
 
     rng = None
     budget = cap
@@ -284,10 +294,6 @@ def is_perfect_nth_power(v: int, n: int) -> Optional[int]:
     """
     if n < 1:
         raise ValueError("root index must be positive")
-    if n == 1:
-        return v
-    if v == 0:
-        return 0
     if v < 0:
         if n % 2 == 0:
             return None

@@ -18,11 +18,13 @@ from ._record import Record, set_field
 
 
 class Signature(Record):
-    """Exponent triple (a, b, c), each at least 2."""
+    """Exponent triple (a, b, c), each an int (not a bool) and at least 2."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
+        if not type(a) is type(b) is type(c) is int:
+            raise ValueError(f"signature entries must be ints, got {(a, b, c)!r}")
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)

@@ -12,6 +12,7 @@ costs one perfect-power test whatever the size of d.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from ._record import Record, set_field
 from .errors import PipelineMismatch, SingularCurve
@@ -46,10 +47,6 @@ class CurvePoint(Record):
 
 
 POINT_AT_INFINITY = CurvePoint(None, None)
-
-
-def affine(u, v) -> CurvePoint:
-    return CurvePoint(Fraction(u), Fraction(v))
 
 
 class TwistedCurve(Record):
@@ -94,21 +91,21 @@ def torsion_points(E: TwistedCurve) -> list[CurvePoint]:
     always, (+-r, 0) when d = r^2, and (2k^2, +-4k^3) when d = -4k^4.
     """
     d = E.d
-    pts = [POINT_AT_INFINITY, affine(0, 0)]
+    pts = [POINT_AT_INFINITY, CurvePoint(0, 0)]
     if d > 0:
         r = is_perfect_nth_power(d, 2)
         if r is not None:
-            pts += [affine(r, 0), affine(-r, 0)]
+            pts += [CurvePoint(r, 0), CurvePoint(-r, 0)]
     elif d < 0 and d % 4 == 0:
         k = is_perfect_nth_power(-d // 4, 4)
         if k is not None:
-            pts += [affine(2 * k**2, 4 * k**3), affine(2 * k**2, -4 * k**3)]
+            pts += [CurvePoint(2 * k**2, 4 * k**3), CurvePoint(2 * k**2, -4 * k**3)]
     return sorted(pts, key=_point_sort_key)
 
 
 def _point_sort_key(P: CurvePoint):
     if P.is_infinity:
-        return (0, Fraction(0), Fraction(0))
+        return (0, 0, 0)
     return (1, P.u, P.v)
 
 
@@ -164,41 +161,25 @@ def run_sieve_442(bound_check: int) -> Sieve442Report:
     reps = s_unit_reps(SRing((2,)), 4)
     admissible = admissible_twists(reps)
 
-    sources: dict[ProjPointQ, list[str]] = {}
-
-    def note(point: ProjPointQ, label: str):
-        sources.setdefault(point, []).append(label)
-
-    for point in (POINT_ZERO, POINT_ONE, POINT_INFINITY):
-        note(point, "marked")
-
+    sources = {point: ["marked"] for point in (POINT_ZERO, POINT_ONE, POINT_INFINITY)}
     torsion_orders = {}
     for d in admissible:
         E = TwistedCurve(d)
         tors = torsion_points(E)
         torsion_orders[d] = len(tors)
         for P in tors:
-            note(belyi_eval(E, P), f"twist d={d}")
+            sources.setdefault(belyi_eval(E, P), []).append(f"twist d={d}")
 
-    ring_z = SRing(())
     verdicts = []
-    solutions = set()
-    for point in sorted(sources, key=lambda q: (q.t, q.s)):
-        cert = is_stack_point(point, SIG_442, ring_z)
+    for point in sorted(sources, key=attrgetter("t", "s")):
+        cert = is_stack_point(point, SIG_442, SRing(()))
         recovered: tuple[PrimitiveSolution, ...] = ()
         if cert.accepted:
-            recovered = tuple(
-                sorted(
-                    PrimitiveSolution(*r.as_tuple())
-                    for r in _recover(cert, GFE_442)
-                )
-            )
-            solutions.update(recovered)
-        verdicts.append(
-            CandidateVerdict(point, tuple(sources[point]), cert, recovered)
-        )
+            found = (PrimitiveSolution(*r.as_tuple()) for r in _recover(cert, GFE_442))
+            recovered = tuple(sorted(found))
+        verdicts.append(CandidateVerdict(point, tuple(sources[point]), cert, recovered))
 
-    final = sorted(solutions)
+    final = sorted({s for v in verdicts for s in v.recovered})
     enumerated = enumerate_primitive_solutions(GFE_442, bound_check)
     if final != enumerated:
         raise PipelineMismatch(

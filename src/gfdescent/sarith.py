@@ -22,12 +22,15 @@ UNIT_CLASS_CAP = 2**20
 
 
 class SRing(Record):
-    """Z[S^-1] for a finite, sorted set S of rational primes."""
+    """Z[S^-1] for a finite, sorted set S of rational primes, given as ints
+    (not bools)."""
 
     __slots__ = ("primes",)
 
     def __init__(self, primes: Iterable[int]):
         primes = tuple(primes)
+        if any(type(p) is not int for p in primes):
+            raise ValueError(f"primes must be ints, got {primes!r}")
         if list(primes) != sorted(set(primes)):
             raise ValueError("prime set must be strictly increasing and duplicate-free")
         for p in primes:

@@ -30,17 +30,25 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 class IntMatrix:
-    """A dense integer matrix; entries are arbitrary-precision ints."""
+    """A dense integer matrix; entries are arbitrary-precision ints.
+
+    Raises ValueError on an entry whose type is not exactly int (a float or
+    a bool included), which a coercion would silently change.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries):
-        data = [list(map(int, row)) for row in entries]
+        data = [list(row) for row in entries]
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
         if width == 0 or any(len(row) != width for row in data):
             raise ValueError("ragged or empty rows")
+        for row in data:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"matrix entries must be ints, got {x!r}")
         self.rows = len(data)
         self.cols = width
         self.data = data

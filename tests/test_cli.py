@@ -302,6 +302,9 @@ def test_closed_pipe_exits_0_without_traceback():
 # build nobody sized shows up as a MemoryError rather than as swapping.
 ADDRESS_SPACE = 1536 << 20
 P = 10**9 + 7  # a prime, and an ordinary exponent for the equations
+# A Mersenne prime of 4,423 bits: past the prime-bits cap, whose full test
+# took 3.0 s (2-core x86-64 VM, Python 3.11).
+M4423 = 2**4423 - 1
 
 
 def _limit_address_space():
@@ -376,6 +379,11 @@ def test_oversized_builds_exit_2_naming_their_cap():
         # n ** |S| has 60 million digits here: the count must stop at the cap.
         ("unit classes", ["h1", "--primes", ",".join(map(str, primes)),
                           "--n", "1" + "0" * 30000]),
+        # Before the cap these took 3.4 s and 6.7 s (2-core x86-64 VM); the
+        # second tested the prime twice, in factoring and in building the ring.
+        ("prime bits", ["h1", "--primes", M4423, "--n", 2]),
+        ("prime bits", ["verify-inclusion", "--signature", "2,3,7", "--coeffs",
+                        f"{M4423},1,1", "--bound", 1]),
     ):
         code, out, err, seconds = run_child(*argv)
         assert (code, out) == (2, ""), (argv, err)
@@ -383,6 +391,30 @@ def test_oversized_builds_exit_2_naming_their_cap():
         assert error["error"] == "work-limit-exceeded" and error["cap"] == cap, argv
         assert f"{cap} cap of " in error["message"], argv
         assert seconds < 5, argv
+
+
+def test_a_huge_prime_goes_through_every_prime_and_coefficient_flag():
+    # Each flag that takes a prime or a coefficient, given M4423: a defined
+    # exit code and no traceback, quickly.  A flag that tests it for
+    # primality exits 2 at the prime-bits cap.
+    sig = ["--signature", "2,3,7"]
+    for argv in (
+        ["h1", "--primes", M4423, "--n", 2],
+        ["stack-point", "--q", "1:1", *sig, "--primes", M4423],
+        ["recover", "--q", "1:1", *sig, "--coeffs", "1,1,1", "--primes", M4423],
+        ["enumerate", *sig, "--coeffs", f"{M4423},1,1", "--bound", 3],
+        ["jmap", *sig, "--coeffs", f"1,{M4423},1", "--solution", "1,1,1"],
+        ["recover", "--q", "1:1", *sig, "--coeffs", f"1,1,{M4423}"],
+        ["verify-inclusion", *sig, "--coeffs", f"{M4423},1,1", "--bound", 1],
+    ):
+        code, out, err, seconds = run_child(*argv)
+        assert code in (0, 1, 2), (argv[0], err)
+        assert "Traceback" not in err, argv[0]
+        if code:
+            assert out == "" and isinstance(json.loads(err), dict), argv[0]
+        if "--primes" in argv or argv[0] == "verify-inclusion":
+            assert (code, json.loads(err)["cap"]) == (2, "prime bits"), argv[0]
+        assert seconds < 2, argv[0]
 
 
 def test_huge_prime_powers_are_divided_out_quickly():
@@ -504,10 +536,13 @@ FLAG = st.booleans()
 SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
 # The square of the product of the first 28 primes has 3^28 divisors.
 # Recovery once tried each that passed an exponent congruence, 2^28 of them
-# at (0:1) on (2,2,2), and ran out of memory.
-COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, primorial_square(28)), 3)
+# at (0:1) on (2,2,2), and ran out of memory.  M4423, a prime past the
+# prime-bits cap, is drawn as a coefficient and as a prime.
+COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, M4423, primorial_square(28)), 3)
 TRIPLE = joined(SMALL + HUGE, 3)
-PRIMES = st.integers(0, 3).flatmap(lambda k: joined((2, 3, 0, 5, P, -1, 7, 13), k))
+PRIMES = st.integers(0, 3).flatmap(
+    lambda k: joined((2, 3, 0, 5, P, M4423, -1, 7, 13), k)
+)
 POINT = st.sampled_from("/:").flatmap(lambda sep: joined(SMALL + HUGE, 2, sep))
 MATRIX = st.integers(1, 3).flatmap(
     lambda width: st.lists(joined(SMALL, width), min_size=1, max_size=3).map(";".join)

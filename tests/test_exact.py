@@ -107,8 +107,9 @@ def test_factorize_trial_stage_edges():
 
 
 def test_factorize_without_rho_builds_no_generator(monkeypatch):
-    # Trial division, the prime shortcut and the power split finish these,
-    # so factorize must not seed a generator for rho.
+    # Trial division, the primality test and the power split finish these,
+    # so factorize must not seed a generator for rho.  A cofactor in
+    # (10^4, 10^8] is prime, and the test settles it with 4 witnesses.
     def refuse(seed):
         raise AssertionError(f"random.Random({seed}) built")
 
@@ -119,6 +120,7 @@ def test_factorize_without_rho_builds_no_generator(monkeypatch):
     assert factorize(2**100 * 3**7).factors == ((2, 100), (3, 7))
     assert factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))
     assert factorize(100000007 * 9973).factors == ((9973, 1), (100000007, 1))
+    assert factorize(2 * 99999989).factors == ((2, 1), (99999989, 1))
 
 
 def test_factorize_round_trip_dense():
@@ -307,6 +309,35 @@ def test_psi_table_entries_are_the_strong_pseudoprimes():
         assert not all(is_strong_probable_prime(psi, a) for a in range(2, 100)), k
         assert all(is_strong_probable_prime(psi, a) for a in exact._SMALL_PRIMES[:k])
         assert not is_probable_prime(psi), k
+
+
+def test_prime_bit_cap():
+    # Miller-Rabin runs on at most PRIME_BIT_CAP bits; a larger number that
+    # none of the 13 small primes divides is refused, with the cap named.
+    cap = exact.PRIME_BIT_CAP
+    assert is_probable_prime(2**1279 - 1)
+
+    def free_of_small_primes(bits):
+        n = 2 ** (bits - 1) + 1
+        while any(n % p == 0 for p in exact._SMALL_PRIMES):
+            n += 2
+        return n
+
+    assert free_of_small_primes(cap).bit_length() == cap
+    assert is_probable_prime(free_of_small_primes(cap)) in (True, False)
+    for n in (free_of_small_primes(cap + 1), 2**4423 - 1):
+        with pytest.raises(WorkLimitExceeded) as info:
+            is_probable_prime(n)
+        assert (info.value.cap, info.value.limit) == ("prime bits", cap)
+        assert f"{n.bit_length()}-bit" in str(info.value)
+    # A small prime factor still answers at any size.
+    assert not is_probable_prime(2**100000)
+    assert not is_probable_prime(3 * (2**4423 - 1))
+    # Factorization meets the cap on a cofactor, and a ring on a prime.
+    with pytest.raises(WorkLimitExceeded, match="prime bits"):
+        factorize(12 * (2**4423 - 1))
+    with pytest.raises(WorkLimitExceeded, match="prime bits"):
+        SRing((2, 2**4423 - 1))
 
 
 def test_is_probable_prime_rejects_psi12():

@@ -27,6 +27,10 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(2, 0, 2)
     assert tuple(Signature(2, 3, 7)) == (2, 3, 7)
+    # Only ints: a float or a bool would print as (2.0,3,7) or (True,...).
+    for entries in ((2.0, 3, 7), (2, True, 7), (2, 3, "7")):
+        with pytest.raises(ValueError, match="must be ints"):
+            Signature(*entries)
 
 
 @pytest.mark.parametrize(

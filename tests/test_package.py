@@ -257,7 +257,9 @@ def test_cap_lists_name_the_caps_raised():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("The caps are module-level constants", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([^`]+)`, ", section, re.MULTILINE)
-    assert raised == {"rho iterations", "power bits", "unit classes", "elimination bits"}
+    assert raised == {
+        "rho iterations", "power bits", "unit classes", "elimination bits", "prime bits"
+    }
     assert sorted(documented) == sorted(listed) == sorted(raised)
     assert caps_raised(ast.parse("raise errors.WorkLimitExceeded('a', 1, '')")) == ["a"]
 

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from gfdescent.quartic import (
     POINT_AT_INFINITY,
     SIG_442,
     TwistedCurve,
-    affine,
     admissible_twists,
     belyi_eval,
     run_sieve_442,
@@ -44,8 +44,8 @@ FERMAT_442_TRIPLES = [
 
 def test_twist_curve():
     assert twist_curve(1).d == 1
-    assert on_curve(twist_curve(-4), affine(2, 4))
-    assert not on_curve(twist_curve(-4), affine(2, 5))
+    assert on_curve(twist_curve(-4), CurvePoint(2, 4))
+    assert not on_curve(twist_curve(-4), CurvePoint(2, 5))
     with pytest.raises(SingularCurve):
         twist_curve(0)
     # The class checks d itself (tests/test_records.py), so no way of
@@ -62,7 +62,7 @@ def test_group_law_basics():
     # (2, 4) on d = -4 has order 4 under the oracle's chord-tangent law.
     E = twist_curve(-4)
     P, minus_P = (2, 4), (2, -4)
-    assert on_curve(E, affine(*P)) and on_curve(E, affine(*minus_P))
+    assert on_curve(E, CurvePoint(*P)) and on_curve(E, CurvePoint(*minus_P))
     assert chord_tangent(P, None, -4) == P
     assert chord_tangent(P, minus_P, -4) is None
     assert chord_tangent(P, P, -4) == (0, 0)
@@ -80,7 +80,7 @@ def test_group_law_basics():
 )
 def test_belyi_eval_examples(d, point, expected):
     E = twist_curve(d)
-    assert belyi_eval(E, affine(*point)) == ProjPointQ(*expected)
+    assert belyi_eval(E, CurvePoint(*point)) == ProjPointQ(*expected)
 
 
 def test_belyi_eval_infinity_and_fractions():
@@ -88,7 +88,7 @@ def test_belyi_eval_infinity_and_fractions():
     # u = 3/2 on a curve or not, the map only needs u; check clearing of
     # denominators: (9/4 : 9/4 - d) with d = -4 gives (9 : 25).
     E = twist_curve(-4)
-    P = affine(Fraction(3, 2), Fraction(0))
+    P = CurvePoint(Fraction(3, 2), Fraction(0))
     assert belyi_eval(E, P) == normalize_projective(9, 25)
 
 
@@ -120,6 +120,19 @@ def test_torsion_is_a_group():
                 assert chord_tangent(P, Q, d) in pairs
 
 
+def test_torsion_coordinates_are_ints():
+    # The closed form builds each affine torsion point from ints, so its
+    # coordinates print and compare as plain integers at any size of d.
+    rng = random.Random(41)
+    ks = [rng.randrange(1, 10**30) for _ in range(100)]
+    ds = [rng.randrange(-(10**6), 10**6) or 1 for _ in range(300)]
+    ds += [k * k for k in ks] + [-4 * k**4 for k in ks]
+    for d in ds:
+        for P in torsion_points(twist_curve(d)):
+            if not P.is_infinity:
+                assert type(P.u) is int and type(P.v) is int, (d, P)
+
+
 def test_torsion_against_integral_point_oracle():
     # Torsion points have integral coordinates, so the brute-force box
     # search must see all of them; counts are 4, 2, 4 for d = -4, -1, 1.
@@ -145,15 +158,15 @@ def test_nagell_lutz_candidates_can_be_nontorsion():
     # (-1, 1) on v^2 = u^3 - 2u passes the integral screen but has infinite
     # order; it must not be reported.
     E = twist_curve(2)
-    assert on_curve(E, affine(-1, 1))
-    assert affine(-1, 1) not in torsion_points(E)
+    assert on_curve(E, CurvePoint(-1, 1))
+    assert CurvePoint(-1, 1) not in torsion_points(E)
 
 
 def test_height_100_point_on_d_minus_8_is_rejected_over_z():
     # u = 49/36 maps to (49^2 : 49^2 + 8 * 36^2) = (2401:12769), where s = 7^4
     # and t = 113^2 pass but s - t = -2^7 * 3^4 is no 4th power.
     E = twist_curve(-8)
-    P = affine(Fraction(49, 36), Fraction(791, 216))
+    P = CurvePoint(Fraction(49, 36), Fraction(791, 216))
     assert (P.u, P.v) in fraction_box_points(-8, 100)
     image = belyi_eval(E, P)
     assert image == ProjPointQ(2401, 12769)

@@ -35,6 +35,10 @@ def test_sring_takes_any_iterable_once():
     assert repr(SRing([2, 3])) == "SRing(primes=(2, 3))"
     with pytest.raises(ValueError):
         SRing(p for p in (3, 2))
+    # Only ints: SRing([2.0]) once printed as Z[1/{2.0}].
+    for primes in ([2.0], [True], [2, 3.0], ["2"]):
+        with pytest.raises(ValueError, match="must be ints"):
+            SRing(primes)
 
 
 def test_valuation_examples():

@@ -136,6 +136,12 @@ def test_matrix_validation():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix([[]])
+    # Entries are checked, not coerced: int() would truncate 2.7 to 2 and
+    # give the Smith form of another matrix.
+    for rows in ([[2.7, 1], [0, 3]], [[1, True]], [[1, "2"]], [[1, 2], [3, 4.0]]):
+        with pytest.raises(ValueError, match="must be ints"):
+            IntMatrix(rows)
+    assert IntMatrix([[2, 1], [0, 3]]).data == [[2, 1], [0, 3]]
 
 
 def test_determinant():
