@@ -29,31 +29,11 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
-from .belyi import (
-    StackPointCertificate,
-    certificate_automorphism_order,
-    classify_signature,
-    is_stack_point,
-)
+# Every layer is read through the package's loader, so a command loads only
+# the layers its handler touches.
+import gfdescent
 from .errors import GFDescentError, PipelineMismatch, WorkLimitExceeded
-from .exact import ProjPointQ, normalize_projective
-from .gfe import (
-    GFE,
-    enumerate_primitive_solutions,
-    j_map,
-    PrimitiveSolution,
-    recover_solutions,
-    verify_descent_inclusion,
-)
-from .groups import Signature, h_structure, weight_vector
-from .sarith import SRing, s_unit_reps
-
-# quartic and smith serve only a few commands, which import them when they
-# run, so that the other commands never load them.
-if TYPE_CHECKING:
-    from .smith import IntMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -85,18 +65,18 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
         raise ValueError(f"bad {what}: {e}") from None
 
 
-def _parse_signature(text: str) -> Signature:
+def _parse_signature(text: str):
     a, b, c = _parse_ints(text, 3, "signature")
-    return Signature(a, b, c)
+    return gfdescent.Signature(a, b, c)
 
 
-def _parse_primes(text: str) -> SRing:
+def _parse_primes(text: str):
     if text.strip() == "":
-        return SRing(())
-    return SRing(sorted({int(p) for p in text.split(",")}))
+        return gfdescent.SRing(())
+    return gfdescent.SRing(sorted({int(p) for p in text.split(",")}))
 
 
-def _parse_point(text: str) -> ProjPointQ:
+def _parse_point(text: str):
     sep = "/" if "/" in text else ":"
     parts = text.split(sep)
     if len(parts) != 2:
@@ -105,25 +85,23 @@ def _parse_point(text: str) -> ProjPointQ:
         s, t = int(parts[0]), int(parts[1])
     except ValueError as e:
         raise ValueError(f"bad point: {e}") from None
-    return normalize_projective(s, t)
+    return gfdescent.normalize_projective(s, t)
 
 
-def _parse_matrix(text: str) -> IntMatrix:
-    from .smith import IntMatrix
-
+def _parse_matrix(text: str):
     try:
         rows = [[int(v) for v in row.split(",")] for row in text.split(";")]
-        return IntMatrix(rows)
+        return gfdescent.IntMatrix(rows)
     except ValueError as e:
         raise ValueError(f"bad matrix: {e}") from None
 
 
-def _parse_gfe(args) -> GFE:
+def _parse_gfe(args):
     A, B, C = _parse_ints(args.coeffs, 3, "coefficients")
-    return GFE(_parse_signature(args.signature), A, B, C)
+    return gfdescent.GFE(_parse_signature(args.signature), A, B, C)
 
 
-def _certificate(cert: StackPointCertificate) -> dict:
+def _certificate(cert) -> dict:
     out = {"point": cert.point, "status": cert.status}
     if cert.marked_at is not None:
         out["marked_at"] = cert.marked_at
@@ -135,15 +113,13 @@ def _certificate(cert: StackPointCertificate) -> dict:
 
 
 def _cmd_snf(args) -> dict:
-    from .smith import smith_normal_form
-
-    res = smith_normal_form(_parse_matrix(args.matrix))
+    res = gfdescent.smith_normal_form(_parse_matrix(args.matrix))
     return {"D": res.D.data, "U": res.U.data, "V": res.V.data, "diag": res.D.diagonal()}
 
 
 def _cmd_h1(args) -> dict:
     ring = _parse_primes(args.primes)
-    group = s_unit_reps(ring, args.n)
+    group = gfdescent.s_unit_reps(ring, args.n)
     return {
         "ring": ring,
         "modulus": group.modulus,
@@ -155,23 +131,23 @@ def _cmd_h1(args) -> dict:
 def _cmd_stack_point(args) -> dict:
     sig = _parse_signature(args.signature)
     ring = _parse_primes(args.primes)
-    cert = is_stack_point(_parse_point(args.q), sig, ring)
+    cert = gfdescent.is_stack_point(_parse_point(args.q), sig, ring)
     out = _certificate(cert)
     out["ring"] = ring
     out["accepted"] = cert.accepted
     if cert.accepted:
-        out["automorphism_order"] = certificate_automorphism_order(cert, sig)
+        out["automorphism_order"] = gfdescent.certificate_automorphism_order(cert, sig)
     return out
 
 
 def _cmd_classify(args) -> dict:
     sig = _parse_signature(args.signature)
-    cls = classify_signature(sig)
+    cls = gfdescent.classify_signature(sig)
     out = {"signature": sig, "chi": cls.chi, "kind": cls.kind, "genus": cls.genus_label()}
     if cls.degree is not None:
         out["degree"] = cls.degree
-    wd = weight_vector(sig)
-    hs = h_structure(sig)
+    wd = gfdescent.weight_vector(sig)
+    hs = gfdescent.h_structure(sig)
     out.update(d=wd.d, m=wd.m, w=wd.w, lcm=math.lcm(*sig))
     out.update(torus_rank=hs.torus_rank, torsion=hs.torsion)
     return out
@@ -179,7 +155,7 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     F = _parse_gfe(args)
-    sols = enumerate_primitive_solutions(F, args.bound)
+    sols = gfdescent.enumerate_primitive_solutions(F, args.bound)
     return {
         "equation": F,
         "bound": args.bound,
@@ -191,7 +167,7 @@ def _cmd_enumerate(args) -> dict:
 def _cmd_jmap(args) -> dict:
     F = _parse_gfe(args)
     x, y, z = _parse_ints(args.solution, 3, "solution")
-    image = j_map(F, PrimitiveSolution(x, y, z))
+    image = gfdescent.j_map(F, gfdescent.PrimitiveSolution(x, y, z))
     return {"equation": F, "solution": (x, y, z), "image": image}
 
 
@@ -199,7 +175,7 @@ def _cmd_recover(args) -> dict:
     F = _parse_gfe(args)
     ring = _parse_primes(args.primes)
     point = _parse_point(args.q)
-    found = recover_solutions(point, F, ring, search_units=args.search_units)
+    found = gfdescent.recover_solutions(point, F, ring, search_units=args.search_units)
     return {
         "equation": F,
         "point": point,
@@ -216,7 +192,7 @@ def _cmd_recover(args) -> dict:
 
 
 def _cmd_verify_inclusion(args) -> dict:
-    report = verify_descent_inclusion(_parse_gfe(args), args.bound)
+    report = gfdescent.verify_descent_inclusion(_parse_gfe(args), args.bound)
     return {
         "equation": report.gfe,
         "bound": report.bound,
@@ -235,21 +211,17 @@ def _cmd_verify_inclusion(args) -> dict:
 
 
 def _cmd_torsion(args) -> dict:
-    from .quartic import torsion_points, twist_curve
-
-    E = twist_curve(args.d)
-    pts = torsion_points(E)
+    E = gfdescent.twist_curve(args.d)
+    pts = gfdescent.torsion_points(E)
     sign = "-" if E.d > 0 else "+"
     equation = f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"
     return {"d": E.d, "equation": equation, "order": len(pts), "points": pts}
 
 
 def _cmd_sieve442(args) -> dict:
-    from .quartic import GFE_442, run_sieve_442
-
-    report = run_sieve_442(args.bound)
+    report = gfdescent.run_sieve_442(args.bound)
     return {
-        "equation": GFE_442,
+        "equation": gfdescent.quartic.GFE_442,
         "unit_classes": report.unit_classes,
         "admissible_twists": report.admissible,
         "torsion_orders": report.torsion_orders,

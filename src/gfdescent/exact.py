@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from typing import Optional
 
 from ._record import Record, set_field
 from .errors import WorkLimitExceeded, ZeroPoint
@@ -130,7 +129,7 @@ class Factorization(Record):
         return tuple(p for p, _ in self.factors)
 
 
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[Optional[int], int]:
+def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
     """One Brent-rho attempt on composite n. Returns (factor or None, spent)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -199,7 +198,7 @@ def _divide_out(m: int, p: int) -> tuple[int, int]:
     return m, e
 
 
-def factorize(n: int, rho_iteration_cap: Optional[int] = None) -> Factorization:
+def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     """Full prime factorization of a nonzero integer.
 
     The trial stage takes one gcd of |n| with the product of the primes up
@@ -277,7 +276,14 @@ def integer_nth_root(v: int, n: int) -> int:
         return 1
     if n == 2:
         return math.isqrt(v)
-    x = 1 << (-(-v.bit_length() // n))  # upper-bound initial guess
+    k = v.bit_length() // (2 * n)
+    if k >= 64:
+        # The root of the top bits, plus one and shifted back, lies above the
+        # root and within a factor 1 + 2^-k of it, so few full-width Newton
+        # steps remain.
+        x = (integer_nth_root(v >> n * k, n) + 1) << k
+    else:
+        x = 1 << (-(-v.bit_length() // n))  # upper-bound initial guess
     while True:
         y = ((n - 1) * x + v // x ** (n - 1)) // n
         if y >= x:
@@ -286,7 +292,7 @@ def integer_nth_root(v: int, n: int) -> int:
     return x
 
 
-def is_perfect_nth_power(v: int, n: int) -> Optional[int]:
+def is_perfect_nth_power(v: int, n: int) -> int | None:
     """The integer r with r^n == v, if one exists, else None.
 
     For even n the radicand must be nonnegative and the nonnegative root is

@@ -88,25 +88,21 @@ def torsion_points(E: TwistedCurve) -> list[CurvePoint]:
     Elliptic Curves, 4.4): with d reduced modulo fourth powers, the group is
     Z/4 iff d = -4, Z/2 x Z/2 iff d is a square, and Z/2 otherwise.  Scaling
     (u, v) by (k^2, k^3) undoes the reduction, so the points are (0, 0)
-    always, (+-r, 0) when d = r^2, and (2k^2, +-4k^3) when d = -4k^4.
+    always, (+-r, 0) when d = r^2, and (2k^2, +-4k^3) when d = -4k^4.  The
+    list comes sorted: the identity first, then the points by (u, v).
     """
     d = E.d
-    pts = [POINT_AT_INFINITY, CurvePoint(0, 0)]
+    identity, two_torsion = POINT_AT_INFINITY, CurvePoint(0, 0)
     if d > 0:
         r = is_perfect_nth_power(d, 2)
         if r is not None:
-            pts += [CurvePoint(r, 0), CurvePoint(-r, 0)]
+            return [identity, CurvePoint(-r, 0), two_torsion, CurvePoint(r, 0)]
     elif d < 0 and d % 4 == 0:
         k = is_perfect_nth_power(-d // 4, 4)
         if k is not None:
-            pts += [CurvePoint(2 * k**2, 4 * k**3), CurvePoint(2 * k**2, -4 * k**3)]
-    return sorted(pts, key=_point_sort_key)
-
-
-def _point_sort_key(P: CurvePoint):
-    if P.is_infinity:
-        return (0, 0, 0)
-    return (1, P.u, P.v)
+            u, v = 2 * k**2, 4 * k**3
+            return [identity, two_torsion, CurvePoint(u, -v), CurvePoint(u, v)]
+    return [identity, two_torsion]
 
 
 def admissible_twists(reps: UnitClassGroup) -> list[int]:

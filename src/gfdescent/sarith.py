@@ -8,8 +8,8 @@ bookkeeping on ordinary integers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from ._record import Record, set_field
 from .errors import WorkLimitExceeded
@@ -130,7 +130,7 @@ def unit_class_key(u, ring: SRing, n: int):
     return (sign, vals)
 
 
-def is_nth_power_ideal(s: int, n: int, ring: SRing) -> Optional[int]:
+def is_nth_power_ideal(s: int, n: int, ring: SRing) -> int | None:
     """Positive generator g with (g)^n = (s) as ideals of Z[S^-1], or None.
 
     Exists iff every valuation of s at a prime outside S is divisible by n,

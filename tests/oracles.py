@@ -7,7 +7,8 @@ curve on Fractions without the square-denominator lemma, and the
 point-test oracle factors each coordinate by trial division instead of
 taking integer roots.  The strong-probable-prime check reads the 2-adic
 split of n - 1 off its bits and tests one base; the unit-class oracle
-multiplies each exponent vector out from scratch.  Curve membership is the
+multiplies each exponent vector out from scratch, and the root oracle runs
+full-width Newton from a power of two.  Curve membership is the
 curve equation on Fractions, and a factorization's value the product of
 its factors.  The recovery oracle tries every divisor of lcm(|A|, |B|, |C|)
 that passes a per-prime exponent congruence, where recovery itself tries
@@ -270,6 +271,17 @@ def factorization_product(f):
     for p, e in f.factors:
         v *= p**e
     return v
+
+
+def newton_nth_root(v, n):
+    """Floor of the n-th root of v >= 1, n >= 1, by full-width integer
+    Newton steps from the power of two just above the root."""
+    x = 1 << (-(-v.bit_length() // n))
+    while True:
+        y = ((n - 1) * x + v // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def is_strong_probable_prime(n, a):

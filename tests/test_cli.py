@@ -67,7 +67,6 @@ def test_stack_point_command_tests_the_point_once(capsys, monkeypatch):
         return is_stack_point(*args)
 
     is_stack_point = belyi.is_stack_point
-    monkeypatch.setattr(cli, "is_stack_point", counted)
     monkeypatch.setattr(belyi, "is_stack_point", counted)
     payload = run_json(capsys, "stack-point", "--q", "0:1", "--signature", "4,4,2", "--primes", "2")
     assert payload["status"] == "marked" and payload["automorphism_order"] == "2"
@@ -628,6 +627,21 @@ def outcome(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_every_huge_value_goes_through_the_root_taking_flags():
+    # Which huge values the fuzz gate below draws depends on the source of
+    # its body, so each goes through the two flags that take roots of their
+    # value here on purpose: a defined exit code and no traceback.
+    for value in HUGE + (str(M4423),):
+        for argv in (
+            ["stack-point", "--q", f"1:{value}", "--signature", "2,3,7"],
+            ["torsion", "--d", f"-{value}"],
+        ):
+            code, out, err = outcome(argv)
+            assert code in (0, 1, 2), (argv[0], value[:20], err)
+            if code:
+                assert out == "" and isinstance(json.loads(err), dict), (argv[0], value[:20])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

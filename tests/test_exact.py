@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from gfdescent.exact import (
 )
 from gfdescent.sarith import SRing
 
-from oracles import factorization_product, is_strong_probable_prime
+from oracles import factorization_product, is_strong_probable_prime, newton_nth_root
 
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
@@ -290,6 +291,30 @@ def test_integer_nth_root_matches_isqrt():
             for v in (r**n - 1, r**n, r**n + 1):
                 root = integer_nth_root(v, n)
                 assert root**n <= v < (root + 1) ** n, (v, n)
+
+
+def test_integer_nth_root_matches_newton_from_a_power_of_two():
+    # The root taken on the top bits first equals full-width Newton, on
+    # seeded radicands of up to 20,000 bits and at r^n - 1, r^n and r^n + 1.
+    rng = random.Random(29)
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3, 4, 5, 7, 11, 13, rng.randrange(1, 201)))
+        bits = int(2 ** rng.uniform(1, math.log2(20000)))
+        v = rng.getrandbits(bits) | 1
+        if rng.random() < 0.5:
+            v = max(1, (v >> (bits - bits // n)) ** n + rng.choice((-1, 0, 1)))
+        assert integer_nth_root(v, n) == newton_nth_root(v, n), (v, n)
+
+
+def test_integer_nth_root_of_a_huge_radicand_is_fast():
+    # Full-width Newton from a power of two took 1.2-1.3 s here (2-core VM).
+    v = 2**400000 - 1
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        integer_nth_root(v, 3)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.6
 
 
 def test_is_probable_prime_small():

@@ -73,36 +73,101 @@ def test_enumerate_loads_neither_smith_nor_quartic():
     assert "gfdescent.smith" not in loaded and "gfdescent.quartic" not in loaded
 
 
+def test_snf_loads_only_smith():
+    assert loaded_after_main("snf", "--matrix", "2,4;6,8") == [
+        "gfdescent._record", "gfdescent.cli", "gfdescent.errors", "gfdescent.smith",
+    ]
+
+
+def test_h1_loads_neither_belyi_nor_gfe():
+    assert loaded_after_main("h1", "--primes", "2,3") == [
+        "gfdescent._record", "gfdescent.cli", "gfdescent.errors", "gfdescent.exact",
+        "gfdescent.sarith",
+    ]
+
+
 def test_sieve442_does_not_load_smith():
     loaded = loaded_after_main("sieve442", "--bound", "10")
     assert "gfdescent.quartic" in loaded
     assert "gfdescent.smith" not in loaded
 
 
-def imports_smith(tree) -> bool:
-    """Whether the module's AST imports smith anywhere, relatively or by its
-    full name, at module level or inside a function."""
+def layers_imported(tree) -> set[str]:
+    """The layers the module's AST imports anywhere, at module level or
+    inside a function: by relative or full name, or by a public name that
+    the package reads from a layer.  A bare `import gfdescent` imports none."""
+    layers = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
-            sep = "" if base.endswith(".") else "."
-            names = [base] + [base + sep + alias.name for alias in node.names]
+            if base in (".", "gfdescent"):
+                layers |= {gfdescent._LAYER_OF.get(alias.name) for alias in node.names}
+            modules = [base]
         else:
             continue
-        if any(name in (".smith", "gfdescent.smith") for name in names):
+        for module in modules:
+            package, _, layer = module.partition(".")
+            if package in ("", "gfdescent") and layer:
+                layers.add(layer.partition(".")[0])
+    return layers - {None}
+
+
+def test_cli_reads_every_layer_through_the_package():
+    # smith serves only snf and quartic only torsion and sieve442: no module
+    # imports either, and the command line imports no layer but errors, so
+    # each command loads only the layers its handler reads from the package.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    trees = {p.stem: ast.parse(p.read_text()) for p in layers}
+    assert [m for m, t in trees.items() if {"smith", "quartic"} & layers_imported(t)] == []
+    assert layers_imported(trees["cli"]) == {"errors"}
+    functions = [n for n in ast.walk(trees["cli"]) if isinstance(n, ast.FunctionDef)]
+    assert [
+        n.lineno
+        for f in functions
+        for n in ast.walk(f)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    ] == []
+    for code, imported in (
+        ("from . import smith", {"smith"}),
+        ("import gfdescent.smith", {"smith"}),
+        ("from gfdescent import quartic", {"quartic"}),
+        ("from gfdescent.quartic import GFE_442", {"quartic"}),
+        ("from .exact import factorize", {"exact"}),
+        ("from gfdescent import torsion_points, errors", {"quartic", "errors"}),
+        ("def f():\n    from ._record import Record", {"_record"}),
+        ("import gfdescent\nimport os.path\nfrom . import __version__", set()),
+    ):
+        assert layers_imported(ast.parse(code)) == imported, code
+
+
+def imports_typing(tree) -> bool:
+    """Whether the module's AST imports typing, or a submodule of it, or a
+    name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.partition(".")[0] == "typing" for module in modules):
             return True
     return False
 
 
-def test_only_cli_imports_smith():
-    # smith serves only the snf command; groups and every other layer get by
-    # without it.
+def test_no_module_imports_typing():
+    # Importing typing costs every command 4-5 ms in a bare interpreter, and
+    # the package uses it for nothing that `X | None` and collections.abc do
+    # not give.  Checked on the source: a site hook may load typing before
+    # any package code runs, so sys.modules would not show an import here.
     layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
-    assert [p.stem for p in layers if imports_smith(ast.parse(p.read_text()))] == ["cli"]
-    for code in ("from . import smith", "import gfdescent.smith", "from gfdescent import smith"):
-        assert imports_smith(ast.parse(code)), code
+    assert [p.stem for p in layers if imports_typing(ast.parse(p.read_text()))] == []
+    for code in ("import typing", "from typing import Optional", "import typing as t"):
+        assert imports_typing(ast.parse(code)), code
+    for code in ("from collections.abc import Iterable", "from .typing import x", "import typingx"):
+        assert not imports_typing(ast.parse(code)), code
 
 
 def records_defining(tree, method) -> list[str]:

@@ -133,6 +133,22 @@ def test_torsion_coordinates_are_ints():
                 assert type(P.u) is int and type(P.v) is int, (d, P)
 
 
+def test_torsion_points_come_sorted():
+    # The identity first, then the affine points by (u, v): the closed form
+    # builds them in that order, so nothing sorts them.
+    def key(P):
+        return (0, 0, 0) if P.is_infinity else (1, P.u, P.v)
+
+    rng = random.Random(43)
+    ks = [rng.randrange(1, 10**12) for _ in range(100)] + list(range(1, 20))
+    ds = [d for d in range(-400, 401) if d]
+    ds += [rng.randrange(-(10**9), 10**9) or 1 for _ in range(300)]
+    ds += [k * k for k in ks] + [-4 * k**4 for k in ks]
+    for d in ds:
+        tors = torsion_points(twist_curve(d))
+        assert tors == sorted(tors, key=key), d
+
+
 def test_torsion_against_integral_point_oracle():
     # Torsion points have integral coordinates, so the brute-force box
     # search must see all of them; counts are 4, 2, 4 for d = -4, -1, 1.
