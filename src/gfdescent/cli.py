@@ -16,9 +16,10 @@ machine-readable code; on exit 2 its "cap" names the cap: "rho iterations"
 (5,000,000, factorization), "power bits" (2^25, a value table of enumerate,
 a term of an equation, the unit classes), "unit classes" (2^20, h1),
 "elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
-largest |entry|, snf) or "prime bits" (2^11, a primality test of a prime
-given or a cofactor left by factorization).  Each size cap is checked before
-the build it bounds starts.
+largest |entry|, snf), "prime bits" (2^11, a primality test of a prime
+given or a cofactor left by factorization) or "join probes" (2^25, the join
+of enumerate, counted as it runs).  Each size cap is checked before the
+build it bounds starts.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ def _cmd_verify_inclusion(args) -> dict:
 def _cmd_torsion(args) -> dict:
     E = gfdescent.twist_curve(args.d)
     pts = gfdescent.torsion_points(E)
-    sign = "-" if E.d > 0 else "+"
-    equation = f"v^2*w = u^3 {sign} {abs(E.d)}*u*w^2"
-    return {"d": E.d, "equation": equation, "order": len(pts), "points": pts}
+    d = str(E.d)  # rendered once for both keys: int-to-str is quadratic
+    term = f"+ {d[1:]}" if E.d < 0 else f"- {d}"
+    return {"d": d, "equation": f"v^2*w = u^3 {term}*u*w^2", "order": len(pts), "points": pts}
 
 
 def _cmd_sieve442(args) -> dict:

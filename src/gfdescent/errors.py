@@ -13,8 +13,8 @@ class WorkLimitExceeded(GFDescentError):
     """A named work cap ran out, or would run out before a build could end.
 
     cap names the budget ("rho iterations", "power bits", "unit classes",
-    "elimination bits" or "prime bits"), limit is its value and detail says
-    what hit it.
+    "elimination bits", "prime bits" or "join probes"), limit is its value
+    and detail says what hit it.
     The CLI exits with code 2 on this error and reports cap in its stderr
     JSON.
     """

@@ -269,13 +269,14 @@ def integer_nth_root(v: int, n: int) -> int:
         raise ValueError("negative radicand")
     if n < 1:
         raise ValueError("root index must be positive")
+    # floor(isqrt(v)^(1/m)) = floor(v^(1/2m)): an even index halves exactly.
+    while n % 2 == 0 and v > 1:
+        v, n = math.isqrt(v), n // 2
     if v in (0, 1) or n == 1:
         return v
     if v.bit_length() <= n:
         # 2 <= v < 2^n: the root is 1, and Newton would build 2^(n-1).
         return 1
-    if n == 2:
-        return math.isqrt(v)
     k = v.bit_length() // (2 * n)
     if k >= 64:
         # The root of the top bits, plus one and shifted back, lies above the
@@ -300,12 +301,11 @@ def is_perfect_nth_power(v: int, n: int) -> int | None:
     """
     if n < 1:
         raise ValueError("root index must be positive")
+    if v < 0 and n % 2 == 0:
+        return None
+    r = integer_nth_root(abs(v), n)
     if v < 0:
-        if n % 2 == 0:
-            return None
-        r = integer_nth_root(-v, n)
-        return -r if r**n == -v else None
-    r = integer_nth_root(v, n)
+        r = -r
     return r if r**n == v else None
 
 

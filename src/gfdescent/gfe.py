@@ -33,6 +33,12 @@ from .exact import (
 from .groups import Signature
 from .sarith import SRing
 
+# The most probes the join may make, a probe being one entry of the shorter
+# window, summed over the outer values.  (2,2,2) with coefficients 1, 1, -1
+# makes 0.33 M at bound 1,500, 21.1 M at 12,000 (about 2 s on a 2-core VM,
+# Python 3.11), 33.0 M at 15,000, under this cap, and 58.6 M at 20,000.
+JOIN_PROBE_CAP = 2**25
+
 
 class GFE(Record):
     """The equation A x^a + B y^b + C z^c = 0 with nonzero coefficients."""
@@ -50,10 +56,14 @@ class GFE(Record):
     def evaluate(self, x: int, y: int, z: int) -> int:
         """A x^a + B y^b + C z^c.  Raises WorkLimitExceeded when a term
         would exceed POWER_BIT_CAP bits."""
-        a, b, c = self.sig
-        for coef, v, n in ((self.A, x, a), (self.B, y, b), (self.C, z, c)):
+        return sum(self._terms(x, y, z))
+
+    def _terms(self, x: int, y: int, z: int) -> tuple[int, int, int]:
+        """(A x^a, B y^b, C z^c), each checked against POWER_BIT_CAP first."""
+        terms = tuple(zip((self.A, self.B, self.C), (x, y, z), self.sig))
+        for coef, v, n in terms:
             _check_power_bits(1, coef, n, v)
-        return self.A * x**a + self.B * y**b + self.C * z**c
+        return tuple(coef * v**n for coef, v, n in terms)
 
     def __str__(self):
         def term(coef, var, exp):
@@ -82,10 +92,6 @@ class PrimitiveSolution(Record):
         if other.__class__ is self.__class__:
             return self.as_tuple() < other.as_tuple()
         return NotImplemented
-
-
-def is_primitive_solution(F: GFE, x: int, y: int, z: int) -> bool:
-    return math.gcd(x, math.gcd(y, z)) == 1 and F.evaluate(x, y, z) == 0
 
 
 def bad_prime_set(F: GFE) -> SRing:
@@ -165,7 +171,10 @@ def enumerate_primitive_solutions(
     by about the size of their group or more: the shorter windows sum to
     17 k on (7,7,7) at bound 600 (12 maps) and to 330 k on (2,2,2) at bound
     1500 (x <-> y), against 1.42 M and 1.13 M with x outer and no symmetry.
-    No root extraction, no modular sieve, no fixed-width integers.
+    These window lengths are the join's probes: it sums them as it runs and
+    raises WorkLimitExceeded (cap "join probes") once they pass
+    JOIN_PROBE_CAP, which (2,2,2) with coefficients 1, 1, -1 does past bound
+    15,000.  No root extraction, no modular sieve, no fixed-width integers.
 
     use_sieve is accepted and has no effect: the join is exact, so there is
     nothing for a modular pre-sieve to discard.  It stays because callers
@@ -194,6 +203,7 @@ def enumerate_primitive_solutions(
     if negation and (inner_match or not outer_match):
         top = min(top, 0)
     found = set()
+    cap, probes = JOIN_PROBE_CAP, 0
     for t in ts[bisect_left(ts, ws[0] + rs[0]) : bisect_right(ts, top)]:
         lo = max(t - rs[-1], ws[0])
         hi = min(t - rs[0], ws[-1])
@@ -207,6 +217,9 @@ def enumerate_primitive_solutions(
             continue
         wlo, whi = bisect_left(ws, lo), bisect_right(ws, hi)
         rlo, rhi = bisect_left(rs, t - hi), bisect_right(rs, t - lo)
+        probes += min(whi - wlo, rhi - rlo)
+        if probes > cap:
+            raise WorkLimitExceeded("join probes", cap, f"joining {F} at bound {bound}")
         if whi - wlo <= rhi - rlo:
             wvals = [t - r for r in rroots.keys() & map(sub, repeat(t), ws[wlo:whi])]
         else:
@@ -235,12 +248,11 @@ def j_map(F: GFE, sol: PrimitiveSolution) -> ProjPointQ:
 
     The image is 0, 1, infinity exactly when x, y, z vanishes respectively.
     """
-    if not is_primitive_solution(F, sol.x, sol.y, sol.z):
-        raise ValueError(f"{sol} does not solve {F} primitively")
-    a, _, c = F.sig
-    s = -F.A * sol.x**a
-    t = F.C * sol.z**c
-    return normalize_projective(s, t)
+    if math.gcd(*sol.as_tuple()) == 1:
+        ax, by, cz = F._terms(*sol.as_tuple())
+        if ax + by + cz == 0:
+            return normalize_projective(-ax, cz)
+    raise ValueError(f"{sol} does not solve {F} primitively")
 
 
 class RecoveredSolution(Record):

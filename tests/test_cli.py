@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
 import gfdescent.exact as exact
+import gfdescent.gfe as gfe
 import gfdescent.quartic as quartic
 
 
@@ -221,6 +222,21 @@ def test_work_limit_exit_2(capsys, monkeypatch):
     assert error["error"] == "work-limit-exceeded"
     assert error["cap"] == "rho iterations"
     assert "rho iterations cap of 1 exceeded" in error["message"]
+
+
+def test_join_probe_limit_exit_2(capsys, monkeypatch):
+    # The real cap is first passed past bound 15,000, after seconds of work;
+    # bound 300 makes 13,375 probes, over a cap of 1,000 at once.
+    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 1000)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1", "--bound", "300"
+    )
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "work-limit-exceeded"
+    assert error["cap"] == "join probes"
+    assert "join probes cap of 1000 exceeded" in error["message"]
 
 
 def test_pipeline_mismatch_exit_3(capsys, monkeypatch):

@@ -306,6 +306,33 @@ def test_integer_nth_root_matches_newton_from_a_power_of_two():
         assert integer_nth_root(v, n) == newton_nth_root(v, n), (v, n)
 
 
+def test_even_roots_halve_through_isqrt_exactly():
+    # An even index is halved through math.isqrt before any Newton step.
+    # Full-width Newton from a power of two is the reference on seeded
+    # radicands and at r^n - 1, r^n and r^n + 1 up to 40,000 bits, and at
+    # 2^399998 + 12345, the radicand torsion_points takes the 4th root of at
+    # d = -2^400000.  Newton takes up to a second a root at 400,000 bits, so
+    # there the other indices are checked against r^n <= v < (r + 1)^n, and
+    # a seeded r^n must give r back.
+    rng = random.Random(41)
+    huge = 2**399998 + 12345
+    assert integer_nth_root(huge, 4) == newton_nth_root(huge, 4)
+    for n in (2, 4, 6, 8, 12, 64):
+        values = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (n, 64, 2000, 40000)]
+        for bits in (n, 2000, 40000):
+            r = rng.getrandbits(bits // n) | 1 << (bits // n)
+            values += [r**n - 1, r**n, r**n + 1]
+        for v in values:
+            root = integer_nth_root(v, n)
+            assert root == newton_nth_root(v, n), (v.bit_length(), n)
+            assert is_perfect_nth_power(v, n) == (root if root**n == v else None)
+        root = integer_nth_root(huge, n)
+        assert root**n <= huge < (root + 1) ** n
+        assert is_perfect_nth_power(huge, n) is None
+        r = rng.getrandbits(400000 // n)
+        assert integer_nth_root(r**n, n) == is_perfect_nth_power(r**n, n) == r
+
+
 def test_integer_nth_root_of_a_huge_radicand_is_fast():
     # Full-width Newton from a power of two took 1.2-1.3 s here (2-core VM).
     v = 2**400000 - 1

@@ -11,8 +11,9 @@ from itertools import permutations
 import pytest
 
 import gfdescent.cli as cli
+import gfdescent.gfe as gfe
 from gfdescent.belyi import is_stack_point
-from gfdescent.errors import NotAStackPoint
+from gfdescent.errors import NotAStackPoint, WorkLimitExceeded
 from gfdescent.exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, normalize_projective
 from gfdescent.gfe import (
     GFE,
@@ -423,6 +424,18 @@ def test_enumerate_coefficients_beyond_int64():
         got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 12)]
         assert got == brute_force_solutions_zdict(F, 12), str(F)
         assert known in got, str(F)
+
+
+def test_join_stops_past_its_probe_cap(monkeypatch):
+    # (2,2,2) at bound 300 probes 13,375 entries of its shorter windows, so
+    # it answers at that cap and raises one below it.
+    F = GFE(Signature(2, 2, 2), 1, 1, -1)
+    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 13375)
+    assert len(enumerate_primitive_solutions(F, 300)) == 760
+    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 13374)
+    with pytest.raises(WorkLimitExceeded) as e:
+        enumerate_primitive_solutions(F, 300)
+    assert (e.value.cap, e.value.limit) == ("join probes", 13374)
 
 
 def test_import_leaves_numpy_out():

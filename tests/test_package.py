@@ -5,6 +5,7 @@ earlier test hides a load.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -313,19 +314,36 @@ def caps_raised(tree) -> list[str]:
     ]
 
 
+def cap_value(text: str) -> int:
+    """A cap's value as the docs write it, 5,000,000 or 2^25."""
+    base, _, exp = text.replace(",", "").partition("^")
+    return int(base) ** int(exp or 1)
+
+
 def test_cap_lists_name_the_caps_raised():
     # The caps a command can report on exit 2 are the ones the code raises:
-    # both lists of them name each once and no other.
+    # each of the three lists of them names each once and no other, and the
+    # two that give values give the constants' values.
     layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
     raised = {cap for p in layers for cap in caps_raised(ast.parse(p.read_text()))}
     documented = re.findall(r'"([^"]+)"', errors.WorkLimitExceeded.__doc__)
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("The caps are module-level constants", 1)[1].split("\n## ", 1)[0]
-    listed = re.findall(r"^- `([^`]+)`, ", section, re.MULTILINE)
+    listed = re.findall(r"^- `([^`]+)`, `?([\d,^]+)`? \(`(\w+)\.(\w+)`\)", section, re.MULTILINE)
+    cli_doc = importlib.import_module("gfdescent.cli").__doc__
+    in_help = re.findall(r'"([^"]+)"\s+\(([\d,^]+)', cli_doc)
     assert raised == {
-        "rho iterations", "power bits", "unit classes", "elimination bits", "prime bits"
+        "rho iterations", "power bits", "unit classes", "elimination bits", "prime bits",
+        "join probes",
     }
-    assert sorted(documented) == sorted(listed) == sorted(raised)
+    assert sorted(documented) == sorted(name for name, *_ in listed) == sorted(raised)
+    assert sorted(name for name, _ in in_help) == sorted(raised)
+    constants = {
+        name: getattr(importlib.import_module(f"gfdescent.{layer}"), constant)
+        for name, _, layer, constant in listed
+    }
+    assert {name: cap_value(value) for name, value, *_ in listed} == constants
+    assert {name: cap_value(value) for name, value in in_help} == constants
     assert caps_raised(ast.parse("raise errors.WorkLimitExceeded('a', 1, '')")) == ["a"]
 
 
