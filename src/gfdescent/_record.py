@@ -1,17 +1,17 @@
 """Immutable value records: slotted classes with value semantics.
 
 A record lists its fields in __slots__.  Record supplies the constructor,
-which takes each field once, positionally or by keyword, in __slots__
-order, and stores it with set_field; equality and hashing by the tuple of
-fields; a repr of the form Name(field=value, ...); pickling and copying
-through the constructor; and no assignment after construction.  That
-constructor is the one way in: no field has a default, no record has a
-classmethod constructor, and none overrides the repr.  A record writes its
-own __init__ only to check its arguments (GFE, ProjPointQ, Signature, SRing,
-TwistedCurve), and then stores the fields itself.  Unlike the standard
-library's record decorator, this needs no import of inspect and no code
-generation per class, which together cost a fifth to a third of a
-command-line run.
+which takes each field once, positionally or by keyword, in __slots__ order,
+and stores it with set_field; equality and hashing by the tuple of fields; a
+repr of the form Name(field=value, ...); pickling and copying through the
+constructor; and no assignment after construction.  That constructor is the
+one public way in: no field has a default, no record has a classmethod
+constructor, and none overrides the repr.  A record writes its own __init__
+only to check its arguments (GFE, ProjPointQ, Signature, SRing,
+TwistedCurve), and then stores the fields itself; sarith._proved_ring builds
+a ring of primes already proved without it.  Unlike the standard library's
+record decorator, this needs no import of inspect and no code generation per
+class, which together cost a fifth to a third of a command-line run.
 """
 
 from operator import attrgetter

@@ -12,11 +12,11 @@ class ZeroPoint(GFDescentError):
 class WorkLimitExceeded(GFDescentError):
     """A named work cap ran out, or would run out before a build could end.
 
-    cap names the budget ("rho iterations", "power bits", "unit classes",
+    cap names the budget ("rho work", "power bits", "unit classes",
     "elimination bits", "prime bits" or "join probes"), limit is its value
-    and detail says what hit it.
-    The CLI exits with code 2 on this error and reports cap in its stderr
-    JSON.
+    and detail says what hit it.  Rho work counts a product or backtrack
+    step of Brent's rho (advance steps are free) per 64-bit word of the
+    cofactor.  The CLI exits 2 on this error and reports cap in stderr JSON.
     """
 
     def __init__(self, cap: str, limit: int, detail: str):

@@ -15,8 +15,8 @@ from ._record import Record, set_field
 from .errors import WorkLimitExceeded, ZeroPoint
 
 # Trial division finds every prime factor up to this bound, through one gcd
-# with the product of those primes; Brent's rho picks up the rest.  The
-# iteration cap keeps failures reproducible instead of open-ended.
+# with the product of those primes; Brent's rho picks up the rest.  Its cap
+# counts steps times the cofactor's 64-bit words: 2-5 s at any size (2-core VM).
 TRIAL_DIVISION_BOUND = 10_000
 DEFAULT_RHO_ITERATION_CAP = 5_000_000
 
@@ -130,7 +130,9 @@ class Factorization(Record):
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-rho attempt on composite n. Returns (factor or None, spent)."""
+    """One Brent-rho attempt on composite n. Returns (factor or None, spent),
+    each product or backtrack step costing the 64-bit words of n."""
+    words = -(-n.bit_length() // 64)
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -147,7 +149,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
-            spent += min(m, r - k)
+            spent += min(m, r - k) * words
             if spent > budget:
                 return None, spent
             g = math.gcd(q, n)
@@ -157,7 +159,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
         # Backtrack one step at a time to recover the factor.
         while True:
             ys = (ys * ys + c) % n
-            spent += 1
+            spent += words
             if spent > budget:
                 return None, spent
             g = math.gcd(x - ys, n)
@@ -167,17 +169,17 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
 
 
 def _split_power(v: int) -> tuple[int, int]:
-    """(r, k) with r^k == v and k >= 2, or (v, 1) if v is no perfect power.
+    """(r, k) with r^k == v and k prime, or (v, 1) if v is no perfect power.
 
-    Only for v free of primes up to TRIAL_DIVISION_BOUND: then r exceeds the
-    bound, which caps k.
+    Only for v free of primes up to TRIAL_DIVISION_BOUND: r then exceeds the
+    bound, so k < 155 within PRIME_BIT_CAP.  Prime k suffice: r is re-split.
     """
-    k = 2
-    while TRIAL_DIVISION_BOUND**k < v:
+    for k in _TRIAL_PRIMES:
+        if TRIAL_DIVISION_BOUND**k >= v:
+            break
         r = is_perfect_nth_power(v, k)
         if r is not None:
             return r, k
-        k += 1
     return v, 1
 
 
@@ -212,9 +214,9 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     when rho runs), so failures are reproducible.
 
     The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
-    that is None.  Raises WorkLimitExceeded, with cap "rho iterations", when
-    the budget runs out before the remaining cofactor is split, and with cap
-    "prime bits" when is_probable_prime refuses a cofactor.
+    that is None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap
+    "rho work", when it runs out before the remaining cofactor is split, and
+    with cap "prime bits" when is_probable_prime refuses a cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -254,7 +256,7 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
             budget -= spent
             if budget <= 0 and f is None:
                 raise WorkLimitExceeded(
-                    "rho iterations", cap, f"factoring {n} (unsplit part {v})"
+                    "rho work", cap, f"factoring {n} (unsplit part {v})"
                 )
         stack.append((f, mult))
         stack.append((v // f, mult))
@@ -312,13 +314,15 @@ def is_perfect_nth_power(v: int, n: int) -> int | None:
 class ProjPointQ(Record):
     """A point of P^1(Q) in canonical coprime form.
 
-    Invariants: gcd(s, t) = 1 and (t > 0, or t = 0 and s > 0).  Canonical
-    representatives make point-set equality a plain structural comparison.
+    Invariants: s, t ints (not bools), gcd(s, t) = 1, t > 0 or t = 0 < s.
+    Canonical representatives make point-set equality a structural comparison.
     """
 
     __slots__ = ("s", "t")
 
     def __init__(self, s: int, t: int):
+        if not type(s) is type(t) is int:
+            raise ValueError(f"coordinates must be ints, got {(s, t)!r}")
         if s == 0 and t == 0:
             raise ZeroPoint("(0, 0) is not projective")
         if math.gcd(s, t) != 1:

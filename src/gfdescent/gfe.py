@@ -31,7 +31,7 @@ from .exact import (
     normalize_projective,
 )
 from .groups import Signature
-from .sarith import SRing
+from .sarith import SRing, _proved_ring
 
 # The most probes the join may make, a probe being one entry of the shorter
 # window, summed over the outer values.  (2,2,2) with coefficients 1, 1, -1
@@ -41,11 +41,13 @@ JOIN_PROBE_CAP = 2**25
 
 
 class GFE(Record):
-    """The equation A x^a + B y^b + C z^c = 0 with nonzero coefficients."""
+    """The equation A x^a + B y^b + C z^c = 0; A, B, C nonzero ints (not bools)."""
 
     __slots__ = ("sig", "A", "B", "C")
 
     def __init__(self, sig: Signature, A: int, B: int, C: int):
+        if not type(A) is type(B) is type(C) is int:
+            raise ValueError(f"coefficients must be ints, got {(A, B, C)!r}")
         if A * B * C == 0:
             raise ValueError("coefficients must be nonzero")
         set_field(self, "sig", sig)
@@ -97,7 +99,7 @@ class PrimitiveSolution(Record):
 def bad_prime_set(F: GFE) -> SRing:
     """Primes dividing a*b*c*A*B*C; the equation is well behaved away from them."""
     a, b, c = F.sig
-    return SRing(factorize(a * b * c * F.A * F.B * F.C).primes())
+    return _proved_ring(factorize(a * b * c * F.A * F.B * F.C).primes())
 
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):

@@ -52,12 +52,14 @@ POINT_AT_INFINITY = CurvePoint(None, None)
 class TwistedCurve(Record):
     """The quartic twist v^2 = u^3 - d u; d = 1 is the untwisted curve.
 
-    Nonsingular for every d != 0; d = 0 raises SingularCurve.
+    Nonsingular for every int d != 0 (not a bool); d = 0 raises SingularCurve.
     """
 
     __slots__ = ("d",)
 
     def __init__(self, d: int):
+        if type(d) is not int:
+            raise ValueError(f"d must be an int, got {d!r}")
         if d == 0:
             raise SingularCurve("d = 0 degenerates the curve")
         set_field(self, "d", d)

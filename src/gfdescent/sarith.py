@@ -64,6 +64,13 @@ class SRing(Record):
         )
 
 
+def _proved_ring(primes: tuple[int, ...]) -> SRing:
+    """SRing of the sorted primes factorize has proved, without testing them again."""
+    R = SRing.__new__(SRing)
+    set_field(R, "primes", primes)
+    return R
+
+
 def valuation(s: int, p: int) -> int:
     """Largest e with p^e dividing s; s must be nonzero and |p| >= 2."""
     return _divide_out(s, p)[1]

@@ -220,8 +220,8 @@ def test_work_limit_exit_2(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "work-limit-exceeded"
-    assert error["cap"] == "rho iterations"
-    assert "rho iterations cap of 1 exceeded" in error["message"]
+    assert error["cap"] == "rho work"
+    assert "rho work cap of 1 exceeded" in error["message"]
 
 
 def test_join_probe_limit_exit_2(capsys, monkeypatch):
@@ -340,6 +340,22 @@ def run_child(*argv, timeout=30):
         preexec_fn=_limit_address_space,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def test_rho_cap_ends_in_seconds_on_a_128_bit_semiprime():
+    # Rho would need about 2^32 steps to split two 64-bit primes.  Charged
+    # twice per step, for the product's two 64-bit words, the cap ends it
+    # after 2.5 M steps, about 3 s; counting steps alone took 6.3 s (2-core
+    # VM, Python 3.11).
+    n = (2**64 - 59) * (2**63 - 25)
+    code, out, err, seconds = run_child(
+        "verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{n},1,1", "--bound", 2,
+        timeout=10,
+    )
+    assert code == 2, err
+    assert out == ""
+    assert json.loads(err)["cap"] == "rho work"
+    assert seconds < 6
 
 
 def test_huge_exponent_outer_term_is_cut_to_its_reach():

@@ -191,6 +191,36 @@ def test_factorize_splits_pinned_semiprimes(n, p, spent):
         factorize(n, rho_iteration_cap=spent - 1)
 
 
+def test_brent_rho_charges_steps_by_words():
+    # This 400-digit semiprime of two ~200-digit primes is 1,324 bits, 21
+    # words of 64 bits, so each step costs 21: a budget of 1,000 steps' work runs out after the same
+    # 1,023 steps as the 56-bit budget of 1,000 above.
+    n = (10**199 + 12819) * (3 * 10**199 + 1607)
+    assert _brent_rho(n, random.Random(n ^ 0x5EED), 21 * 1000) == (None, 21 * 1023)
+
+
+def test_split_power_tries_prime_exponents(monkeypatch):
+    # A root is split again, so only prime k need one: on a 2,046-bit v with
+    # no prime factor up to 10^4, the 36 primes below 155 rather than every
+    # k in [2, 153], and the factorizations of r^k stay the same.
+    rng = random.Random(2046)
+    v = 0
+    while math.gcd(v, exact._PRIMORIAL) > 1 or is_probable_prime(v):
+        v = rng.randrange(2**2045, 2**2046)
+    roots = []
+
+    def counted(value, k):
+        roots.append(k)
+        return is_perfect_nth_power(value, k)
+
+    monkeypatch.setattr(exact, "is_perfect_nth_power", counted)
+    assert exact._split_power(v) == (v, 1)
+    assert len(roots) == 36 and roots[-1] == 151
+    for r in (10007, M61):
+        for k in (4, 6, 9):
+            assert factorize(r**k).factors == ((r, k),)
+
+
 def test_factorize_splits_perfect_powers():
     # Rho alone hit this cap on the square of a 61-bit prime.
     p = 2**61 - 1
@@ -243,6 +273,10 @@ def test_projpoint_rejects_non_canonical():
         ProjPointQ(2, 4)
     with pytest.raises(ValueError):
         ProjPointQ(1, -2)
+    # Only ints: ProjPointQ(True, 1) once printed as (True:1).
+    for s, t in ((True, 1), (1, 1.0), (0.5, 1), ("1", 0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            ProjPointQ(s, t)
 
 
 @pytest.mark.parametrize(

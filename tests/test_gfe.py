@@ -12,9 +12,16 @@ import pytest
 
 import gfdescent.cli as cli
 import gfdescent.gfe as gfe
+from gfdescent import exact, sarith
 from gfdescent.belyi import is_stack_point
 from gfdescent.errors import NotAStackPoint, WorkLimitExceeded
-from gfdescent.exact import POINT_INFINITY, POINT_ONE, POINT_ZERO, normalize_projective
+from gfdescent.exact import (
+    POINT_INFINITY,
+    POINT_ONE,
+    POINT_ZERO,
+    is_probable_prime,
+    normalize_projective,
+)
 from gfdescent.gfe import (
     GFE,
     PrimitiveSolution,
@@ -45,6 +52,11 @@ FERMAT_442_TRIPLES = [
 def test_gfe_validation():
     with pytest.raises(ValueError):
         GFE(Signature(2, 3, 7), 1, 0, 1)
+    # Only ints: True enumerated as if A were 1, and 2.0 raised
+    # AttributeError inside the enumerator.
+    for coeffs in ((True, 1, -1), (2.0, 1, 1), (1, 1, "1")):
+        with pytest.raises(ValueError, match="must be ints"):
+            GFE(Signature(2, 3, 7), *coeffs)
     assert str(F442) == "x^4 + y^4 - z^2 = 0"
     assert str(GFE(Signature(2, 3, 7), 3, 5, 1)) == "3*x^2 + 5*y^3 + z^7 = 0"
 
@@ -53,6 +65,23 @@ def test_bad_prime_set_examples():
     assert bad_prime_set(F237).primes == (2, 3, 7)
     assert bad_prime_set(F442).primes == (2,)
     assert bad_prime_set(GFE(Signature(2, 3, 7), 3, 5, 1)).primes == (2, 3, 5, 7)
+
+
+def test_bad_prime_set_tests_each_prime_once(monkeypatch):
+    # The ring takes the primes factorize has proved: Miller-Rabin runs on
+    # 2^1279 - 1 once, in factorize, and not at all on 2, 3 and 7, which
+    # trial division finds.  SRing(...) tested all four again.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(exact, "is_probable_prime", counted)
+    monkeypatch.setattr(sarith, "is_probable_prime", counted)
+    M = 2**1279 - 1
+    assert bad_prime_set(GFE(Signature(2, 3, 7), 42 * M, 1, 1)).primes == (2, 3, 7, M)
+    assert calls == [M]
 
 
 def test_sieve_flags_have_no_effect():

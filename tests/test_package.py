@@ -333,7 +333,7 @@ def test_cap_lists_name_the_caps_raised():
     cli_doc = importlib.import_module("gfdescent.cli").__doc__
     in_help = re.findall(r'"([^"]+)"\s+\(([\d,^]+)', cli_doc)
     assert raised == {
-        "rho iterations", "power bits", "unit classes", "elimination bits", "prime bits",
+        "rho work", "power bits", "unit classes", "elimination bits", "prime bits",
         "join probes",
     }
     assert sorted(documented) == sorted(name for name, *_ in listed) == sorted(raised)

@@ -48,6 +48,10 @@ def test_twist_curve():
     assert not on_curve(twist_curve(-4), CurvePoint(2, 5))
     with pytest.raises(SingularCurve):
         twist_curve(0)
+    # Only ints: twist_curve(4.0) once raised TypeError in torsion_points.
+    for d in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="must be an int"):
+            twist_curve(d)
     # The class checks d itself (tests/test_records.py), so no way of
     # building a twist skips the check.
     assert twist_curve is TwistedCurve
