@@ -168,18 +168,36 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return (g if g != n else None), spent
 
 
-def _split_power(v: int) -> tuple[int, int]:
-    """(r, k) with r^k == v and k prime, or (v, 1) if v is no perfect power.
+def _residue_primes(k: int):
+    """The primes q = 2jk + 1 below 10^8, increasing: looked up in _TRIAL_PRIMES
+    below 10^4, and prime above it when no trial prime divides them."""
+    for q in range(2 * k + 1, TRIAL_DIVISION_BOUND**2, 2 * k):
+        if q < TRIAL_DIVISION_BOUND:
+            if _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, q) - 1] == q:
+                yield q
+        elif math.gcd(q, _PRIMORIAL) == 1:
+            yield q
 
-    Only for v free of primes up to TRIAL_DIVISION_BOUND: r then exceeds the
-    bound, so k < 155 within PRIME_BIT_CAP.  Prime k suffice: r is re-split.
+
+def _split_power(v: int) -> tuple[int, int]:
+    """(r, k) with r^k == v and k prime, or (v, 1) if no prime k up to 9,973
+    gives one.  Prime k suffice: r is re-split.
+
+    Only for v free of primes up to TRIAL_DIVISION_BOUND: r then exceeds
+    10^4 >= 2^13, so k stops once 13k reaches the bits of v (k < 158 within
+    PRIME_BIT_CAP, up to 9,973 past it).  Before each root, v must be a k-th
+    power residue mod the first four primes q = 2jk + 1 that do not divide
+    it, as a k-th power is (Bernstein, Math. Comp. 67, 1998).
     """
     for k in _TRIAL_PRIMES:
-        if TRIAL_DIVISION_BOUND**k >= v:
+        if 13 * k >= v.bit_length():
             break
-        r = is_perfect_nth_power(v, k)
-        if r is not None:
-            return r, k
+        residues = ((v % q, q) for q in _residue_primes(k))
+        held = (pow(u, (q - 1) // k, q) == 1 for u, q in residues if u)
+        if all(itertools.islice(held, 4)):
+            r = is_perfect_nth_power(v, k)
+            if r is not None:
+                return r, k
     return v, 1
 
 
@@ -208,10 +226,12 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     n until p^2 exceeds what is left of it, and divides each prime found out
     of n.  So an input with no prime factor up to the bound costs one gcd,
     and one whose small primes are all below 100 costs at most 25 trial
-    divisions of the gcd.  A composite cofactor that is a perfect power r^k
-    is replaced by r (k times over); any other is split by Brent's rho,
-    seeded deterministically from the input (the generator is built only
-    when rho runs), so failures are reproducible.
+    divisions of the gcd.  Every cofactor then goes through one order: a
+    perfect power r^k is replaced by r (k times over), so a power past
+    PRIME_BIT_CAP answers when its base is within it; a prime is recorded;
+    any other is split by Brent's rho, seeded deterministically from the
+    input (the generator is built only when rho runs), so failures are
+    reproducible.
 
     The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
     that is None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap
@@ -241,12 +261,12 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     stack = [(m, 1)] if m > 1 else []
     while stack:
         v, mult = stack.pop()
-        if is_probable_prime(v):
-            counts[v] = counts.get(v, 0) + mult
-            continue
         r, k = _split_power(v)
         if k > 1:
             stack.append((r, mult * k))
+            continue
+        if is_probable_prime(v):
+            counts[v] = counts.get(v, 0) + mult
             continue
         if rng is None:
             rng = random.Random(abs(n) ^ 0x5EED)

@@ -12,7 +12,8 @@ full-width Newton from a power of two.  Curve membership is the
 curve equation on Fractions, and a factorization's value the product of
 its factors.  The recovery oracle tries every divisor of lcm(|A|, |B|, |C|)
 that passes a per-prime exponent congruence, where recovery itself tries
-the one scale that a point fixes.
+the one scale that a point fixes.  The power-split oracle takes a full root
+for every prime exponent below its stop, with no residue filter.
 """
 
 import random
@@ -282,6 +283,21 @@ def newton_nth_root(v, n):
         if y >= x:
             return x
         x = y
+
+
+def split_power_by_roots(v):
+    """(r, k) with r^k == v for the least prime k < log(v) / log(10^4), or
+    (v, 1): one full root per prime k, for v free of primes up to 10^4."""
+    from gfdescent.exact import is_perfect_nth_power
+
+    for k in range(2, 10_000):
+        if 10_000**k >= v:
+            break
+        if all(k % d for d in range(2, isqrt(k) + 1)):
+            r = is_perfect_nth_power(v, k)
+            if r is not None:
+                return r, k
+    return v, 1
 
 
 def is_strong_probable_prime(n, a):

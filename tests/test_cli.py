@@ -424,6 +424,45 @@ def test_oversized_builds_exit_2_naming_their_cap():
         assert seconds < 5, argv
 
 
+def test_perfect_powers_split_before_the_prime_bits_cap():
+    # factorize splits a power before it tests primality, so only a base or
+    # a non-power past the cap is refused.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        # A 400,001-bit odd non-power free of primes up to 10^4: about
+        # 120,400 digits, under the 128 KB an argv word may hold.
+        rng = random.Random(400001)
+        big = rng.getrandbits(400000) | 1 << 400000 | 1
+        while math.gcd(big, exact._PRIMORIAL) > 1:
+            big += 2
+        big = str(big)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    m61 = 2**61 - 1
+    for coeff, cap, detail in (
+        (m61**40, None, f'"ring": "Z[1/{{2,3,7,{m61}}}]"'),
+        ((2**1279 - 1) ** 2, None, '"ring": "Z[1/{2,3,7,'),
+        (M4423**3, "prime bits", "testing a 4423-bit number"),
+        (big, "prime bits", "testing a 400001-bit number"),
+    ):
+        argv = ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{coeff},1,1",
+                "--bound", 1]
+        code, out, err, seconds = run_child(*argv)
+        assert seconds < 5, detail
+        if cap is None:
+            assert (code, err) == (0, ""), err
+            assert detail in out
+        else:
+            assert (code, out) == (2, ""), err
+            error = json.loads(err)
+            assert error["cap"] == cap and detail in error["message"], err
+    # A value given as a prime is tested, not factored.
+    code, out, err, seconds = run_child("h1", "--primes", m61**40, "--n", 2)
+    assert (code, json.loads(err)["cap"]) == (2, "prime bits")
+    assert "testing a 2440-bit number" in err and seconds < 5
+
+
 def test_a_huge_prime_goes_through_every_prime_and_coefficient_flag():
     # Each flag that takes a prime or a coefficient, given M4423: a defined
     # exit code and no traceback, quickly.  A flag that tests it for

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -19,7 +20,12 @@ from gfdescent.exact import (
 )
 from gfdescent.sarith import SRing
 
-from oracles import factorization_product, is_strong_probable_prime, newton_nth_root
+from oracles import (
+    factorization_product,
+    is_strong_probable_prime,
+    newton_nth_root,
+    split_power_by_roots,
+)
 
 # Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
@@ -201,24 +207,72 @@ def test_brent_rho_charges_steps_by_words():
 
 def test_split_power_tries_prime_exponents(monkeypatch):
     # A root is split again, so only prime k need one: on a 2,046-bit v with
-    # no prime factor up to 10^4, the 36 primes below 155 rather than every
-    # k in [2, 153], and the factorizations of r^k stay the same.
+    # no prime factor up to 10^4, the 37 primes k with 13k < 2,046, and the
+    # residue filter rejects each of them without a root; the factorizations
+    # of r^k stay the same.
     rng = random.Random(2046)
     v = 0
     while math.gcd(v, exact._PRIMORIAL) > 1 or is_probable_prime(v):
         v = rng.randrange(2**2045, 2**2046)
-    roots = []
+    tried, roots = [], []
+    residue_primes = exact._residue_primes
+
+    def filtered(k):
+        tried.append(k)
+        return residue_primes(k)
 
     def counted(value, k):
         roots.append(k)
         return is_perfect_nth_power(value, k)
 
+    monkeypatch.setattr(exact, "_residue_primes", filtered)
     monkeypatch.setattr(exact, "is_perfect_nth_power", counted)
     assert exact._split_power(v) == (v, 1)
-    assert len(roots) == 36 and roots[-1] == 151
+    assert len(tried) == 37 and tried[-1] == 157 and roots == []
     for r in (10007, M61):
         for k in (4, 6, 9):
             assert factorize(r**k).factors == ((r, k),)
+
+
+def test_split_power_skips_a_residue_prime_that_divides_v():
+    # q = 2 * 5003 + 1 = 10007 divides v, so v % q is 0 there: that q is
+    # skipped, not counted as a failed residue test.
+    assert exact._split_power(10007**5003) == (10007, 5003)
+
+
+def test_split_power_recovers_seeded_prime_powers():
+    rng = random.Random(100)
+    p100 = rng.randrange(2**99, 2**100) | 1
+    while not is_probable_prime(p100):
+        p100 += 2
+    for r in (10007, M61, p100):
+        for k in (2, 3, 5, 7, 151):
+            assert exact._split_power(r**k) == (r, k)
+    assert factorize(p100**151).factors == ((p100, 151),)
+    assert factorize(12 * M61**40).factors == ((2, 2), (3, 1), (M61, 40))
+
+
+def test_split_power_matches_the_unfiltered_loop():
+    # Non-powers of 60 to 4,000 bits free of primes up to 10^4, and a few
+    # powers of them: the filter changes which roots are taken, not the
+    # answer.
+    rng = random.Random(4000)
+    for _ in range(40):
+        bits = rng.randint(60, 4000)
+        v = rng.randrange(2 ** (bits - 1), 2**bits) | 1
+        while math.gcd(v, exact._PRIMORIAL) > 1:
+            v += 2
+        assert exact._split_power(v) == split_power_by_roots(v), v
+        w = v ** rng.choice((2, 3, 5)) if bits < 800 else v
+        assert exact._split_power(w) == split_power_by_roots(w), w
+
+
+def test_residue_primes_are_the_primes_one_mod_2k():
+    # Looked up below 10^4, proved by the primorial gcd above it.
+    for k in (2, 3, 5003, 9973):
+        qs = list(itertools.islice(exact._residue_primes(k), 30))
+        want = [q for q in range(2 * k + 1, qs[-1] + 1, 2 * k) if is_probable_prime(q)]
+        assert qs == want, k
 
 
 def test_factorize_splits_perfect_powers():
@@ -229,6 +283,19 @@ def test_factorize_splits_perfect_powers():
     assert factorize(-(q**6) * p**3 * 12) == Factorization(
         -1, ((2, 2), (3, 1), (q, 6), (p, 3))
     )
+
+
+def test_a_square_costs_one_root(monkeypatch):
+    # README: (2^61-1)^2 costs one root extraction, k = 2, and no rho run.
+    roots = []
+
+    def counted(value, k):
+        roots.append(k)
+        return is_perfect_nth_power(value, k)
+
+    monkeypatch.setattr(exact, "is_perfect_nth_power", counted)
+    assert factorize(M61**2, rho_iteration_cap=1).factors == ((M61, 2),)
+    assert roots == [2]
 
 
 @pytest.mark.parametrize(
