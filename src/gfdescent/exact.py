@@ -180,17 +180,19 @@ def _residue_primes(k: int):
 
 
 def _split_power(v: int) -> tuple[int, int]:
-    """(r, k) with r^k == v and k prime, or (v, 1) if no prime k up to 9,973
-    gives one.  Prime k suffice: r is re-split.
-
-    Only for v free of primes up to TRIAL_DIVISION_BOUND: r then exceeds
-    10^4 >= 2^13, so k stops once 13k reaches the bits of v (k < 158 within
+    """(r, k) with r^k == v and k prime, or (v, 1); r is re-split.  For v
+    free of primes up to TRIAL_DIVISION_BOUND: r > 2^b, b = 13 the bound's
+    bits less one, so k stops once bk reaches the bits of v (k < 158 within
     PRIME_BIT_CAP, up to 9,973 past it).  Before each root, v must be a k-th
     power residue mod the first four primes q = 2jk + 1 that do not divide
-    it, as a k-th power is (Bernstein, Math. Comp. 67, 1998).
+    it, as a k-th power is (Bernstein, Math. Comp. 67, 1998).  Past
+    PRIME_BIT_CAP, where a v built to pass that filter could cost a root per
+    k, it gives up after four failed roots, and is_probable_prime refuses v.
     """
+    bits = v.bit_length()
+    spare = 4 if bits > PRIME_BIT_CAP else len(_TRIAL_PRIMES)
     for k in _TRIAL_PRIMES:
-        if 13 * k >= v.bit_length():
+        if (TRIAL_DIVISION_BOUND.bit_length() - 1) * k >= bits or not spare:
             break
         residues = ((v % q, q) for q in _residue_primes(k))
         held = (pow(u, (q - 1) // k, q) == 1 for u, q in residues if u)
@@ -198,6 +200,7 @@ def _split_power(v: int) -> tuple[int, int]:
             r = is_perfect_nth_power(v, k)
             if r is not None:
                 return r, k
+            spare -= 1
     return v, 1
 
 
@@ -306,7 +309,8 @@ def integer_nth_root(v: int, n: int) -> int:
         # steps remain.
         x = (integer_nth_root(v >> n * k, n) + 1) << k
     else:
-        x = 1 << (-(-v.bit_length() // n))  # upper-bound initial guess
+        # log2's float error is far below 2^-20, so x lies just above the root.
+        x = int(2 ** (math.log2(v) / n + 2**-20)) + 1
     while True:
         y = ((n - 1) * x + v // x ** (n - 1)) // n
         if y >= x:

@@ -10,7 +10,7 @@ import resource
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -437,6 +437,15 @@ def test_perfect_powers_split_before_the_prime_bits_cap():
         while math.gcd(big, exact._PRIMORIAL) > 1:
             big += 2
         big = str(big)
+        # 1 mod every trial prime and every residue prime the power split
+        # reads, so each k passes its filter: four failed roots, then the
+        # refusal (one root at k = 9,973 took 6.6 s from a power of two on a
+        # 2-core VM).
+        qs = {q for k in exact._TRIAL_PRIMES
+              for q in islice(exact._residue_primes(k), 4)}
+        modulus = math.prod(qs) * exact._PRIMORIAL
+        passes = 1 + modulus * random.Random(130000).getrandbits(130000 - modulus.bit_length())
+        passes = str(passes)
     finally:
         sys.set_int_max_str_digits(digits)
     m61 = 2**61 - 1
@@ -445,6 +454,7 @@ def test_perfect_powers_split_before_the_prime_bits_cap():
         ((2**1279 - 1) ** 2, None, '"ring": "Z[1/{2,3,7,'),
         (M4423**3, "prime bits", "testing a 4423-bit number"),
         (big, "prime bits", "testing a 400001-bit number"),
+        (passes, "prime bits", "testing a 130000-bit number"),
     ):
         argv = ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{coeff},1,1",
                 "--bound", 1]

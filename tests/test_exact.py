@@ -240,6 +240,27 @@ def test_split_power_skips_a_residue_prime_that_divides_v():
     assert exact._split_power(10007**5003) == (10007, 5003)
 
 
+def test_split_power_gives_up_past_the_cap_after_four_failed_roots(monkeypatch):
+    # v = 1 mod every trial prime and every residue prime the filter reads,
+    # so each k passes it.  Past PRIME_BIT_CAP the split stops after the
+    # roots for k = 2, 3, 5, 7 rather than take one for each of 1,229 k
+    # (6.9 s, 2-core VM), and factorize refuses v on prime bits.
+    qs = {q for k in exact._TRIAL_PRIMES for q in itertools.islice(exact._residue_primes(k), 4)}
+    modulus = math.prod(qs) * exact._PRIMORIAL
+    v = 1 + modulus * random.Random(130000).getrandbits(130000 - modulus.bit_length())
+    roots = []
+
+    def counted(value, k):
+        roots.append(k)
+        return is_perfect_nth_power(value, k)
+
+    monkeypatch.setattr(exact, "is_perfect_nth_power", counted)
+    assert exact._split_power(v) == (v, 1) and roots == [2, 3, 5, 7]
+    with pytest.raises(WorkLimitExceeded) as info:
+        factorize(v)
+    assert info.value.cap == "prime bits"
+
+
 def test_split_power_recovers_seeded_prime_powers():
     rng = random.Random(100)
     p100 = rng.randrange(2**99, 2**100) | 1
@@ -443,6 +464,24 @@ def test_integer_nth_root_of_a_huge_radicand_is_fast():
         integer_nth_root(v, 3)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.6
+
+
+def test_integer_nth_root_of_a_small_root_is_fast():
+    # A root of under about 128 bits starts from a float estimate just above
+    # it.  From the power of two above it, Newton took 2,014 full-width steps
+    # (0.8 s) on 10007^5003, and 6.6 s at n = 9,973 on 130,000 bits (2-core
+    # VM).
+    rng = random.Random(9973)
+    start = time.perf_counter()
+    for n in (3, 1019, 5003, 9973):
+        for bits in (13, 40, 127):
+            if bits * n > 130000:
+                continue
+            r = rng.getrandbits(bits) | 1 << (bits - 1)
+            for v in (r**n - 1, r**n, r**n + 1, rng.getrandbits(bits * n)):
+                root = integer_nth_root(v, n)
+                assert root**n <= v < (root + 1) ** n, (bits, n)
+    assert time.perf_counter() - start < 1
 
 
 def test_is_probable_prime_small():

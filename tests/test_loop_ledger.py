@@ -51,7 +51,11 @@ LEDGER = {
         ("_brent_rho", 4): ("while", "cap", "rho work"),
         ("_residue_primes", 0): ("for", "constant",
                                  "q < TRIAL_DIVISION_BOUND^2; see the test below"),
-        ("_split_power", 0): ("for", "constant", "the 1,229 _TRIAL_PRIMES"),
+        # Each k reads four residues; a root is taken only where they pass,
+        # and past PRIME_BIT_CAP the loop stops after four roots that fail.
+        ("_split_power", 0): ("for", "constant",
+                              "the 1,229 _TRIAL_PRIMES, at most four failed roots "
+                              "past PRIME_BIT_CAP"),
         ("_split_power", 1): ("comprehension", "dominated", ("_residue_primes", 0)),
         ("_split_power", 2): ("comprehension", "dominated", ("_residue_primes", 0)),
         ("_divide_out", 0): ("while", "linear",
@@ -64,10 +68,10 @@ LEDGER = {
         ("factorize", 2): ("while", "cap", "rho work"),
         ("integer_nth_root", 0): ("while", "linear", "n halves each step"),
         ("integer_nth_root", 1): ("while", "linear",
-                                  "from a guess within 4 times the root, a step above "
-                                  "twice the root cuts x by about 1 - 1/n, and Newton "
-                                  "from above converges after that: O(n + log bits) "
-                                  "steps, and n < bits of v"),
+                                  "from a start just above the root, each step cuts "
+                                  "x, quadratically once n times the relative error "
+                                  "is below 1: a few steps for the n < 10^4 of "
+                                  "_split_power, O(n) at worst, and n < bits of v"),
     },
 }
 
