@@ -12,28 +12,11 @@ import random
 from bisect import bisect_right
 
 from ._record import Record, set_field
-from .errors import WorkLimitExceeded, ZeroPoint
+from .errors import CAPS, WorkLimitExceeded, ZeroPoint
 
 # Trial division finds every prime factor up to this bound, through one gcd
-# with the product of those primes; Brent's rho picks up the rest.  Its cap
-# counts steps times the cofactor's 64-bit words: 2-5 s at any size (2-core VM).
+# with the product of those primes; Brent's rho picks up the rest.
 TRIAL_DIVISION_BOUND = 10_000
-DEFAULT_RHO_ITERATION_CAP = 5_000_000
-
-# The most bits a build of powers whose size the input sets may hold: a
-# value table of the enumerator, a term of GFE.evaluate, the unit-class
-# representatives.  Each build is checked against it before it starts.  The
-# largest table the benchmark builds, (4,4,2) at bound 2000, holds about
-# 164 k bits, 200 times less; three exponent-2 tables at the cap (bound
-# about 450,000) take about 350 MB.
-POWER_BIT_CAP = 2**25
-
-# The most bits is_probable_prime tests once trial division by its 13 small
-# primes has not settled n.  The full witness set on a prime grows about
-# eightfold per doubling of the bits: 81 ms at 1,279 bits, 0.37 s at 2,203
-# and 3.0 s at 4,423 (the Mersenne primes 2^p - 1; single runs, 2-core VM,
-# Python 3.11).
-PRIME_BIT_CAP = 2**11
 
 
 def _primes_up_to(n: int) -> tuple[int, ...]:
@@ -92,17 +75,16 @@ def is_probable_prime(n: int) -> bool:
     beyond that, which is all the desk-scale inputs here ever need.
 
     Raises WorkLimitExceeded, with cap "prime bits", when an n that none of
-    the 13 primes divides has more than PRIME_BIT_CAP bits.
+    the 13 primes divides has more bits than the prime-bits cap.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n.bit_length() > PRIME_BIT_CAP:
-        raise WorkLimitExceeded(
-            "prime bits", PRIME_BIT_CAP, f"testing a {n.bit_length()}-bit number"
-        )
+    cap = CAPS["prime bits"]
+    if n.bit_length() > cap:
+        raise WorkLimitExceeded("prime bits", cap, f"testing a {n.bit_length()}-bit number")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -183,14 +165,14 @@ def _split_power(v: int) -> tuple[int, int]:
     """(r, k) with r^k == v and k prime, or (v, 1); r is re-split.  For v
     free of primes up to TRIAL_DIVISION_BOUND: r > 2^b, b = 13 the bound's
     bits less one, so k stops once bk reaches the bits of v (k < 158 within
-    PRIME_BIT_CAP, up to 9,973 past it).  Before each root, v must be a k-th
-    power residue mod the first four primes q = 2jk + 1 that do not divide
-    it, as a k-th power is (Bernstein, Math. Comp. 67, 1998).  Past
-    PRIME_BIT_CAP, where a v built to pass that filter could cost a root per
-    k, it gives up after four failed roots, and is_probable_prime refuses v.
+    the prime-bits cap, up to 9,973 past it).  Before each root, v must be a
+    k-th power residue mod the first four primes q = 2jk + 1 that do not
+    divide it, as a k-th power is (Bernstein, Math. Comp. 67, 1998).  Past
+    the prime-bits cap, where a v built to pass that filter could cost a root
+    per k, it gives up after four failed roots, and is_probable_prime refuses v.
     """
     bits = v.bit_length()
-    spare = 4 if bits > PRIME_BIT_CAP else len(_TRIAL_PRIMES)
+    spare = 4 if bits > CAPS["prime bits"] else len(_TRIAL_PRIMES)
     for k in _TRIAL_PRIMES:
         if (TRIAL_DIVISION_BOUND.bit_length() - 1) * k >= bits or not spare:
             break
@@ -231,19 +213,19 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     and one whose small primes are all below 100 costs at most 25 trial
     divisions of the gcd.  Every cofactor then goes through one order: a
     perfect power r^k is replaced by r (k times over), so a power past
-    PRIME_BIT_CAP answers when its base is within it; a prime is recorded;
+    the prime-bits cap answers when its base is within it; a prime is recorded;
     any other is split by Brent's rho, seeded deterministically from the
     input (the generator is built only when rho runs), so failures are
     reproducible.
 
-    The rho budget is rho_iteration_cap, or DEFAULT_RHO_ITERATION_CAP when
-    that is None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap
+    The rho budget is rho_iteration_cap, or CAPS["rho work"] when that is
+    None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap
     "rho work", when it runs out before the remaining cofactor is split, and
     with cap "prime bits" when is_probable_prime refuses a cofactor.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    cap = DEFAULT_RHO_ITERATION_CAP if rho_iteration_cap is None else rho_iteration_cap
+    cap = CAPS["rho work"] if rho_iteration_cap is None else rho_iteration_cap
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}

@@ -21,9 +21,8 @@ from operator import sub
 
 from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
-from .errors import NotAStackPoint, WorkLimitExceeded
+from .errors import CAPS, NotAStackPoint, WorkLimitExceeded
 from .exact import (
-    POWER_BIT_CAP,
     ProjPointQ,
     factorize,
     integer_nth_root,
@@ -32,12 +31,6 @@ from .exact import (
 )
 from .groups import Signature
 from .sarith import SRing, _proved_ring
-
-# The most probes the join may make, a probe being one entry of the shorter
-# window, summed over the outer values.  (2,2,2) with coefficients 1, 1, -1
-# makes 0.33 M at bound 1,500, 21.1 M at 12,000 (about 2 s on a 2-core VM,
-# Python 3.11), 33.0 M at 15,000, under this cap, and 58.6 M at 20,000.
-JOIN_PROBE_CAP = 2**25
 
 
 class GFE(Record):
@@ -57,11 +50,11 @@ class GFE(Record):
 
     def evaluate(self, x: int, y: int, z: int) -> int:
         """A x^a + B y^b + C z^c.  Raises WorkLimitExceeded when a term
-        would exceed POWER_BIT_CAP bits."""
+        would pass the power-bits cap."""
         return sum(self._terms(x, y, z))
 
     def _terms(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        """(A x^a, B y^b, C z^c), each checked against POWER_BIT_CAP first."""
+        """(A x^a, B y^b, C z^c), each checked against the power-bits cap first."""
         terms = tuple(zip((self.A, self.B, self.C), (x, y, z), self.sig))
         for coef, v, n in terms:
             _check_power_bits(1, coef, n, v)
@@ -104,20 +97,21 @@ def bad_prime_set(F: GFE) -> SRing:
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):
     """Raise WorkLimitExceeded unless entries values coef * v^n with
-    |v| <= |radius| fit in POWER_BIT_CAP bits, by entries times a lower bound
+    |v| <= |radius| fit in the power-bits cap, by entries times a lower bound
     on the bits of the largest, |coef| * |radius|^n."""
     bits = entries * (abs(coef).bit_length() + n * (radius.bit_length() - 1))
-    if bits > POWER_BIT_CAP:
+    cap = CAPS["power bits"]
+    if bits > cap:
         what = f"{entries} values of {coef}*v^{n}, |v| <= {radius}"
         raise WorkLimitExceeded(
-            "power bits", POWER_BIT_CAP, f"{coef}*({radius})^{n}" if entries == 1 else what
+            "power bits", cap, f"{coef}*({radius})^{n}" if entries == 1 else what
         )
 
 
 def _value_table(coef: int, n: int, bound: int) -> tuple[list[int], dict[int, list[int]]]:
     """Sorted distinct values of coef * v^n over |v| <= bound, and a dict
     from each value to the v that give it, in increasing order.  Checked
-    against POWER_BIT_CAP before it is built."""
+    against the power-bits cap before it is built."""
     _check_power_bits(2 * bound + 1, coef, n, bound)
     roots: dict[int, list[int]] = {}
     for v in range(-bound, bound + 1):
@@ -164,8 +158,8 @@ def enumerate_primitive_solutions(
     the join could match; then per joined value t two bisections into each
     inner table and one set intersection over the shorter window.  Each
     table is sized before it is built: when its entries times a lower bound
-    on the bits of its largest entry exceed POWER_BIT_CAP, WorkLimitExceeded
-    (cap "power bits") is raised instead.  So an exponent like 10^9 + 7
+    on the bits of its largest entry pass the cap "power bits",
+    WorkLimitExceeded is raised instead.  So an exponent like 10^9 + 7
     fails at once on an inner table past |v| <= 1, and costs nothing on the
     outer one, which the cut keeps to |v| <= 1 while the inner sums stay
     below 2^(10^9 + 7).  A largest exponent outside leaves few outer values
@@ -174,9 +168,9 @@ def enumerate_primitive_solutions(
     17 k on (7,7,7) at bound 600 (12 maps) and to 330 k on (2,2,2) at bound
     1500 (x <-> y), against 1.42 M and 1.13 M with x outer and no symmetry.
     These window lengths are the join's probes: it sums them as it runs and
-    raises WorkLimitExceeded (cap "join probes") once they pass
-    JOIN_PROBE_CAP, which (2,2,2) with coefficients 1, 1, -1 does past bound
-    15,000.  No root extraction, no modular sieve, no fixed-width integers.
+    raises WorkLimitExceeded (cap "join probes") once they pass that cap,
+    which (2,2,2) with coefficients 1, 1, -1 does past bound 15,000.  No
+    root extraction, no modular sieve, no fixed-width integers.
 
     use_sieve is accepted and has no effect: the join is exact, so there is
     nothing for a modular pre-sieve to discard.  It stays because callers
@@ -205,7 +199,7 @@ def enumerate_primitive_solutions(
     if negation and (inner_match or not outer_match):
         top = min(top, 0)
     found = set()
-    cap, probes = JOIN_PROBE_CAP, 0
+    cap, probes = CAPS["join probes"], 0
     for t in ts[bisect_left(ts, ws[0] + rs[0]) : bisect_right(ts, top)]:
         lo = max(t - rs[-1], ws[0])
         hi = min(t - rs[0], ws[-1])

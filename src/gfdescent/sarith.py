@@ -12,18 +12,16 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .errors import WorkLimitExceeded
-from .exact import POWER_BIT_CAP, _divide_out, is_perfect_nth_power, is_probable_prime
-
-# The most unit classes s_unit_reps lists.  The benchmark's largest group,
-# Z[1/{2,3,5,7}] modulo 4th powers, has 512, 2,048 times less; the largest
-# a test builds, Z[1/{2,3,5,7,11}] modulo 13th powers, has 13^5 = 371,293.
-UNIT_CLASS_CAP = 2**20
+from .errors import CAPS, WorkLimitExceeded
+from .exact import _SMALL_PRIMES, _divide_out, is_perfect_nth_power, is_probable_prime
 
 
 class SRing(Record):
     """Z[S^-1] for a finite, sorted set S of rational primes, given as ints
-    (not bools)."""
+    (not bools).  Miller-Rabin tests each p > 41 that none of the 13 primes
+    up to 41 divides.  When those of more than 64 bits pass the prime-bits
+    cap in all, WorkLimitExceeded is raised before any p is tested; one of
+    at most 64 bits costs at most 12 witnesses on one machine word."""
 
     __slots__ = ("primes",)
 
@@ -33,6 +31,12 @@ class SRing(Record):
             raise ValueError(f"primes must be ints, got {primes!r}")
         if list(primes) != sorted(set(primes)):
             raise ValueError("prime set must be strictly increasing and duplicate-free")
+        charged = [p for p in primes if p >= 2**64 and all(p % q for q in _SMALL_PRIMES)]
+        bits, cap = sum(p.bit_length() for p in charged), CAPS["prime bits"]
+        if bits > cap:
+            what = f"{len(charged)} numbers of {bits} bits in all"
+            what = f"a {bits}-bit number" if len(charged) == 1 else what
+            raise WorkLimitExceeded("prime bits", cap, f"testing {what}")
         for p in primes:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
@@ -94,25 +98,25 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
     and each prime's exponent faster than the one before.  Built by running
     products, one multiplication per entry per prime.  Raises
     WorkLimitExceeded before building when the (2 or 1) * n^|S| classes
-    exceed UNIT_CLASS_CAP (cap "unit classes"), or when a lower bound on
-    their bits, count * (n - 1)/2 * sum(bits of p - 1), exceeds
-    POWER_BIT_CAP (cap "power bits").
+    pass the cap "unit classes", or when a lower bound on their bits,
+    count * (n - 1)/2 * sum(bits of p - 1), passes the cap "power bits".
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
     # Counted up one prime at a time, so that a huge n ** |S| is never built.
     count = 2 if n % 2 == 0 else 1
+    classes, power_bits = CAPS["unit classes"], CAPS["power bits"]
     for _ in ring.primes:
         count *= n
-        if count > UNIT_CLASS_CAP:
+        if count > classes:
             what = f"at least {count} classes of {ring} modulo {n}th powers"
-            raise WorkLimitExceeded("unit classes", UNIT_CLASS_CAP, what)
+            raise WorkLimitExceeded("unit classes", classes, what)
     what = f"{count} classes of {ring} modulo {n}th powers"
     # The exponent of p averages (n - 1)/2 over the classes, and p^e has at
     # least e * (bits of p - 1) bits.
     bits = count * (n - 1) * sum(p.bit_length() - 1 for p in ring.primes) // 2
-    if bits > POWER_BIT_CAP:
-        raise WorkLimitExceeded("power bits", POWER_BIT_CAP, what)
+    if bits > power_bits:
+        raise WorkLimitExceeded("power bits", power_bits, what)
     reps = [1, -1] if n % 2 == 0 else [1]
     for p in ring.primes:
         powers = [p**e for e in range(n)]

@@ -12,14 +12,7 @@ operations on it.  smith_normal_form returns U, D and V.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import WorkLimitExceeded
-
-# The most rows * cols * min(rows, cols) * (bits of the largest |entry|)
-# that smith_normal_form takes on, checked before its elimination starts.
-# The benchmark's 3x3 sweep matrices measure at most 135.  A 64x64 matrix
-# in +-15, exactly at the cap, takes 0.64 s, and 48x48 in +-99 (774,144)
-# 0.26 s (single runs, 2-core VM, Python 3.11).
-ELIMINATION_BIT_CAP = 2**20
+from .errors import CAPS, WorkLimitExceeded
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -179,17 +172,15 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     D is diagonal with nonnegative entries, each dividing the next nonzero
     one; U and V have determinant +-1; U @ A @ V == D exactly.  Raises
     WorkLimitExceeded (cap "elimination bits") before the elimination when
-    rows * cols * min(rows, cols) * (bits of the largest |entry|) exceeds
-    ELIMINATION_BIT_CAP.
+    rows * cols * min(rows, cols) * (bits of the largest |entry|) passes
+    that cap.
     """
     bits = max(abs(v) for row in A.data for v in row).bit_length()
     work = A.rows * A.cols * min(A.rows, A.cols) * bits
-    if work > ELIMINATION_BIT_CAP:
-        raise WorkLimitExceeded(
-            "elimination bits",
-            ELIMINATION_BIT_CAP,
-            f"{A.rows}x{A.cols} matrix of {bits}-bit entries",
-        )
+    cap = CAPS["elimination bits"]
+    if work > cap:
+        what = f"{A.rows}x{A.cols} matrix of {bits}-bit entries"
+        raise WorkLimitExceeded("elimination bits", cap, what)
     DU, Vt = _snf(A.data)
     U = [row[A.cols :] for row in DU]
     D = [row[: A.cols] for row in DU]

@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 import gfdescent.belyi as belyi
 import gfdescent.cli as cli
 import gfdescent.exact as exact
-import gfdescent.gfe as gfe
 import gfdescent.quartic as quartic
+from gfdescent.errors import CAPS
 
 
 def run_cli(capsys, *argv):
@@ -210,7 +210,7 @@ def test_invalid_inputs_exit_1(capsys):
 def test_work_limit_exit_2(capsys, monkeypatch):
     # At the real cap this input takes seconds to exhaust; a cap of 1 reaches
     # the same exit at once.
-    monkeypatch.setattr(exact, "DEFAULT_RHO_ITERATION_CAP", 1)
+    monkeypatch.setitem(CAPS, "rho work", 1)
     big = str((2**89 - 1) * (2**107 - 1))
     code, out, err = run_cli(
         capsys, "verify-inclusion", "--signature", "2,3,7",
@@ -227,7 +227,7 @@ def test_work_limit_exit_2(capsys, monkeypatch):
 def test_join_probe_limit_exit_2(capsys, monkeypatch):
     # The real cap is first passed past bound 15,000, after seconds of work;
     # bound 300 makes 13,375 probes, over a cap of 1,000 at once.
-    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 1000)
+    monkeypatch.setitem(CAPS, "join probes", 1000)
     code, out, err = run_cli(
         capsys, "enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1", "--bound", "300"
     )
@@ -413,6 +413,10 @@ def test_oversized_builds_exit_2_naming_their_cap():
         # Before the cap these took 3.4 s and 6.7 s (2-core x86-64 VM); the
         # second tested the prime twice, in factoring and in building the ring.
         ("prime bits", ["h1", "--primes", M4423, "--n", 2]),
+        # Three primes of 2,407 bits in all: each is within the cap, the list
+        # is not, and it is refused before any is tested.
+        ("prime bits", ["stack-point", "--q", "1:1", "--signature", "2,3,7", "--primes",
+                        f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"]),
         ("prime bits", ["verify-inclusion", "--signature", "2,3,7", "--coeffs",
                         f"{M4423},1,1", "--bound", 1]),
     ):

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from gfdescent import exact
-from gfdescent.errors import WorkLimitExceeded, ZeroPoint
+from gfdescent.errors import CAPS, WorkLimitExceeded, ZeroPoint
 from gfdescent.exact import (
     Factorization,
     ProjPointQ,
@@ -242,7 +242,7 @@ def test_split_power_skips_a_residue_prime_that_divides_v():
 
 def test_split_power_gives_up_past_the_cap_after_four_failed_roots(monkeypatch):
     # v = 1 mod every trial prime and every residue prime the filter reads,
-    # so each k passes it.  Past PRIME_BIT_CAP the split stops after the
+    # so each k passes it.  Past the prime-bits cap the split stops after the
     # roots for k = 2, 3, 5, 7 rather than take one for each of 1,229 k
     # (6.9 s, 2-core VM), and factorize refuses v on prime bits.
     qs = {q for k in exact._TRIAL_PRIMES for q in itertools.islice(exact._residue_primes(k), 4)}
@@ -504,9 +504,9 @@ def test_psi_table_entries_are_the_strong_pseudoprimes():
 
 
 def test_prime_bit_cap():
-    # Miller-Rabin runs on at most PRIME_BIT_CAP bits; a larger number that
+    # Miller-Rabin runs on at most the prime-bits cap; a larger number that
     # none of the 13 small primes divides is refused, with the cap named.
-    cap = exact.PRIME_BIT_CAP
+    cap = CAPS["prime bits"]
     assert is_probable_prime(2**1279 - 1)
 
     def free_of_small_primes(bits):

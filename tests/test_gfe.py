@@ -14,7 +14,7 @@ import gfdescent.cli as cli
 import gfdescent.gfe as gfe
 from gfdescent import exact, sarith
 from gfdescent.belyi import is_stack_point
-from gfdescent.errors import NotAStackPoint, WorkLimitExceeded
+from gfdescent.errors import CAPS, NotAStackPoint, WorkLimitExceeded
 from gfdescent.exact import (
     POINT_INFINITY,
     POINT_ONE,
@@ -459,9 +459,9 @@ def test_join_stops_past_its_probe_cap(monkeypatch):
     # (2,2,2) at bound 300 probes 13,375 entries of its shorter windows, so
     # it answers at that cap and raises one below it.
     F = GFE(Signature(2, 2, 2), 1, 1, -1)
-    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 13375)
+    monkeypatch.setitem(CAPS, "join probes", 13375)
     assert len(enumerate_primitive_solutions(F, 300)) == 760
-    monkeypatch.setattr(gfe, "JOIN_PROBE_CAP", 13374)
+    monkeypatch.setitem(CAPS, "join probes", 13374)
     with pytest.raises(WorkLimitExceeded) as e:
         enumerate_primitive_solutions(F, 300)
     assert (e.value.cap, e.value.limit) == ("join probes", 13374)

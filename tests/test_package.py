@@ -321,30 +321,51 @@ def cap_value(text: str) -> int:
 
 
 def test_cap_lists_name_the_caps_raised():
-    # The caps a command can report on exit 2 are the ones the code raises:
-    # each of the three lists of them names each once and no other, and the
-    # two that give values give the constants' values.
+    # The caps a command can report on exit 2 are the rows of errors.CAPS,
+    # and the code raises each of them: the error's docstring, the README
+    # and the CLI help name each row once and no other, and the two that
+    # give values give the table's.
     layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
     raised = {cap for p in layers for cap in caps_raised(ast.parse(p.read_text()))}
     documented = re.findall(r'"([^"]+)"', errors.WorkLimitExceeded.__doc__)
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("The caps are module-level constants", 1)[1].split("\n## ", 1)[0]
-    listed = re.findall(r"^- `([^`]+)`, `?([\d,^]+)`? \(`(\w+)\.(\w+)`\)", section, re.MULTILINE)
+    section = readme.split("The caps are the rows of `gfdescent.errors.CAPS`", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`, `?([\d,^]+)`?:", section, re.MULTILINE)
     cli_doc = importlib.import_module("gfdescent.cli").__doc__
     in_help = re.findall(r'"([^"]+)"\s+\(([\d,^]+)', cli_doc)
-    assert raised == {
-        "rho work", "power bits", "unit classes", "elimination bits", "prime bits",
-        "join probes",
-    }
-    assert sorted(documented) == sorted(name for name, *_ in listed) == sorted(raised)
-    assert sorted(name for name, _ in in_help) == sorted(raised)
-    constants = {
-        name: getattr(importlib.import_module(f"gfdescent.{layer}"), constant)
-        for name, _, layer, constant in listed
-    }
-    assert {name: cap_value(value) for name, value, *_ in listed} == constants
-    assert {name: cap_value(value) for name, value in in_help} == constants
+    table = sorted(errors.CAPS.items())
+    assert raised == set(errors.CAPS)
+    assert sorted(documented) == sorted(errors.CAPS)
+    assert sorted((name, cap_value(value)) for name, value in listed) == table
+    assert sorted((name, cap_value(value)) for name, value in in_help) == table
     assert caps_raised(ast.parse("raise errors.WorkLimitExceeded('a', 1, '')")) == ["a"]
+
+
+# For each cap: the value a test lowers it to (None keeps the table's) and a
+# call that passes it at once.
+CAP_TRIGGERS = {
+    "rho work": (1, lambda: exact.factorize((2**89 - 1) * (2**107 - 1))),
+    "power bits": (None, lambda: gfdescent.enumerate_primitive_solutions(
+        gfdescent.GFE(gfdescent.Signature(10**9 + 7, 10**9 + 7, 2), 1, 1, 1), 3)),
+    "unit classes": (None, lambda: gfdescent.s_unit_reps(
+        gfdescent.SRing(exact._TRIAL_PRIMES[:20]), 2)),
+    "elimination bits": (None, lambda: gfdescent.smith_normal_form(
+        gfdescent.IntMatrix([[2**20] * 64 for _ in range(64)]))),
+    "prime bits": (None, lambda: exact.is_probable_prime(2**4423 - 1)),
+    "join probes": (1000, lambda: gfdescent.enumerate_primitive_solutions(
+        gfdescent.GFE(gfdescent.Signature(2, 2, 2), 1, 1, -1), 300)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(errors.CAPS))
+def test_each_cap_reports_the_table_value_read_when_called(name, monkeypatch):
+    limit, trigger = CAP_TRIGGERS[name]
+    if limit is not None:
+        monkeypatch.setitem(errors.CAPS, name, limit)
+    with pytest.raises(errors.WorkLimitExceeded) as e:
+        trigger()
+    assert (e.value.cap, e.value.limit) == (name, errors.CAPS[name])
 
 
 SWALLOWING = {"Exception", "BaseException", "MemoryError", "RecursionError"}
@@ -379,6 +400,81 @@ def test_no_handler_swallows_resource_errors():
     for clause in ("except:", "except (ValueError, MemoryError):", "except builtins.Exception:"):
         assert swallowing_handlers(ast.parse(f"try: f()\n{clause} g()")) == [2], clause
     assert swallowing_handlers(ast.parse("try: f()\nexcept ValueError: g()")) == []
+
+
+# Methods of the standard containers that change the value they are called on.
+MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem", "remove",
+    "reverse", "setdefault", "sort", "update", "__setitem__", "__delitem__",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def outermost_functions(node):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCTIONS):
+            yield child
+        else:
+            yield from outermost_functions(child)
+
+
+def root_name(node):
+    """The name an attribute or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_writes(tree) -> list[int]:
+    """Lines where a function writes module state: a global or nonlocal
+    statement, or a store, a delete or a mutating method call through a
+    name that neither the function nor one nested in it binds."""
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Global, ast.Nonlocal))]
+    for function in outermost_functions(tree):
+        inner = list(ast.walk(function))
+        bound = {a.arg for n in inner if isinstance(n, FUNCTIONS) for a in ast.walk(n.args)
+                 if isinstance(a, ast.arg)}
+        bound |= {n.id for n in inner if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        bound |= {n.name for n in inner if isinstance(n, ast.ExceptHandler) and n.name}
+        bound |= {(a.asname or a.name).partition(".")[0] for n in inner
+                  if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        for n in inner:
+            if isinstance(n, (ast.Attribute, ast.Subscript)) and not isinstance(n.ctx, ast.Load):
+                target = n
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in MUTATORS:
+                target = n.func
+            else:
+                continue
+            name = root_name(target.value)
+            if name is not None and name not in bound:
+                lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_no_function_writes_module_state():
+    # Module-level values, CAPS among them, are read when called and written
+    # only by the statements that define them at import.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    assert {p.stem: module_state_writes(ast.parse(p.read_text())) for p in layers} == {
+        p.stem: [] for p in layers
+    }
+    for code in (
+        'def f(): CAPS["x"] = 1',
+        'def f(): del CAPS["x"]',
+        'def f(): CAPS.update(x=1)',
+        'def f(): exact.CAPS.x = 1',
+        'def f(): return lambda: CAPS.setdefault("x", []).append(1)',
+        "def f():\n    global X\n    X = 1",
+    ):
+        assert module_state_writes(ast.parse(code)), code
+    for code in (
+        'CAPS["x"] = 1',
+        'def f(CAPS): CAPS["x"] = 1',
+        'def f():\n    d = {}\n    d["x"] = 1\n    d.update(y=2)',
+        "def f(self): self.x = 1",
+    ):
+        assert module_state_writes(ast.parse(code)) == [], code
 
 
 def test_cli_main_catches_only_its_exit_paths():

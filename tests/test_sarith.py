@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from gfdescent import exact, sarith
+from gfdescent.errors import CAPS, WorkLimitExceeded
 from gfdescent.exact import factorize
 from gfdescent.sarith import (
     SRing,
@@ -23,6 +25,27 @@ def test_sring_validation():
         SRing((3, 2))
     assert str(SRing(())) == "Z"
     assert str(SRing((2, 3))) == "Z[1/{2,3}]"
+
+
+def test_a_prime_list_is_capped_in_all_before_any_test(monkeypatch):
+    # Miller-Rabin bits are summed over one list: three Mersenne primes of
+    # 2,407 bits in all are refused before the first is tested, though each
+    # alone is within the cap.  Neither a number of at most 64 bits nor one
+    # that a prime up to 41 divides is counted.
+    m521, m607, m1279 = 2**521 - 1, 2**607 - 1, 2**1279 - 1
+    tested = []
+    monkeypatch.setattr(sarith, "is_probable_prime", tested.append)
+    with pytest.raises(WorkLimitExceeded) as e:
+        SRing((m521, m607, m1279))
+    assert (e.value.cap, e.value.limit) == ("prime bits", CAPS["prime bits"])
+    assert "testing 3 numbers of 2407 bits in all" in str(e.value) and tested == []
+    monkeypatch.undo()
+    small = (*exact._TRIAL_PRIMES, 2**61 - 1)
+    assert SRing((*small, m1279)).primes == (*small, m1279)
+    with pytest.raises(ValueError):
+        SRing((m1279, 43 * 2**2100))
+    with pytest.raises(WorkLimitExceeded, match="testing a 2203-bit number"):
+        SRing((2, 2**2203 - 1))
 
 
 def test_sring_takes_any_iterable_once():

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gfdescent.errors import WorkLimitExceeded
-from gfdescent.smith import ELIMINATION_BIT_CAP, IntMatrix, smith_normal_form
+from gfdescent.errors import CAPS, WorkLimitExceeded
+from gfdescent.smith import IntMatrix, smith_normal_form
 
 from oracles import _det, j_matrix, m_matrix, minor_gcd_diagonal
 
@@ -161,7 +161,7 @@ def test_determinant():
 def test_elimination_bit_cap_is_checked_first(rows, cols):
     # rows * cols * min(rows, cols) * (bits of the largest |entry|): a matrix
     # at the cap answers, and one more bit raises before the elimination.
-    bits = ELIMINATION_BIT_CAP // (rows * cols * min(rows, cols))
+    bits = CAPS["elimination bits"] // (rows * cols * min(rows, cols))
     rng = random.Random(rows * cols)
     data = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
     data[rows - 1][0] = -(2 ** (bits - 1))
@@ -171,7 +171,7 @@ def test_elimination_bit_cap_is_checked_first(rows, cols):
     data[rows - 1][0] = -(2**bits)
     with pytest.raises(WorkLimitExceeded) as info:
         smith_normal_form(IntMatrix(data))
-    assert (info.value.cap, info.value.limit) == ("elimination bits", ELIMINATION_BIT_CAP)
+    assert (info.value.cap, info.value.limit) == ("elimination bits", CAPS["elimination bits"])
     assert f"{rows}x{cols} matrix of {bits + 1}-bit entries" in str(info.value)
 
 
