@@ -13,15 +13,15 @@ option's value may start with a minus sign, as in --coeffs -1,1,1.  Exit
 codes: 0 success, 1 invalid input, 2 a named work cap exceeded, 3
 sieve/enumerator mismatch.  Errors go to stderr as one JSON object with a
 machine-readable code; on exit 2 its "cap" names a row of the table
-gfdescent.errors.CAPS: "rho work" (5,000,000, factorization: one product or
-backtrack step of Brent's rho per 64-bit word of the cofactor, advance steps
-free), "power bits" (2^25, a value table of enumerate, a term of an equation,
-the unit classes), "unit classes" (2^20, h1), "elimination bits" (2^20 for
-rows * cols * min(rows, cols) * bits of the largest |entry|, snf),
-"prime bits" (2^11, a primality test of a cofactor left by factorization, or
-of one list of primes given, in all) or "join probes" (2^25, the join of
-enumerate, counted as it runs).  Each size cap is checked before the build
-it bounds starts.
+gfdescent.errors.CAPS: "rho work" (5,000,000, one product or backtrack step
+of Brent's rho per 64-bit word of the cofactor, advance steps free; only the
+library's factorize reaches it, as verify-inclusion prints what it cannot
+split under "unsplit"), "power bits" (2^25, a value table of enumerate, a
+term of an equation, the unit classes), "unit classes" (2^20, h1),
+"elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
+largest |entry|, snf), "prime bits" (2^11, a primality test of one list of
+primes given, in all) or "join probes" (2^25, the join of enumerate, counted
+as it runs).  Each size cap is checked before the build it bounds starts.
 """
 
 from __future__ import annotations
@@ -196,10 +196,10 @@ def _cmd_recover(args) -> dict:
 
 def _cmd_verify_inclusion(args) -> dict:
     report = gfdescent.verify_descent_inclusion(_parse_gfe(args), args.bound)
-    return {
-        "equation": report.gfe,
-        "bound": report.bound,
-        "ring": report.ring,
+    out = {"equation": report.gfe, "bound": report.bound, "ring": report.ring}
+    if report.unsplit:
+        out["unsplit"] = report.unsplit
+    return out | {
         "solutions": [
             {
                 "solution": e.solution.as_tuple(),

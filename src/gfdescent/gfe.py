@@ -23,6 +23,7 @@ from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
 from .errors import CAPS, NotAStackPoint, WorkLimitExceeded
 from .exact import (
+    _PRIMORIAL,
     ProjPointQ,
     factorize,
     integer_nth_root,
@@ -90,9 +91,9 @@ class PrimitiveSolution(Record):
 
 
 def bad_prime_set(F: GFE) -> SRing:
-    """Primes dividing a*b*c*A*B*C; the equation is well behaved away from them."""
-    a, b, c = F.sig
-    return _proved_ring(factorize(a * b * c * F.A * F.B * F.C).primes())
+    """Primes dividing a*b*c*A*B*C; the equation is well behaved away from
+    them.  Raises WorkLimitExceeded when factorize does; no verdict reads them."""
+    return _proved_ring(factorize(math.prod(F.sig) * F.A * F.B * F.C).primes())
 
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):
@@ -356,9 +357,11 @@ class DescentEntry(Record):
 
 
 class DescentReport(Record):
-    """Outcome of pushing every enumerated solution through the point test."""
+    """Outcome of pushing every enumerated solution through the point test.
+    ring is bad_prime_set(gfe), unsplit (); or, past a work cap there, ring
+    is the trial primes of |abcABC| and unsplit the rest of it, not a prime."""
 
-    __slots__ = ("gfe", "bound", "ring", "entries")
+    __slots__ = ("gfe", "bound", "ring", "unsplit", "entries")
 
     @property
     def violations(self) -> tuple[DescentEntry, ...]:
@@ -369,14 +372,22 @@ class DescentReport(Record):
         return not self.violations
 
 
-
 def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
     """Check that every primitive solution lands on the rooted line over the
-    bad-prime ring.  Violations are collected in the report, never raised."""
-    ring = bad_prime_set(F)
+    bad-prime ring.  Violations are collected in the report, never raised.
+    Each point is tested over Z[1/N], N = |abcABC| unfactored, by gcds with
+    N, so no verdict factors, tests primality or runs rho.  Only the printed
+    ring is factored; a work cap there leaves the rest of N unsplit."""
+    N = abs(math.prod(F.sig) * F.A * F.B * F.C)
+    try:
+        ring, unsplit = bad_prime_set(F), ()
+    except WorkLimitExceeded:
+        ring = _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
+        unsplit = (ring.prime_to_s_part(N),)
+    support = _proved_ring((N,))
     entries = []
     for sol in enumerate_primitive_solutions(F, bound):
         image = j_map(F, sol)
-        cert = is_stack_point(image, F.sig, ring)
+        cert = is_stack_point(image, F.sig, support)
         entries.append(DescentEntry(sol, image, cert))
-    return DescentReport(F, bound, ring, tuple(entries))
+    return DescentReport(F, bound, ring, unsplit, tuple(entries))

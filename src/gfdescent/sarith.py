@@ -8,6 +8,7 @@ bookkeeping on ordinary integers.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -47,15 +48,11 @@ class SRing(Record):
         return "Z" if not self.primes else f"Z[1/{{{inner}}}]"
 
     def prime_to_s_part(self, n: int) -> int:
-        """|n| with every prime of S divided out; the ideal nZ[S^-1] is
-        generated by this positive integer."""
+        """|n| with every prime of S divided out, by gcds with the product of
+        S; the ideal nZ[S^-1] is generated by this positive integer."""
         if n == 0:
             raise ValueError("0 has no prime-to-S part")
-        m = abs(n)
-        for p in self.primes:
-            if m % p == 0:
-                m = _divide_out(m, p)[0]
-        return m
+        return _strip(abs(n), math.prod(self.primes))
 
     def is_unit(self, q) -> bool:
         """Whether the nonzero rational q lies in Z[S^-1]^x."""
@@ -68,8 +65,19 @@ class SRing(Record):
         )
 
 
+def _strip(v: int, N: int) -> int:
+    """v > 0 with every prime of N divided out, by gcds alone (Bernstein, J.
+    Algorithms 54, 2005); each pass leaves a proper divisor of g = gcd(v, N)."""
+    g = math.gcd(v, N)
+    while g > 1:
+        v = _divide_out(v, g)[0]
+        g = math.gcd(v, g)
+    return v
+
+
 def _proved_ring(primes: tuple[int, ...]) -> SRing:
-    """SRing of the sorted primes factorize has proved, without testing them again."""
+    """SRing of the sorted primes factorize has proved, without testing them
+    again; as (N,), Z[1/N] for the primes of N, as prime_to_s_part reads it."""
     R = SRing.__new__(SRing)
     set_field(R, "primes", primes)
     return R

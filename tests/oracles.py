@@ -5,8 +5,9 @@ uses gcds of k x k minors, the enumeration oracles never extract roots, the
 torsion oracle has its own group law, the box-point oracle evaluates the
 curve on Fractions without the square-denominator lemma, and the
 point-test oracle factors each coordinate by trial division instead of
-taking integer roots.  The strong-probable-prime check reads the 2-adic
-split of n - 1 off its bits and tests one base; the unit-class oracle
+taking integer roots, and the prime-to-S oracle divides out one power at a
+time where the strip takes gcds.  The strong-probable-prime check reads the
+2-adic split of n - 1 off its bits and tests one base; the unit-class oracle
 multiplies each exponent vector out from scratch, and the root oracle runs
 full-width Newton from a power of two.  Curve membership is the
 curve equation on Fractions, and a factorization's value the product of
@@ -264,6 +265,15 @@ def trial_division_point_test(s, t, sig, primes):
     if failed:
         return ("rejected", None, tuple(failed))
     return ("smooth", tuple(roots), ())
+
+
+def prime_to_s_part_by_division(v, primes):
+    """|v| with each of the given primes divided out one power at a time."""
+    v = abs(v)
+    for p in primes:
+        while v % p == 0:
+            v //= p
+    return v
 
 
 def factorization_product(f):

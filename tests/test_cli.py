@@ -208,20 +208,16 @@ def test_invalid_inputs_exit_1(capsys):
 
 
 def test_work_limit_exit_2(capsys, monkeypatch):
-    # At the real cap this input takes seconds to exhaust; a cap of 1 reaches
-    # the same exit at once.
-    monkeypatch.setitem(CAPS, "rho work", 1)
-    big = str((2**89 - 1) * (2**107 - 1))
-    code, out, err = run_cli(
-        capsys, "verify-inclusion", "--signature", "2,3,7",
-        "--coeffs", f"{big},1,1", "--bound", "2",
-    )
+    # A prime given to h1 is tested, and its 89 bits pass a prime-bits cap
+    # of 1 before the test starts.
+    monkeypatch.setitem(CAPS, "prime bits", 1)
+    code, out, err = run_cli(capsys, "h1", "--primes", str(2**89 - 1), "--n", "2")
     assert code == 2
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "work-limit-exceeded"
-    assert error["cap"] == "rho work"
-    assert "rho work cap of 1 exceeded" in error["message"]
+    assert error["cap"] == "prime bits"
+    assert "prime bits cap of 1 exceeded" in error["message"]
 
 
 def test_join_probe_limit_exit_2(capsys, monkeypatch):
@@ -342,20 +338,28 @@ def run_child(*argv, timeout=30):
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
+def assert_unsplit(argv, unsplit, within=5):
+    """verify-inclusion on argv exits 0 within the seconds given and passes
+    over Z[1/{2,3,7}], with the rest of the coefficients printed as unsplit."""
+    code, out, err, seconds = run_child(*argv)
+    assert (code, err) == (0, ""), err
+    payload = json.loads(out)
+    assert payload["ring"] == "Z[1/{2,3,7}]" and payload["passed"] is True
+    assert payload["unsplit"] == [str(unsplit)]
+    assert list(payload)[3] == "unsplit"
+    assert seconds < within
+
+
 def test_rho_cap_ends_in_seconds_on_a_128_bit_semiprime():
     # Rho would need about 2^32 steps to split two 64-bit primes.  Charged
     # twice per step, for the product's two 64-bit words, the cap ends it
     # after 2.5 M steps, about 3 s; counting steps alone took 6.3 s (2-core
-    # VM, Python 3.11).
+    # VM, Python 3.11).  The verdicts need no split, so the command answers
+    # with the semiprime unsplit, after the same rho run on its printed ring
+    # (3.1-4.2 s end to end there, hence the margin).
     n = (2**64 - 59) * (2**63 - 25)
-    code, out, err, seconds = run_child(
-        "verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{n},1,1", "--bound", 2,
-        timeout=10,
-    )
-    assert code == 2, err
-    assert out == ""
-    assert json.loads(err)["cap"] == "rho work"
-    assert seconds < 6
+    argv = ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{n},1,1", "--bound", 2]
+    assert_unsplit(argv, n, within=6)
 
 
 def test_huge_exponent_outer_term_is_cut_to_its_reach():
@@ -417,8 +421,6 @@ def test_oversized_builds_exit_2_naming_their_cap():
         # is not, and it is refused before any is tested.
         ("prime bits", ["stack-point", "--q", "1:1", "--signature", "2,3,7", "--primes",
                         f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"]),
-        ("prime bits", ["verify-inclusion", "--signature", "2,3,7", "--coeffs",
-                        f"{M4423},1,1", "--bound", 1]),
     ):
         code, out, err, seconds = run_child(*argv)
         assert (code, out) == (2, ""), (argv, err)
@@ -426,11 +428,17 @@ def test_oversized_builds_exit_2_naming_their_cap():
         assert error["error"] == "work-limit-exceeded" and error["cap"] == cap, argv
         assert f"{cap} cap of " in error["message"], argv
         assert seconds < 5, argv
+    # A coefficient is not tested: its primes beyond the trial bound are unsplit.
+    assert_unsplit(
+        ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{M4423},1,1", "--bound", 1],
+        M4423,
+    )
 
 
 def test_perfect_powers_split_before_the_prime_bits_cap():
     # factorize splits a power before it tests primality, so only a base or
-    # a non-power past the cap is refused.
+    # a non-power past the cap is refused, and verify-inclusion prints it
+    # unsplit.
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -453,24 +461,21 @@ def test_perfect_powers_split_before_the_prime_bits_cap():
     finally:
         sys.set_int_max_str_digits(digits)
     m61 = 2**61 - 1
-    for coeff, cap, detail in (
-        (m61**40, None, f'"ring": "Z[1/{{2,3,7,{m61}}}]"'),
-        ((2**1279 - 1) ** 2, None, '"ring": "Z[1/{2,3,7,'),
-        (M4423**3, "prime bits", "testing a 4423-bit number"),
-        (big, "prime bits", "testing a 400001-bit number"),
-        (passes, "prime bits", "testing a 130000-bit number"),
-    ):
-        argv = ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{coeff},1,1",
+    def argv(coeff):
+        return ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{coeff},1,1",
                 "--bound", 1]
-        code, out, err, seconds = run_child(*argv)
+
+    for coeff, detail in (
+        (m61**40, f'"ring": "Z[1/{{2,3,7,{m61}}}]"'),
+        ((2**1279 - 1) ** 2, '"ring": "Z[1/{2,3,7,'),
+    ):
+        code, out, err, seconds = run_child(*argv(coeff))
         assert seconds < 5, detail
-        if cap is None:
-            assert (code, err) == (0, ""), err
-            assert detail in out
-        else:
-            assert (code, out) == (2, ""), err
-            error = json.loads(err)
-            assert error["cap"] == cap and detail in error["message"], err
+        assert (code, err) == (0, ""), err
+        assert detail in out and '"unsplit"' not in out
+    with any_int_size():
+        for coeff in (M4423**3, big, passes):
+            assert_unsplit(argv(coeff), int(coeff))
     # A value given as a prime is tested, not factored.
     code, out, err, seconds = run_child("h1", "--primes", m61**40, "--n", 2)
     assert (code, json.loads(err)["cap"]) == (2, "prime bits")
@@ -480,7 +485,8 @@ def test_perfect_powers_split_before_the_prime_bits_cap():
 def test_a_huge_prime_goes_through_every_prime_and_coefficient_flag():
     # Each flag that takes a prime or a coefficient, given M4423: a defined
     # exit code and no traceback, quickly.  A flag that tests it for
-    # primality exits 2 at the prime-bits cap.
+    # primality exits 2 at the prime-bits cap; verify-inclusion prints it
+    # unsplit.
     sig = ["--signature", "2,3,7"]
     for argv in (
         ["h1", "--primes", M4423, "--n", 2],
@@ -496,8 +502,10 @@ def test_a_huge_prime_goes_through_every_prime_and_coefficient_flag():
         assert "Traceback" not in err, argv[0]
         if code:
             assert out == "" and isinstance(json.loads(err), dict), argv[0]
-        if "--primes" in argv or argv[0] == "verify-inclusion":
+        if "--primes" in argv:
             assert (code, json.loads(err)["cap"]) == (2, "prime bits"), argv[0]
+        if argv[0] == "verify-inclusion":
+            assert code == 0 and json.loads(out)["unsplit"] == [str(M4423)], err
         assert seconds < 2, argv[0]
 
 

@@ -655,6 +655,61 @@ def test_verify_descent_inclusion_237():
     assert str(report.ring) == "Z[1/{2,3,7}]"
 
 
+def test_verdicts_over_the_support_equal_those_over_the_bad_primes():
+    # verify_descent_inclusion tests each point over Z[1/N], N = |abcABC|
+    # unfactored.  Its certificates, and those of random points, some of
+    # them rejected, are the ones over the primes of N.
+    rng = random.Random(41)
+    statuses = set()
+    for F in random_gfes(41, 30, max_coeff=60, max_exp=7):
+        report = verify_descent_inclusion(F, 8)
+        ring = bad_prime_set(F)
+        assert (report.ring, report.unsplit) == (ring, ())
+        support = sarith._proved_ring((math.prod(F.sig) * abs(F.A * F.B * F.C),))
+        points = [e.image for e in report.entries]
+        points += [normalize_projective(rng.randrange(-999, 999), rng.randrange(1, 999))
+                   for _ in range(20)]
+        for i, Q in enumerate(points):
+            cert = is_stack_point(Q, F.sig, ring)
+            assert is_stack_point(Q, F.sig, support) == cert, (str(F), Q)
+            if i < len(report.entries):
+                assert report.entries[i].certificate == cert, (str(F), Q)
+            statuses.add(cert.status)
+    assert statuses == {"marked", "smooth", "rejected"}
+
+
+def test_no_verdict_factors(monkeypatch):
+    # factorize hits its cap on any input with a prime past the trial bound,
+    # and Miller-Rabin and rho fail if called: the entries are as before,
+    # the ring is the trial primes and the rest of |abcABC| is unsplit.
+    M = 2**89 - 1  # a prime
+    F = GFE(Signature(2, 2, 2), M, 1, -(M + 1))
+    before = verify_descent_inclusion(F, 3)
+    assert before.ring.primes == (2, M) and before.unsplit == ()
+    assert {e.certificate.status for e in before.entries} == {"smooth"}
+    calls = []
+
+    def capped(n):
+        calls.append(n)
+        if sarith._strip(abs(n), exact._PRIMORIAL) > 1:
+            raise WorkLimitExceeded("rho work", 1, f"factoring {n}")
+        return exact.factorize(n)
+
+    def refused(*args):
+        raise AssertionError("no verdict tests primality or runs rho")
+
+    monkeypatch.setattr(gfe, "factorize", capped)
+    for module, name in ((exact, "is_probable_prime"), (sarith, "is_probable_prime"),
+                         (exact, "_brent_rho")):
+        monkeypatch.setattr(module, name, refused)
+    after = verify_descent_inclusion(F, 3)
+    assert after.entries == before.entries
+    assert (str(after.ring), after.unsplit) == ("Z[1/{2}]", (M,))
+    # One call for the printed ring and one for its trial primes, and none
+    # for the eight points tested.
+    assert len(calls) == 2 and len(after.entries) == 8
+
+
 def test_verify_descent_inclusion_442():
     report = verify_descent_inclusion(F442, 100)
     assert report.passed

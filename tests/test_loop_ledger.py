@@ -84,7 +84,6 @@ LEDGER = {
         # test; one of at most 64 bits costs at most 12 witnesses on one word.
         ("SRing.__init__", 4): ("for", "cap", "prime bits"),
         ("SRing.__str__", 0): ("comprehension", "linear", "one step per prime of S"),
-        ("SRing.prime_to_s_part", 0): ("for", "linear", "one step per prime of S"),
         # The count at least doubles each step and stops past the cap.
         ("s_unit_reps", 0): ("for", "cap", "unit classes"),
         ("s_unit_reps", 1): ("comprehension", "dominated", ("s_unit_reps", 0)),
@@ -92,6 +91,63 @@ LEDGER = {
         ("s_unit_reps", 3): ("comprehension", "cap", "unit classes"),
         ("s_unit_reps", 4): ("comprehension", "cap", "unit classes"),
         ("unit_class_key", 0): ("comprehension", "linear", "one step per prime of S"),
+        # Each pass lowers some prime's exponent in g, which divides N.
+        ("_strip", 0): ("while", "linear", "at most bits(N) passes"),
+    },
+    "gfe": {
+        ("GFE._terms", 0): ("for", "constant", "the three terms"),
+        ("GFE._terms", 1): ("comprehension", "constant", "the three terms"),
+        # Sized against the cap before it is built: entries times at least a bit each.
+        ("_value_table", 0): ("for", "cap", "power bits"),
+        ("enumerate_primitive_solutions", 0): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 1): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 2): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 3): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 4): ("for", "cap", "power bits"),
+        # The shorter window, whose length is added to the probes first.
+        ("enumerate_primitive_solutions", 5): ("comprehension", "cap", "join probes"),
+        ("enumerate_primitive_solutions", 6): ("for", "cap", "join probes"),
+        ("enumerate_primitive_solutions", 7): ("for", "constant",
+                                               "at most two roots per value in each of "
+                                               "the three tables: eight triples"),
+        ("enumerate_primitive_solutions", 8): ("comprehension", "constant",
+                                               "the six permutations of the terms"),
+        ("enumerate_primitive_solutions", 9): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 10): ("comprehension", "constant", "the three terms"),
+        ("enumerate_primitive_solutions", 11): ("comprehension", "linear",
+                                                "one step per joined triple and permutation "
+                                                "of matching terms, at most six"),
+        ("enumerate_primitive_solutions", 12): ("comprehension", "linear",
+                                                "one step per triple found"),
+        ("enumerate_primitive_solutions", 13): ("comprehension", "linear",
+                                                "one step per solution"),
+        ("_recover", 0): ("comprehension", "constant", "the three coordinates"),
+        ("_recover", 1): ("for", "constant", "the two signs of mu"),
+        ("_recover", 2): ("comprehension", "constant", "the three terms"),
+        ("_recover", 3): ("for", "constant",
+                          "at most two roots per term: eight triples per sign"),
+        ("_recover", 4): ("comprehension", "dominated", ("_recover", 3)),
+        ("DescentReport.violations", 0): ("comprehension", "dominated",
+                                          ("verify_descent_inclusion", 0)),
+        ("verify_descent_inclusion", 0): ("for", "dominated",
+                                          ("enumerate_primitive_solutions", 13)),
+    },
+    "quartic": {
+        ("admissible_twists", 0): ("comprehension", "linear",
+                                   "one step per representative, of which s_unit_reps "
+                                   "builds at most its unit-classes cap"),
+        ("run_sieve_442", 0): ("comprehension", "constant", "the three marked points"),
+        ("run_sieve_442", 1): ("for", "constant",
+                               "the two admissible twists among the eight classes of "
+                               "Z[1/2] modulo fourth powers"),
+        ("run_sieve_442", 2): ("for", "constant", "at most four torsion points"),
+        ("run_sieve_442", 3): ("for", "constant",
+                               "the three marked points and at most eight torsion images"),
+        ("run_sieve_442", 4): ("comprehension", "constant",
+                               "at most the 17 recoveries of one point"),
+        ("run_sieve_442", 5): ("comprehension", "constant",
+                               "the verdicts of run_sieve_442 loop 3, at most 17 "
+                               "recoveries each"),
     },
     "groups": {
         ("h_structure", 0): ("comprehension", "constant", "the two invariants d and m/d"),

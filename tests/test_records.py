@@ -90,8 +90,8 @@ SAMPLES = [
     ),
     (DescentEntry(SOL, POINT_ONE, CERT), ENTRY_REPR),
     (
-        DescentReport(F442, 1, SRing(()), (DescentEntry(SOL, POINT_ONE, CERT),)),
-        f"DescentReport(gfe={F442_REPR}, bound=1, ring=SRing(primes=()), "
+        DescentReport(F442, 1, SRing(()), (), (DescentEntry(SOL, POINT_ONE, CERT),)),
+        f"DescentReport(gfe={F442_REPR}, bound=1, ring=SRing(primes=()), unsplit=(), "
         f"entries=({ENTRY_REPR},))",
     ),
     (

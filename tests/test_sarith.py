@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,7 @@ from gfdescent.sarith import (
     valuation,
 )
 
-from oracles import s_unit_reps_by_product
+from oracles import prime_to_s_part_by_division, s_unit_reps_by_product
 
 
 def test_sring_validation():
@@ -91,6 +92,27 @@ def test_prime_to_s_part():
     assert R.prime_to_s_part(-60) == 5
     assert R.is_unit(Fraction(-9, 16))
     assert not R.is_unit(Fraction(5, 2))
+
+
+def test_prime_to_s_part_strips_by_gcds_as_division_would():
+    # S of up to six primes, some past a machine word, or none; N any
+    # product of them, squarefree or not; v holding powers up to p^200,
+    # most past 2^64.  The strip reads only the support of N.
+    rng = random.Random(20261019)
+    pool = exact._TRIAL_PRIMES[:40] + (2**61 - 1, 2**89 - 1, 2**127 - 1)
+    for _ in range(5_000):
+        S = tuple(sorted(rng.sample(pool, rng.randrange(7))))
+        N = math.prod(p ** rng.randrange(1, 4) for p in S)
+        v = rng.randrange(1, 2**40) * math.prod(
+            p ** rng.randrange(200) for p in rng.sample(pool, 3)
+        )
+        expected = prime_to_s_part_by_division(v, S)
+        assert sarith._strip(v, N) == expected, (v, S)
+        assert sarith._proved_ring(S).prime_to_s_part(-v) == expected, (v, S)
+    assert SRing(()).prime_to_s_part(-2**200) == 2**200
+    for S in ((), (2, 3)):
+        with pytest.raises(ValueError, match="no prime-to-S part"):
+            SRing(S).prime_to_s_part(0)
 
 
 def test_s_unit_reps_examples():
