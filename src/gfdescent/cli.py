@@ -58,10 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_ints(text: str, n: int, what: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"{what} needs {n} comma-separated integers, got {text!r}")
+def _parse_ints(text: str, what: str, n: int | None = None, sep: str = ",") -> list[int]:
+    """The integers of a flag's text split at sep, n of them if n is given;
+    every error names what was being read."""
+    parts = text.split(sep)
+    if n is not None and len(parts) != n:
+        raise ValueError(f"bad {what}: needs {n} integers separated by {sep!r}, got {text!r}")
     try:
         return [int(p) for p in parts]
     except ValueError as e:
@@ -69,38 +71,29 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
 
 
 def _parse_signature(text: str):
-    a, b, c = _parse_ints(text, 3, "signature")
-    return gfdescent.Signature(a, b, c)
+    return gfdescent.Signature(*_parse_ints(text, "signature", 3))
 
 
 def _parse_primes(text: str):
     if text.strip() == "":
         return gfdescent.SRing(())
-    return gfdescent.SRing(sorted({int(p) for p in text.split(",")}))
+    return gfdescent.SRing(sorted(set(_parse_ints(text, "primes"))))
 
 
 def _parse_point(text: str):
     sep = "/" if "/" in text else ":"
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise ValueError(f"point must look like s{sep}t, got {text!r}")
-    try:
-        s, t = int(parts[0]), int(parts[1])
-    except ValueError as e:
-        raise ValueError(f"bad point: {e}") from None
-    return gfdescent.normalize_projective(s, t)
+    return gfdescent.normalize_projective(*_parse_ints(text, "point", 2, sep))
 
 
 def _parse_matrix(text: str):
-    try:
-        rows = [[int(v) for v in row.split(",")] for row in text.split(";")]
-        return gfdescent.IntMatrix(rows)
-    except ValueError as e:
-        raise ValueError(f"bad matrix: {e}") from None
+    # Every row has as many entries as the first.
+    rows = text.split(";")
+    width = rows[0].count(",") + 1
+    return gfdescent.IntMatrix([_parse_ints(row, "matrix", width) for row in rows])
 
 
 def _parse_gfe(args):
-    A, B, C = _parse_ints(args.coeffs, 3, "coefficients")
+    A, B, C = _parse_ints(args.coeffs, "coefficients", 3)
     return gfdescent.GFE(_parse_signature(args.signature), A, B, C)
 
 
@@ -169,7 +162,7 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_jmap(args) -> dict:
     F = _parse_gfe(args)
-    x, y, z = _parse_ints(args.solution, 3, "solution")
+    x, y, z = _parse_ints(args.solution, "solution", 3)
     image = gfdescent.j_map(F, gfdescent.PrimitiveSolution(x, y, z))
     return {"equation": F, "solution": (x, y, z), "image": image}
 
@@ -243,68 +236,41 @@ def _cmd_sieve442(args) -> dict:
     }
 
 
+# The flag specs that several commands share.
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_SWITCH = {"action": "store_true"}
+_PRIMES = ("--primes", {"default": ""})
+_SIGNATURE = ("--signature", _REQUIRED)
+_EQUATION = (_SIGNATURE, ("--coeffs", _REQUIRED))
+
+# One row per command: its name, its handler and its flags in --help order.
+# --no-sieve and --include-nonadmissible are accepted and ignored, as
+# neither changes any output: the benchmark (bench/run.py) still passes them.
+_COMMANDS = (
+    ("snf", _cmd_snf, [("--matrix", _REQUIRED)]),
+    ("h1", _cmd_h1, [("--primes", _REQUIRED), ("--n", {"type": int, "default": 4})]),
+    ("stack-point", _cmd_stack_point, [("--q", _REQUIRED), _SIGNATURE, _PRIMES]),
+    ("classify", _cmd_classify, [_SIGNATURE]),
+    ("enumerate", _cmd_enumerate, [*_EQUATION, ("--bound", _INT), ("--no-sieve", _SWITCH)]),
+    ("jmap", _cmd_jmap, [*_EQUATION, ("--solution", _REQUIRED)]),
+    ("recover", _cmd_recover,
+     [("--q", _REQUIRED), *_EQUATION, _PRIMES, ("--search-units", _SWITCH)]),
+    ("verify-inclusion", _cmd_verify_inclusion, [*_EQUATION, ("--bound", _INT)]),
+    ("torsion", _cmd_torsion, [("--d", _INT)]),
+    ("sieve442", _cmd_sieve442,
+     [("--bound", {"type": int, "default": 100}), ("--include-nonadmissible", _SWITCH)]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gfdescent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **arguments):
+    for name, fn, flags in _COMMANDS:
         p = sub.add_parser(name)
-        for flag, kwargs in arguments.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
         p.set_defaults(fn=fn)
-        return p
-
-    # Accepted and ignored, as neither changes any output: the benchmark
-    # (bench/run.py) still passes --no-sieve and --include-nonadmissible.
-    ignored = {"action": "store_true"}
-    add("snf", _cmd_snf, matrix={"required": True})
-    add("h1", _cmd_h1, primes={"required": True}, n={"type": int, "default": 4})
-    add(
-        "stack-point",
-        _cmd_stack_point,
-        q={"required": True},
-        signature={"required": True},
-        primes={"default": ""},
-    )
-    add("classify", _cmd_classify, signature={"required": True})
-    add(
-        "enumerate",
-        _cmd_enumerate,
-        signature={"required": True},
-        coeffs={"required": True},
-        bound={"type": int, "required": True},
-        no_sieve=ignored,
-    )
-    add(
-        "jmap",
-        _cmd_jmap,
-        signature={"required": True},
-        coeffs={"required": True},
-        solution={"required": True},
-    )
-    add(
-        "recover",
-        _cmd_recover,
-        q={"required": True},
-        signature={"required": True},
-        coeffs={"required": True},
-        primes={"default": ""},
-        search_units={"action": "store_true"},
-    )
-    add(
-        "verify-inclusion",
-        _cmd_verify_inclusion,
-        signature={"required": True},
-        coeffs={"required": True},
-        bound={"type": int, "required": True},
-    )
-    add("torsion", _cmd_torsion, d={"type": int, "required": True})
-    add(
-        "sieve442",
-        _cmd_sieve442,
-        bound={"type": int, "default": 100},
-        include_nonadmissible=ignored,
-    )
     return parser
 
 

@@ -15,7 +15,8 @@ from ._record import Record, set_field
 from .errors import CAPS, WorkLimitExceeded, ZeroPoint
 
 # Trial division finds every prime factor up to this bound, through one gcd
-# with the product of those primes; Brent's rho picks up the rest.
+# with the product of those primes.  A cofactor left after it goes to the
+# power split, then the primality test, then Brent's rho.
 TRIAL_DIVISION_BOUND = 10_000
 
 

@@ -183,28 +183,39 @@ def test_json_round_trips(capsys):
 
 
 def test_invalid_inputs_exit_1(capsys):
-    for argv in (
-        ["classify", "--signature", "1,3,7"],
-        ["enumerate", "--signature", "2,3,7", "--coeffs", "0,1,1", "--bound", "5"],
-        ["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "10",
-         "--sieve-primes", "3"],
-        ["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "0"],
-        ["stack-point", "--q", "0/0", "--signature", "2,3,7"],
-        ["stack-point", "--q", "1/2/3", "--signature", "2,3,7"],
-        ["stack-point", "--q", "a/b", "--signature", "2,3,7"],
-        ["classify", "--signature", "2,x,7"],
-        ["h1", "--primes", "2,x"],
-        ["h1", "--primes", "2,4"],
-        ["h1", "--primes", "2", "--n", "1"],
-        ["snf", "--matrix", "1,2;3"],
-        ["snf", "--matrix", "1,a;2,3"],
-        ["classify", "--signature", "2,3"],
-        ["nonsense"],
+    # Each row with a fragment of its message: an integer a flag cannot read
+    # names what was being read.
+    for argv, fragment in (
+        (["classify", "--signature", "1,3,7"], "signature entries must be >= 2"),
+        (["enumerate", "--signature", "2,3,7", "--coeffs", "0,1,1", "--bound", "5"],
+         "coefficients must be nonzero"),
+        (["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "10",
+          "--sieve-primes", "3"], "unrecognized arguments: --sieve-primes"),
+        (["enumerate", "--signature", "2,3,7", "--coeffs", "1,1,1", "--bound", "0"],
+         "bound must be positive"),
+        (["enumerate", "--signature", "2,3,7", "--coeffs", "1,1", "--bound", "5"],
+         "bad coefficients: needs 3 integers"),
+        (["jmap", "--signature", "2,3,7", "--coeffs", "1,1,1", "--solution", "1,2,z"],
+         "bad solution: invalid literal"),
+        (["stack-point", "--q", "0/0", "--signature", "2,3,7"], "is not projective"),
+        (["stack-point", "--q", "1/2/3", "--signature", "2,3,7"],
+         "bad point: needs 2 integers"),
+        (["stack-point", "--q", "a/b", "--signature", "2,3,7"], "bad point: invalid literal"),
+        (["classify", "--signature", "2,x,7"], "bad signature: invalid literal"),
+        (["h1", "--primes", "2,x"], "bad primes: invalid literal"),
+        (["h1", "--primes", "2,4"], "4 is not prime"),
+        (["h1", "--primes", "2", "--n", "1"], "modulus must be at least 2"),
+        (["snf", "--matrix", "1,2;3"], "bad matrix: needs 2 integers"),
+        (["snf", "--matrix", "1,a;2,3"], "bad matrix: invalid literal"),
+        (["classify", "--signature", "2,3"], "bad signature: needs 3 integers"),
+        (["nonsense"], "invalid choice: 'nonsense'"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == ""  # no partial output
-        assert json.loads(err)["error"] == "invalid-input"
+        error = json.loads(err)
+        assert error["error"] == "invalid-input"
+        assert fragment in error["message"], (argv, error["message"])
 
 
 def test_work_limit_exit_2(capsys, monkeypatch):
@@ -660,25 +671,23 @@ def command(name, **options):
     return st.fixed_dictionaries(forms).map(argv)
 
 
-COMMANDS = {
-    "snf": command("snf", matrix=MATRIX),
-    "h1": command("h1", primes=PRIMES, n=ENTRY),
-    "stack-point": command("stack-point", q=POINT, signature=SIGNATURE, primes=PRIMES),
-    "classify": command("classify", signature=SIGNATURE),
-    "enumerate": command(
-        "enumerate", signature=SIGNATURE, coeffs=COEFFS, bound=BOUND, no_sieve=FLAG
-    ),
-    "jmap": command("jmap", signature=SIGNATURE, coeffs=COEFFS, solution=TRIPLE),
-    "recover": command(
-        "recover", q=POINT, signature=SIGNATURE, coeffs=COEFFS, primes=PRIMES,
-        search_units=FLAG,
-    ),
-    "verify-inclusion": command(
-        "verify-inclusion", signature=SIGNATURE, coeffs=COEFFS, bound=BOUND
-    ),
-    "torsion": command("torsion", d=ENTRY),
-    "sieve442": command("sieve442", bound=BOUND, include_nonadmissible=FLAG),
+# The options each subcommand draws, in the parser's order.
+OPTIONS = {
+    "snf": {"matrix": MATRIX},
+    "h1": {"primes": PRIMES, "n": ENTRY},
+    "stack-point": {"q": POINT, "signature": SIGNATURE, "primes": PRIMES},
+    "classify": {"signature": SIGNATURE},
+    "enumerate": {"signature": SIGNATURE, "coeffs": COEFFS, "bound": BOUND, "no_sieve": FLAG},
+    "jmap": {"signature": SIGNATURE, "coeffs": COEFFS, "solution": TRIPLE},
+    "recover": {
+        "q": POINT, "signature": SIGNATURE, "coeffs": COEFFS, "primes": PRIMES,
+        "search_units": FLAG,
+    },
+    "verify-inclusion": {"signature": SIGNATURE, "coeffs": COEFFS, "bound": BOUND},
+    "torsion": {"d": ENTRY},
+    "sieve442": {"bound": BOUND, "include_nonadmissible": FLAG},
 }
+COMMANDS = {name: command(name, **options) for name, options in OPTIONS.items()}
 # The commands that classify and torsion absorbed, drawn with their old
 # options: whatever follows a removed name, it is an invalid-input error.
 REMOVED = {
@@ -798,8 +807,12 @@ def test_main_restores_the_digit_limit(capsys):
 
 
 def test_fuzz_draws_every_subcommand():
+    # A subcommand or a flag added without a fuzz strategy fails here.
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(sub.choices) == sorted(COMMANDS)
+    for name, parser in sub.choices.items():
+        flags = [f for a in parser._actions if a.dest != "help" for f in a.option_strings]
+        assert flags == ["--" + option.replace("_", "-") for option in OPTIONS[name]], name
 
 
 # The commands whose work an argument sizes get 6 runs each, the other three

@@ -80,9 +80,10 @@ LEDGER = {
         ("SRing.__init__", 1): ("comprehension", "linear", "one step per prime given"),
         ("SRing.__init__", 2): ("comprehension", "constant", "the 13 _SMALL_PRIMES"),
         ("SRing.__init__", 3): ("comprehension", "dominated", ("SRing.__init__", 1)),
-        # The primes of more than 64 bits are capped in all before the first
-        # test; one of at most 64 bits costs at most 12 witnesses on one word.
-        ("SRing.__init__", 4): ("for", "cap", "prime bits"),
+        ("SRing.__init__", 4): ("for", "linear",
+                                "one test per prime given; the primes over 64 bits are "
+                                "capped in all, and each prime of at most 64 bits costs "
+                                "at most 12 one-word witnesses"),
         ("SRing.__str__", 0): ("comprehension", "linear", "one step per prime of S"),
         # The count at least doubles each step and stops past the cap.
         ("s_unit_reps", 0): ("for", "cap", "unit classes"),
@@ -160,6 +161,76 @@ LEDGER = {
         ("Record.__init__", 1): ("for", "constant", "the fields of the class"),
         ("Record.__repr__", 0): ("comprehension", "constant", "the fields of the class"),
     },
+    "smith": {
+        ("IntMatrix.__init__", 0): ("comprehension", "linear", "one step per row given"),
+        ("IntMatrix.__init__", 1): ("comprehension", "linear", "one step per row"),
+        ("IntMatrix.__init__", 2): ("for", "linear", "one step per row"),
+        ("IntMatrix.__init__", 3): ("for", "linear", "one step per entry"),
+        ("IntMatrix.__matmul__", 0): ("comprehension", "linear", "one step per row of self"),
+        ("IntMatrix.__matmul__", 1): ("for", "linear", "one step per row of self"),
+        ("IntMatrix.__matmul__", 2): ("for", "linear", "one step per entry of self"),
+        # No command multiplies matrices; only the library's own @ reaches this.
+        ("IntMatrix.__matmul__", 3): ("for", "linear",
+                                      "one step per nonzero entry of self and column of "
+                                      "other: linear in each operand, the other fixed"),
+        ("IntMatrix.diagonal", 0): ("comprehension", "linear",
+                                    "one step per diagonal entry"),
+        ("_identity_rows", 0): ("comprehension", "linear",
+                                "one step per row, n a dimension of the matrix given"),
+        ("_identity_rows", 1): ("for", "linear",
+                                "one step per row, n a dimension of the matrix given"),
+        ("_snf", 0): ("comprehension", "linear", "one step per row"),
+        # Each pass either moves t on, at most min(rows, cols) times, or
+        # re-promotes a nonzero remainder smaller than the pivot, so that the
+        # pivot at least halves every two passes: at most rows * cols *
+        # min(rows, cols) * bits of work in all, which the cap sizes before
+        # the elimination starts.  The loops inside a pass each take at most
+        # rows + cols steps per row or column they visit.
+        ("_snf", 1): ("while", "cap", "elimination bits"),
+        ("_snf", 2): ("for", "cap", "elimination bits"),
+        ("_snf", 3): ("for", "cap", "elimination bits"),
+        ("_snf", 4): ("for", "cap", "elimination bits"),
+        ("_snf", 5): ("for", "cap", "elimination bits"),
+        ("_snf", 6): ("comprehension", "cap", "elimination bits"),
+        ("_snf", 7): ("for", "cap", "elimination bits"),
+        ("_snf", 8): ("comprehension", "cap", "elimination bits"),
+        ("_snf", 9): ("for", "cap", "elimination bits"),
+        ("_snf", 10): ("for", "cap", "elimination bits"),
+        ("_snf", 11): ("comprehension", "cap", "elimination bits"),
+        ("_snf", 12): ("for", "linear", "one step per diagonal entry"),
+        ("_snf", 13): ("comprehension", "linear",
+                       "one step per entry of a row of [D | U], rows + cols of them, "
+                       "for at most min(rows, cols) rows"),
+        ("smith_normal_form", 0): ("comprehension", "linear", "one step per entry"),
+        ("smith_normal_form", 1): ("comprehension", "linear", "one step per row"),
+        ("smith_normal_form", 2): ("comprehension", "linear", "one step per row"),
+        ("smith_normal_form", 3): ("comprehension", "linear", "one step per column"),
+    },
+    "cli": {
+        ("_parse_ints", 0): ("comprehension", "linear",
+                             "one step per part of the flag's text"),
+        ("_parse_matrix", 0): ("comprehension", "linear",
+                               "one step per row of the flag's text"),
+        ("_cmd_enumerate", 0): ("comprehension", "linear", "one step per solution"),
+        ("_cmd_recover", 0): ("comprehension", "linear", "one step per solution recovered"),
+        ("_cmd_verify_inclusion", 0): ("comprehension", "linear",
+                                       "one step per solution enumerated"),
+        ("_cmd_verify_inclusion", 1): ("comprehension", "dominated",
+                                       ("_cmd_verify_inclusion", 0)),
+        ("_cmd_sieve442", 0): ("comprehension", "constant",
+                               "the three marked points and at most eight torsion images"),
+        ("_cmd_sieve442", 1): ("comprehension", "constant",
+                               "at most the 17 recoveries of one point"),
+        ("_cmd_sieve442", 2): ("comprehension", "constant",
+                               "at most 17 recoveries of each of the candidates of "
+                               "_cmd_sieve442 loop 0"),
+        ("build_parser", 0): ("for", "constant", "the ten commands of _COMMANDS"),
+        ("build_parser", 1): ("for", "constant", "at most five flags of one command"),
+        # _plain recurses once per item of the payload the handler returned.
+        ("_plain", 0): ("comprehension", "linear", "one step per key of the payload"),
+        ("_plain", 1): ("comprehension", "linear", "one step per item of the payload"),
+    },
+    "errors": {},
     "__init__": {
         ("<module>", 0): ("comprehension", "constant", "the nine layers, at import"),
         ("<module>", 1): ("comprehension", "constant", "the exported names, at import"),
@@ -203,6 +274,10 @@ def test_every_loop_is_in_the_ledger(name):
             assert reason in ledger and reason != key, key
         else:
             assert reason, key
+
+
+def test_every_module_is_ledgered():
+    assert sorted(LEDGER) == sorted(p.stem for p in SRC.glob("*.py"))
 
 
 def test_residue_prime_search_is_bounded():
