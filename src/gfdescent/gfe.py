@@ -359,7 +359,8 @@ class DescentEntry(Record):
 class DescentReport(Record):
     """Outcome of pushing every enumerated solution through the point test.
     ring is bad_prime_set(gfe), unsplit (); or, past a work cap there, ring
-    is the trial primes of |abcABC| and unsplit the rest of it, not a prime."""
+    is the trial primes of |abcABC| and unsplit the rest of it, unfactored;
+    it may be a prime past the prime-bits cap, such as 2^4423 - 1."""
 
     __slots__ = ("gfe", "bound", "ring", "unsplit", "entries")
 

@@ -22,7 +22,9 @@ class SRing(Record):
     (not bools).  Miller-Rabin tests each p > 41 that none of the 13 primes
     up to 41 divides.  When those of more than 64 bits pass the prime-bits
     cap in all, WorkLimitExceeded is raised before any p is tested; one of
-    at most 64 bits costs at most 12 witnesses on one machine word."""
+    at most 64 bits costs at most 12 witnesses on one machine word.  Only
+    this constructor tests: _proved_ring skips it, and its (N,) holds one
+    integer N, prime or not, that stands for the primes of N."""
 
     __slots__ = ("primes",)
 

@@ -3,14 +3,17 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import random
 import resource
 import subprocess
 import sys
+import threading
 import time
 from itertools import islice, product
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -304,14 +307,13 @@ def test_sieve442_nonpositive_bound_is_invalid_input(capsys):
 def test_closed_pipe_exits_0_without_traceback():
     # `gfdescent ... | head -1`: the reader closes the pipe after one line,
     # while more output than a pipe buffer holds is still to be written.
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     argv = ["enumerate", "--signature", "2,2,2", "--coeffs", "1,1,-1"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "gfdescent.cli", *argv, "--bound", "3000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         bufsize=0,
-        env=env,
+        env=CHILD_ENV,
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -323,10 +325,14 @@ def test_closed_pipe_exits_0_without_traceback():
 # Children of the tests below run under this address-space limit, so that a
 # build nobody sized shows up as a MemoryError rather than as swapping.
 ADDRESS_SPACE = 1536 << 20
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
 P = 10**9 + 7  # a prime, and an ordinary exponent for the equations
 # A Mersenne prime of 4,423 bits: past the prime-bits cap, whose full test
 # took 3.0 s (2-core x86-64 VM, Python 3.11).
 M4423 = 2**4423 - 1
+M61 = 2**61 - 1
+# Rho would need about 2^32 steps to split these two 64-bit primes.
+SEMIPRIME = (2**64 - 59) * (2**63 - 25)
 
 
 def _limit_address_space():
@@ -336,41 +342,16 @@ def _limit_address_space():
 def run_child(*argv, timeout=30):
     """(exit code, stdout, stderr, seconds) of `python -m gfdescent.cli argv`
     in a fresh process under ADDRESS_SPACE."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "gfdescent.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=CHILD_ENV,
         preexec_fn=_limit_address_space,
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
-
-
-def assert_unsplit(argv, unsplit, within=5):
-    """verify-inclusion on argv exits 0 within the seconds given and passes
-    over Z[1/{2,3,7}], with the rest of the coefficients printed as unsplit."""
-    code, out, err, seconds = run_child(*argv)
-    assert (code, err) == (0, ""), err
-    payload = json.loads(out)
-    assert payload["ring"] == "Z[1/{2,3,7}]" and payload["passed"] is True
-    assert payload["unsplit"] == [str(unsplit)]
-    assert list(payload)[3] == "unsplit"
-    assert seconds < within
-
-
-def test_rho_cap_ends_in_seconds_on_a_128_bit_semiprime():
-    # Rho would need about 2^32 steps to split two 64-bit primes.  Charged
-    # twice per step, for the product's two 64-bit words, the cap ends it
-    # after 2.5 M steps, about 3 s; counting steps alone took 6.3 s (2-core
-    # VM, Python 3.11).  The verdicts need no split, so the command answers
-    # with the semiprime unsplit, after the same rho run on its printed ring
-    # (3.1-4.2 s end to end there, hence the margin).
-    n = (2**64 - 59) * (2**63 - 25)
-    argv = ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{n},1,1", "--bound", 2]
-    assert_unsplit(argv, n, within=6)
 
 
 def test_huge_exponent_outer_term_is_cut_to_its_reach():
@@ -392,166 +373,13 @@ def test_huge_exponent_outer_term_is_cut_to_its_reach():
     ]
 
 
-def test_cheap_inputs_with_huge_exponents_still_answer():
-    code, out, err, _ = run_child(
-        "enumerate", "--signature", f"2,{P},{P}", "--coeffs", "1,1,1", "--bound", 1
-    )
-    assert code == 0, err
-    assert json.loads(out)["solutions"] == [
-        ["-1", "-1", "0"], ["-1", "0", "-1"], ["0", "-1", "1"],
-        ["0", "1", "-1"], ["1", "-1", "0"], ["1", "0", "-1"],
-    ]
-    code, out, err, seconds = run_child("stack-point", "--q", "5:1", "--signature", f"{P},3,2")
-    assert code == 0, err
-    assert seconds < 2
-    payload = json.loads(out)
-    assert payload["accepted"] is False and payload["failed"] == ["s", "s-t"]
-    code, out, err, _ = run_child("h1", "--primes", "2,3,5,7,11", "--n", 13)
-    assert code == 0, err
-    assert json.loads(out)["count"] == "371293"
-
-
-def test_oversized_builds_exit_2_naming_their_cap():
-    # The first 2,000 primes.
-    primes = [p for p in range(2, 17390) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    for cap, argv in (
-        ("power bits", ["enumerate", "--signature", f"{P},{P},2", "--coeffs", "1,1,-1",
-                        "--bound", 3]),
-        ("power bits", ["jmap", "--signature", f"{P},3,2", "--coeffs", "1,1,1",
-                        "--solution", "10,1,1"]),
-        ("power bits", ["jmap", "--signature", f"{P},3,2", "--coeffs", "1,1,1",
-                        "--solution", "2,1,1"]),
-        ("unit classes", ["h1", "--primes", "2,3,5,7,11", "--n", 40]),
-        # n ** |S| has 60 million digits here: the count must stop at the cap.
-        ("unit classes", ["h1", "--primes", ",".join(map(str, primes)),
-                          "--n", "1" + "0" * 30000]),
-        # Before the cap these took 3.4 s and 6.7 s (2-core x86-64 VM); the
-        # second tested the prime twice, in factoring and in building the ring.
-        ("prime bits", ["h1", "--primes", M4423, "--n", 2]),
-        # Three primes of 2,407 bits in all: each is within the cap, the list
-        # is not, and it is refused before any is tested.
-        ("prime bits", ["stack-point", "--q", "1:1", "--signature", "2,3,7", "--primes",
-                        f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"]),
-    ):
-        code, out, err, seconds = run_child(*argv)
-        assert (code, out) == (2, ""), (argv, err)
-        error = json.loads(err)
-        assert error["error"] == "work-limit-exceeded" and error["cap"] == cap, argv
-        assert f"{cap} cap of " in error["message"], argv
-        assert seconds < 5, argv
-    # A coefficient is not tested: its primes beyond the trial bound are unsplit.
-    assert_unsplit(
-        ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{M4423},1,1", "--bound", 1],
-        M4423,
-    )
-
-
-def test_perfect_powers_split_before_the_prime_bits_cap():
-    # factorize splits a power before it tests primality, so only a base or
-    # a non-power past the cap is refused, and verify-inclusion prints it
-    # unsplit.
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        # A 400,001-bit odd non-power free of primes up to 10^4: about
-        # 120,400 digits, under the 128 KB an argv word may hold.
-        rng = random.Random(400001)
-        big = rng.getrandbits(400000) | 1 << 400000 | 1
-        while math.gcd(big, exact._PRIMORIAL) > 1:
-            big += 2
-        big = str(big)
-        # 1 mod every trial prime and every residue prime the power split
-        # reads, so each k passes its filter: four failed roots, then the
-        # refusal (one root at k = 9,973 took 6.6 s from a power of two on a
-        # 2-core VM).
-        qs = {q for k in exact._TRIAL_PRIMES
-              for q in islice(exact._residue_primes(k), 4)}
-        modulus = math.prod(qs) * exact._PRIMORIAL
-        passes = 1 + modulus * random.Random(130000).getrandbits(130000 - modulus.bit_length())
-        passes = str(passes)
-    finally:
-        sys.set_int_max_str_digits(digits)
-    m61 = 2**61 - 1
-    def argv(coeff):
-        return ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{coeff},1,1",
-                "--bound", 1]
-
-    for coeff, detail in (
-        (m61**40, f'"ring": "Z[1/{{2,3,7,{m61}}}]"'),
-        ((2**1279 - 1) ** 2, '"ring": "Z[1/{2,3,7,'),
-    ):
-        code, out, err, seconds = run_child(*argv(coeff))
-        assert seconds < 5, detail
-        assert (code, err) == (0, ""), err
-        assert detail in out and '"unsplit"' not in out
-    with any_int_size():
-        for coeff in (M4423**3, big, passes):
-            assert_unsplit(argv(coeff), int(coeff))
-    # A value given as a prime is tested, not factored.
-    code, out, err, seconds = run_child("h1", "--primes", m61**40, "--n", 2)
-    assert (code, json.loads(err)["cap"]) == (2, "prime bits")
-    assert "testing a 2440-bit number" in err and seconds < 5
-
-
-def test_a_huge_prime_goes_through_every_prime_and_coefficient_flag():
-    # Each flag that takes a prime or a coefficient, given M4423: a defined
-    # exit code and no traceback, quickly.  A flag that tests it for
-    # primality exits 2 at the prime-bits cap; verify-inclusion prints it
-    # unsplit.
-    sig = ["--signature", "2,3,7"]
-    for argv in (
-        ["h1", "--primes", M4423, "--n", 2],
-        ["stack-point", "--q", "1:1", *sig, "--primes", M4423],
-        ["recover", "--q", "1:1", *sig, "--coeffs", "1,1,1", "--primes", M4423],
-        ["enumerate", *sig, "--coeffs", f"{M4423},1,1", "--bound", 3],
-        ["jmap", *sig, "--coeffs", f"1,{M4423},1", "--solution", "1,1,1"],
-        ["recover", "--q", "1:1", *sig, "--coeffs", f"1,1,{M4423}"],
-        ["verify-inclusion", *sig, "--coeffs", f"{M4423},1,1", "--bound", 1],
-    ):
-        code, out, err, seconds = run_child(*argv)
-        assert code in (0, 1, 2), (argv[0], err)
-        assert "Traceback" not in err, argv[0]
-        if code:
-            assert out == "" and isinstance(json.loads(err), dict), argv[0]
-        if "--primes" in argv:
-            assert (code, json.loads(err)["cap"]) == (2, "prime bits"), argv[0]
-        if argv[0] == "verify-inclusion":
-            assert code == 0 and json.loads(out)["unsplit"] == [str(M4423)], err
-        assert seconds < 2, argv[0]
-
-
-def test_huge_prime_powers_are_divided_out_quickly():
-    # Dividing 2 out of 2^400000 one power at a time took 42 s in each (2-core
-    # x86-64 VM, Python 3.11).
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        big = str(2**400000)
-    finally:
-        sys.set_int_max_str_digits(digits)
-    for argv in (
-        ["stack-point", "--q", f"{big}:1", "--signature", "2,3,7", "--primes", "2"],
-        ["verify-inclusion", "--signature", "2,3,7", "--coeffs", f"{big},1,1", "--bound", 2],
-    ):
-        code, _, err, seconds = run_child(*argv)
-        assert code == 0, err
-        assert seconds < 15, argv[0]
+# The first 2,000 primes.
+FIRST_PRIMES = [p for p in range(2, 17390) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 def primorial(k):
     """The product of the first k primes."""
-    primes = []
-    n = 2
-    while len(primes) < k:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return math.prod(primes)
-
-
-def primorial_square(k):
-    """The square of the product of the first k primes."""
-    return primorial(k) ** 2
+    return math.prod(FIRST_PRIMES[:k])
 
 
 @contextlib.contextmanager
@@ -571,7 +399,7 @@ def test_recover_answers_at_huge_coefficients():
     # into the rho cap and exited 2 after 11 s (2-core x86-64 VM, Python 3.11).
     semiprime = 100000000000000000000000012349 * 300000000000000000000000000823
     cases = [
-        ("2,2,2", primorial_square(k), [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)])
+        ("2,2,2", primorial(k) ** 2, [(0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)])
         for k in (10, 14, 16, 28)
     ]
     cases.append(("2,3,7", semiprime, [(0, -1, -1), (0, 1, 1)]))
@@ -594,22 +422,244 @@ def test_recover_answers_at_huge_coefficients():
         }
 
 
-def test_snf_is_sized_before_its_elimination():
+# The hostile-input table.  A grid row is an argv with one hole, "{}", in the
+# value of one flag, filled in turn with each value of COLUMNS.  A cell's
+# outcome is one character of its row's string: 0 for exit 0, 1 for invalid
+# input, r for invalid input with the flag's reader error (READS, or argparse's
+# for an int flag), or a letter of CAPS_BY_CODE for exit 2 at that cap.  NAMED
+# holds argv that are not grid cells.  A row runs in one child under
+# ADDRESS_SPACE.
+with any_int_size():
+    # Structured values of up to 120,412 digits, written out once because
+    # str() of the largest takes about 0.3 s: powers of 2, 3 and 10, a
+    # product of many small primes and the square of one.
+    HUGE = tuple(
+        str(n) for n in (2**400000, 3**20000, 10**3000, primorial(200), primorial(28) ** 2)
+    )
+    COLUMNS = {
+        "0": "0", "-1": "-1", "2": "2", "2^400000": HUGE[0], "-2^400000": "-" + HUGE[0],
+        **dict(zip(("3^20000", "10^3000", "primorial(200)", "primorial_square(28)"), HUGE[1:])),
+        "2^4423-1": str(M4423), "(2^61-1)^40": str(M61**40), "semiprime": str(SEMIPRIME),
+        # Unreadable: a part that is not an integer, an empty part, and one
+        # entry more than a list of fixed length holds.
+        "x": "x", "empty": "", "1,2": "1,2",
+    }
+CAPS_BY_CODE = {"P": "prime bits", "W": "power bits", "U": "unit classes", "E": "elimination bits"}
+READS = {"--matrix": "matrix", "--primes": "primes", "--q": "point", "--signature": "signature",
+         "--coeffs": "coefficients", "--solution": "solution"}
+
+# One row per value-taking flag of each command, in the parser's order, over
+# 0 -1 2 | +-2^400000 | 3^20000 10^3000 primorial(200) primorial_square(28) |
+# 2^4423-1 (2^61-1)^40 semiprime | x empty 1,2.
+GRID = (
+    ("snf --matrix {},2;3,4", "000 EE 0000 000 rrr"),
+    ("h1 --primes {} --n 2", "110 11 1111 PP1 r01"),
+    ("h1 --primes 2 --n {}", "110 U1 UUUU UUU rrr"),
+    ("stack-point --q 1:{} --signature 2,3,7", "000 00 0000 000 rrr"),
+    ("stack-point --q 1:1 --signature {},3,7", "110 01 0000 000 rrr"),
+    ("stack-point --q 1:1 --signature 2,3,7 --primes {}", "110 11 1111 PP1 r01"),
+    ("classify --signature {},3,7", "110 01 0000 000 rrr"),
+    ("enumerate --signature {},3,7 --coeffs 1,1,1 --bound 3", "110 01 0000 000 rrr"),
+    ("enumerate --signature 2,3,7 --coeffs {},1,1 --bound 3", "100 00 0000 000 rrr"),
+    ("enumerate --signature 2,3,7 --coeffs 1,1,1 --bound {}", "110 W1 WWWW WWW rrr"),
+    ("jmap --signature {},3,7 --coeffs 1,1,1 --solution 3,-2,-1", "110 W1 WWWW WWW rrr"),
+    ("jmap --signature 2,3,7 --coeffs 1,{},1 --solution 1,1,1", "111 11 1111 111 rrr"),
+    ("jmap --signature 2,3,7 --coeffs 1,1,1 --solution {},-2,-1", "111 11 1111 111 rrr"),
+    ("recover --q {}:1 --signature 2,3,7 --coeffs 1,1,1", "011 11 1111 111 rrr"),
+    ("recover --q 1:1 --signature {},3,7 --coeffs 1,1,1", "110 01 0000 000 rrr"),
+    ("recover --q 1:1 --signature 2,3,7 --coeffs 1,1,{}", "100 00 0000 000 rrr"),
+    ("recover --q 1:1 --signature 2,3,7 --coeffs 1,1,1 --primes {}", "110 11 1111 PP1 r01"),
+    ("verify-inclusion --signature {},3,7 --coeffs 1,1,1 --bound 2", "110 01 0000 000 rrr"),
+    ("verify-inclusion --signature 2,3,7 --coeffs {},1,1 --bound 2", "100 00 0000 000 rrr"),
+    ("verify-inclusion --signature 2,3,7 --coeffs 1,1,1 --bound {}", "110 W1 WWWW WWW rrr"),
+    ("torsion --d {}", "100 00 0000 000 rrr"),
+    ("sieve442 --bound {}", "110 W1 WWWW WWW rrr"),
+)
+
+
+def unsplit(n):
+    """verify-inclusion over 2,3,7 leaving n unsplit, right after its ring."""
+    return {"ring": "Z[1/{2,3,7}]", "unsplit": [str(n)], "solutions": ANY, "passed": True}
+
+
+# What some cells print beyond their outcome: payload keys in payload order,
+# None for a key that must be absent and ANY for one not checked; or a part of
+# the error message.  verify-inclusion factors the ring only to print it: the
+# rho cap leaves the semiprime unsplit, the prime-bits cap leaves 2^4423 - 1,
+# and a power is split before any primality test.  h1 tests a prime given.
+WANT = {
+    ("verify-inclusion--coeffs", "semiprime"): unsplit(SEMIPRIME),
+    ("verify-inclusion--coeffs", "2^4423-1"): unsplit(M4423),
+    ("verify-inclusion--coeffs", "(2^61-1)^40"): {
+        "ring": f"Z[1/{{2,3,7,{M61}}}]", "unsplit": None},
+    ("h1--primes", "(2^61-1)^40"): "testing a 2440-bit number",
+}
+# Seconds a cell may take, by cell, else by column, else 2.  Reading and
+# printing 120,412 digits takes up to 1.5 s (2-core VM, Python 3.11).  The
+# rho cap, charged twice per step for the product's two 64-bit words, ends
+# after 2.5 M steps, about 3 s there (counting steps alone took 6.3 s): each
+# verify-inclusion row factors the semiprime for its ring.
+SECONDS = {"2^400000": 5, "-2^400000": 5, ("verify-inclusion--signature", "semiprime"): 6,
+           ("verify-inclusion--coeffs", "semiprime"): 6}
+
+
+def fill(template, value):
+    return [word.replace("{}", value) for word in template.split()]
+
+
+def snf_past_the_cap():
     # Unsized, the first ran 13.6 s in smith_normal_form and the second ran
     # 10 s and printed 29 MB.
     rng = random.Random(64)
-    digits = 10**28 - 1
-    for rows, cols, bound in ((64, 64, digits), (100, 100, 99)):
-        matrix = ";".join(
-            ",".join(str(rng.randint(-bound, bound)) for _ in range(cols)) for _ in range(rows)
-        )
-        code, out, err, seconds = run_child("snf", f"--matrix={matrix}")
-        assert (code, out) == (2, ""), err
-        error = json.loads(err)
-        assert error["error"] == "work-limit-exceeded"
-        assert error["cap"] == "elimination bits"
-        assert f"{rows}x{cols} matrix" in error["message"]
-        assert seconds < 1
+    for n, bound in ((64, 10**28 - 1), (100, 99)):
+        rows = (",".join(str(rng.randint(-bound, bound)) for _ in range(n)) for _ in range(n))
+        yield ["snf", "--matrix=" + ";".join(rows)], "E", f"{n}x{n} matrix", 1
+
+
+def past_the_trial_bound():
+    # Only a base or a non-power past the prime-bits cap is left unsplit.
+    verify = "verify-inclusion --signature 2,3,7 --coeffs {},1,1 --bound 1"
+    m1279 = 2**1279 - 1
+    yield fill(verify, str(m1279**2)), "0", {"ring": f"Z[1/{{2,3,7,{m1279}}}]",
+                                            "unsplit": None}, 5
+    # An odd non-power of 400,001 bits free of the primes up to 10^4: about
+    # 120,400 digits, under the 128 KB an argv word may hold.
+    big = random.Random(400001).getrandbits(400000) | 1 << 400000 | 1
+    while math.gcd(big, exact._PRIMORIAL) > 1:
+        big += 2
+    # 1 mod every trial prime and every residue prime the power split reads,
+    # so each k passes its filter: four failed roots, then the refusal (one
+    # root at k = 9,973 took 6.6 s from a power of two on a 2-core VM).
+    qs = {q for k in exact._TRIAL_PRIMES for q in islice(exact._residue_primes(k), 4)}
+    modulus = math.prod(qs) * exact._PRIMORIAL
+    passes = 1 + modulus * random.Random(130000).getrandbits(130000 - modulus.bit_length())
+    for n in (M4423**3, big, passes):
+        yield fill(verify, str(n)), "0", unsplit(n), 5
+
+
+# name -> [(argv, outcome, want, seconds)], each as for a grid cell.
+with any_int_size():
+    NAMED = {
+        "snf-past-the-elimination-cap": list(snf_past_the_cap()),
+        "verify-inclusion-past-the-trial-bound": list(past_the_trial_bound()),
+        # Dividing 2 out of 2^400000 one power at a time took 42 s (2-core
+        # x86-64 VM, Python 3.11).
+        "stack-point-dividing-2-out-of-a-power-of-2": [
+            (fill("stack-point --q {}:1 --signature 2,3,7 --primes 2", HUGE[0]), "0", None, 5),
+        ],
+        # torsion takes a fourth root of -d/4.
+        "torsion-at-the-huge-values-negated": [
+            (["torsion", "--d", f"-{value}"], "0", None, 2) for value in (*HUGE[1:], str(M4423))
+        ],
+    }
+
+
+def grid_row(template, outcomes):
+    """(name, cells) of a grid row: its command and flag run together, as
+    h1--primes, and for each column a cell (column, argv, outcome, want,
+    seconds)."""
+    words = template.split()
+    flag = next(words[i - 1] for i, word in enumerate(words) if "{}" in word)
+    row = words[0] + flag
+    cells = []
+    for (column, value), outcome in zip(COLUMNS.items(), outcomes.replace(" ", ""), strict=True):
+        want = WANT.get((row, column))
+        if outcome == "r":
+            outcome = "1"
+            want = f"bad {READS[flag]}: " if flag in READS else f"argument {flag}: invalid int"
+        seconds = SECONDS.get((row, column), SECONDS.get(column, 2))
+        cells.append((column, fill(template, value), outcome, want, seconds))
+    return row, cells
+
+
+def numbered(cells):
+    return [(str(i), *cell) for i, cell in enumerate(cells)]
+
+
+ROWS = dict(grid_row(*row) for row in GRID) | {
+    name: numbered(cells) for name, cells in NAMED.items()
+}
+
+# Two more named rows, each run by a test of its own below: the cheap cells
+# with an exponent or a count past any table, and the builds refused at a cap.
+CHEAP = numbered([
+    (f"enumerate --signature 2,{P},{P} --coeffs 1,1,1 --bound 1".split(), "0",
+     {"solutions": [["-1", "-1", "0"], ["-1", "0", "-1"], ["0", "-1", "1"],
+                    ["0", "1", "-1"], ["1", "-1", "0"], ["1", "0", "-1"]]}, 2),
+    (f"stack-point --q 5:1 --signature {P},3,2".split(), "0",
+     {"failed": ["s", "s-t"], "accepted": False}, 2),
+    ("h1 --primes 2,3,5,7,11 --n 13".split(), "0", {"count": "371293"}, 2),
+])
+OVERSIZED = numbered([
+    (f"enumerate --signature {P},{P},2 --coeffs 1,1,-1 --bound 3".split(), "W", None, 5),
+    (f"jmap --signature {P},3,2 --coeffs 1,1,1 --solution 10,1,1".split(), "W", None, 5),
+    (f"jmap --signature {P},3,2 --coeffs 1,1,1 --solution 2,1,1".split(), "W", None, 5),
+    ("h1 --primes 2,3,5,7,11 --n 40".split(), "U", None, 5),
+    # n ** |S| has 60 million digits: the count must stop at the cap.
+    (["h1", "--primes", ",".join(map(str, FIRST_PRIMES)), "--n", "1" + "0" * 30000],
+     "U", None, 5),
+    # Three primes of 2,407 bits in all: each is within the cap, the list
+    # is not, and it is refused before any is tested.
+    (fill("stack-point --q 1:1 --signature 2,3,7 --primes {}",
+          f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"), "P", None, 5),
+])
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_row(row, cells):
+    # A forked child starts with every layer loaded, and forking is safe while
+    # this process runs one thread.  An error prints one JSON object and no
+    # output; a traceback fails the test, as does a cell 10 s past its seconds.
+    assert threading.active_count() == 1
+    with multiprocessing.get_context("fork").Pool(1, _limit_address_space) as pool:
+        for column, argv, expected, want, seconds in cells:
+            start = time.perf_counter()
+            code, out, err = pool.apply_async(outcome, (argv,)).get(seconds + 10)
+            cell, took = (row, column), time.perf_counter() - start
+            assert took < seconds, (cell, took)
+            if expected == "0":
+                assert (code, err) == (0, ""), (cell, code, err[:2000])
+                kept = [(k, v) for k, v in json.loads(out).items() if k in (want or ())]
+                assert kept == [(k, v) for k, v in (want or {}).items() if v is not None], cell
+                continue
+            cap = CAPS_BY_CODE.get(expected)
+            assert (code, out) == (2 if cap else 1, ""), (cell, code, err[:2000])
+            error = json.loads(err)
+            kind = "work-limit-exceeded" if cap else "invalid-input"
+            assert (error["error"], error.get("cap")) == (kind, cap), (cell, error)
+            assert cap is None or f"{cap} cap of " in error["message"], cell
+            assert want is None or want in error["message"], (cell, error["message"][:2000])
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_hostile_inputs_end_as_the_table_says(row):
+    run_row(row, ROWS[row])
+
+
+def test_cheap_inputs_with_huge_exponents_still_answer():
+    run_row("cheap", CHEAP)
+
+
+def test_oversized_builds_exit_2_naming_their_cap():
+    run_row("oversized", OVERSIZED)
+
+
+def test_every_value_taking_flag_has_a_grid_row():
+    # A flag that takes a value and has no row fails here; switches have none.
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [grid_row(*row)[0] for row in GRID] == [
+        name + flag
+        for name, parser in sub.choices.items()
+        for action in parser._actions if action.nargs != 0
+        for flag in action.option_strings
+    ]
 
 
 # Argument strategies for the fuzz below: lists of small values that are
@@ -626,13 +676,6 @@ def joined(values, size, sep=","):
 
 
 SMALL = (1, -3, 0, 2, P, -1, 3, 5, 7, 12)
-# Structured values of up to 120,412 digits, written out once because str()
-# of the largest takes about 0.3 s: powers of 2, 3 and 10, a product of many
-# small primes and the square of one.
-with any_int_size():
-    HUGE = tuple(
-        str(n) for n in (2**400000, 3**20000, 10**3000, primorial(200), primorial_square(28))
-    )
 ENTRY = joined(SMALL + HUGE, 1)
 BOUND = st.integers(0, 60)
 FLAG = st.booleans()
@@ -641,7 +684,7 @@ SIGNATURE = joined((2, 3, 4, 5, 7, P), 3)
 # Recovery once tried each that passed an exponent congruence, 2^28 of them
 # at (0:1) on (2,2,2), and ran out of memory.  M4423, a prime past the
 # prime-bits cap, is drawn as a coefficient and as a prime.
-COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, M4423, primorial_square(28)), 3)
+COEFFS = joined((1, -3, 0, 2, P, -1, 3, 5, M4423, primorial(28) ** 2), 3)
 TRIPLE = joined(SMALL + HUGE, 3)
 PRIMES = st.integers(0, 3).flatmap(
     lambda k: joined((2, 3, 0, 5, P, M4423, -1, 7, 13), k)
@@ -723,29 +766,6 @@ def test_both_option_forms_parse_alike(argv):
 IGNORED = ("--no-sieve", "--include-nonadmissible")
 
 
-def outcome(argv):
-    """(exit code, stdout, stderr) of cli.main(argv) in this process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_every_huge_value_goes_through_the_root_taking_flags():
-    # Which huge values the fuzz gate below draws depends on the source of
-    # its body, so each goes through the two flags that take roots of their
-    # value here on purpose: a defined exit code and no traceback.
-    for value in HUGE + (str(M4423),):
-        for argv in (
-            ["stack-point", "--q", f"1:{value}", "--signature", "2,3,7"],
-            ["torsion", "--d", f"-{value}"],
-        ):
-            code, out, err = outcome(argv)
-            assert code in (0, 1, 2), (argv[0], value[:20], err)
-            if code:
-                assert out == "" and isinstance(json.loads(err), dict), (argv[0], value[:20])
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(COMMANDS["enumerate"], COMMANDS["sieve442"]))
 def test_ignored_flags_change_nothing(argv):
@@ -782,15 +802,11 @@ def test_integers_print_at_any_size():
     code, out, err, _ = run_child("h1", "--primes", m89, "--n", 200)
     assert (code, err) == (0, ""), err
     representatives = json.loads(out)["representatives"]
-    digits = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with any_int_size():
         assert representatives[199] == str(m89**199)
         assert [int(r) for r in representatives] == [
             sign * m89**e for sign in (1, -1) for e in range(200)
         ]
-    finally:
-        sys.set_int_max_str_digits(digits)
 
 
 def test_main_restores_the_digit_limit(capsys):

@@ -7,6 +7,9 @@ order, and the ledger gives its kind and one of four classes:
 - `constant`: bounded by a constant of the module, named in the reason;
 - `linear`: linear in the size of the input, for the reason given;
 - `cap`: under the named cap, which raises WorkLimitExceeded when spent;
+  a fourth field names what drives it to that cap: a row of the hostile-input
+  table in tests/test_cli.py, or `CAP_TRIGGERS`, the cap's entry in
+  tests/test_package.py;
 - `dominated`: runs no more often than the ledger entry it names.
 
 A loop that is added, removed or moved to another function fails the test
@@ -20,6 +23,8 @@ import pathlib
 import pytest
 
 import gfdescent
+import test_cli
+import test_package
 from gfdescent import exact
 
 SRC = pathlib.Path(gfdescent.__file__).parent
@@ -40,17 +45,17 @@ LEDGER = {
         ("_primes_up_to", 0): ("for", "constant",
                                "called once, at import, with n = TRIAL_DIVISION_BOUND"),
         ("is_probable_prime", 0): ("for", "constant", "the 13 _SMALL_PRIMES"),
-        ("is_probable_prime", 1): ("while", "cap", "prime bits"),
+        ("is_probable_prime", 1): ("while", "cap", "prime bits", "CAP_TRIGGERS"),
         ("is_probable_prime", 2): ("for", "constant", "at most the 13 _SMALL_PRIMES"),
-        ("is_probable_prime", 3): ("for", "cap", "prime bits"),
+        ("is_probable_prime", 3): ("for", "cap", "prime bits", "CAP_TRIGGERS"),
         ("Factorization.primes", 0): ("comprehension", "linear",
                                       "one step per prime factor, at most the bits of n"),
-        ("_brent_rho", 0): ("while", "cap", "rho work"),
+        ("_brent_rho", 0): ("while", "cap", "rho work", "CAP_TRIGGERS"),
         # Round r advances r steps and then charges up to r steps.
         ("_brent_rho", 1): ("for", "dominated", ("_brent_rho", 2)),
-        ("_brent_rho", 2): ("while", "cap", "rho work"),
+        ("_brent_rho", 2): ("while", "cap", "rho work", "CAP_TRIGGERS"),
         ("_brent_rho", 3): ("for", "constant", "at most m = 128 steps, each charged"),
-        ("_brent_rho", 4): ("while", "cap", "rho work"),
+        ("_brent_rho", 4): ("while", "cap", "rho work", "CAP_TRIGGERS"),
         ("_residue_primes", 0): ("for", "constant",
                                  "q < TRIAL_DIVISION_BOUND^2; see the test below"),
         # Each k reads four residues; a root is taken only where they pass,
@@ -67,7 +72,7 @@ LEDGER = {
         ("factorize", 1): ("while", "linear",
                            "each pop records a prime or pushes parts whose bits sum "
                            "to at most the cofactor's, so O(bits of n) pops"),
-        ("factorize", 2): ("while", "cap", "rho work"),
+        ("factorize", 2): ("while", "cap", "rho work", "CAP_TRIGGERS"),
         ("integer_nth_root", 0): ("while", "linear", "n halves each step"),
         ("integer_nth_root", 1): ("while", "linear",
                                   "from a start just above the root, each step cuts "
@@ -86,11 +91,11 @@ LEDGER = {
                                 "at most 12 one-word witnesses"),
         ("SRing.__str__", 0): ("comprehension", "linear", "one step per prime of S"),
         # The count at least doubles each step and stops past the cap.
-        ("s_unit_reps", 0): ("for", "cap", "unit classes"),
+        ("s_unit_reps", 0): ("for", "cap", "unit classes", "h1--n"),
         ("s_unit_reps", 1): ("comprehension", "dominated", ("s_unit_reps", 0)),
         ("s_unit_reps", 2): ("for", "dominated", ("s_unit_reps", 0)),
-        ("s_unit_reps", 3): ("comprehension", "cap", "unit classes"),
-        ("s_unit_reps", 4): ("comprehension", "cap", "unit classes"),
+        ("s_unit_reps", 3): ("comprehension", "cap", "unit classes", "h1--n"),
+        ("s_unit_reps", 4): ("comprehension", "cap", "unit classes", "h1--n"),
         ("unit_class_key", 0): ("comprehension", "linear", "one step per prime of S"),
         # Each pass lowers some prime's exponent in g, which divides N.
         ("_strip", 0): ("while", "linear", "at most bits(N) passes"),
@@ -99,15 +104,16 @@ LEDGER = {
         ("GFE._terms", 0): ("for", "constant", "the three terms"),
         ("GFE._terms", 1): ("comprehension", "constant", "the three terms"),
         # Sized against the cap before it is built: entries times at least a bit each.
-        ("_value_table", 0): ("for", "cap", "power bits"),
+        ("_value_table", 0): ("for", "cap", "power bits", "enumerate--bound"),
         ("enumerate_primitive_solutions", 0): ("comprehension", "constant", "the three terms"),
         ("enumerate_primitive_solutions", 1): ("comprehension", "constant", "the three terms"),
         ("enumerate_primitive_solutions", 2): ("comprehension", "constant", "the three terms"),
         ("enumerate_primitive_solutions", 3): ("comprehension", "constant", "the three terms"),
-        ("enumerate_primitive_solutions", 4): ("for", "cap", "power bits"),
+        ("enumerate_primitive_solutions", 4): ("for", "cap", "power bits", "enumerate--bound"),
         # The shorter window, whose length is added to the probes first.
-        ("enumerate_primitive_solutions", 5): ("comprehension", "cap", "join probes"),
-        ("enumerate_primitive_solutions", 6): ("for", "cap", "join probes"),
+        ("enumerate_primitive_solutions", 5): ("comprehension", "cap", "join probes",
+                                               "CAP_TRIGGERS"),
+        ("enumerate_primitive_solutions", 6): ("for", "cap", "join probes", "CAP_TRIGGERS"),
         ("enumerate_primitive_solutions", 7): ("for", "constant",
                                                "at most two roots per value in each of "
                                                "the three tables: eight triples"),
@@ -186,17 +192,17 @@ LEDGER = {
         # min(rows, cols) * bits of work in all, which the cap sizes before
         # the elimination starts.  The loops inside a pass each take at most
         # rows + cols steps per row or column they visit.
-        ("_snf", 1): ("while", "cap", "elimination bits"),
-        ("_snf", 2): ("for", "cap", "elimination bits"),
-        ("_snf", 3): ("for", "cap", "elimination bits"),
-        ("_snf", 4): ("for", "cap", "elimination bits"),
-        ("_snf", 5): ("for", "cap", "elimination bits"),
-        ("_snf", 6): ("comprehension", "cap", "elimination bits"),
-        ("_snf", 7): ("for", "cap", "elimination bits"),
-        ("_snf", 8): ("comprehension", "cap", "elimination bits"),
-        ("_snf", 9): ("for", "cap", "elimination bits"),
-        ("_snf", 10): ("for", "cap", "elimination bits"),
-        ("_snf", 11): ("comprehension", "cap", "elimination bits"),
+        ("_snf", 1): ("while", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 2): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 3): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 4): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 5): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 6): ("comprehension", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 7): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 8): ("comprehension", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 9): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 10): ("for", "cap", "elimination bits", "snf-past-the-elimination-cap"),
+        ("_snf", 11): ("comprehension", "cap", "elimination bits", "snf-past-the-elimination-cap"),
         ("_snf", 12): ("for", "linear", "one step per diagonal entry"),
         ("_snf", 13): ("comprehension", "linear",
                        "one step per entry of a row of [D | U], rows + cols of them, "
@@ -266,14 +272,29 @@ def test_every_loop_is_in_the_ledger(name):
     source = (SRC / f"{name}.py").read_text()
     ledger = LEDGER[name]
     assert loops(source) == {key: entry[0] for key, entry in ledger.items()}
-    for key, (_, cls, reason) in ledger.items():
+    for key, (_, cls, reason, *driver) in ledger.items():
         assert cls in ("constant", "linear", "cap", "dominated"), key
+        assert len(driver) == (cls == "cap"), key
         if cls == "cap":
             assert f'"{reason}"' in source, key
         elif cls == "dominated":
             assert reason in ledger and reason != key, key
         else:
             assert reason, key
+
+
+def test_every_cap_row_names_what_drives_it_to_its_cap():
+    # A table row must have a cell that exits 2 at the row's cap.
+    codes = {cap: code for code, cap in test_cli.CAPS_BY_CODE.items()}
+    for name, ledger in LEDGER.items():
+        for key, (_, cls, cap, *driver) in ledger.items():
+            if cls != "cap":
+                continue
+            if driver == ["CAP_TRIGGERS"]:
+                assert cap in test_package.CAP_TRIGGERS, (name, key)
+            else:
+                outcomes = [outcome for _, _, outcome, _, _ in test_cli.ROWS[driver[0]]]
+                assert codes[cap] in outcomes, (name, key)
 
 
 def test_every_module_is_ledgered():
