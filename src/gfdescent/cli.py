@@ -15,9 +15,9 @@ sieve/enumerator mismatch.  Errors go to stderr as one JSON object with a
 machine-readable code; on exit 2 its "cap" names a row of the table
 gfdescent.errors.CAPS: "rho work" (5,000,000, one product or backtrack step
 of Brent's rho per 64-bit word of the cofactor, advance steps free; only the
-library's factorize reaches it, as verify-inclusion prints what it cannot
-split under "unsplit"), "power bits" (2^25, a value table of enumerate, a
-term of an equation, the unit classes), "unit classes" (2^20, h1),
+library's factorize reaches it, as verify-inclusion prints what trial division
+leaves as "unsplit"), "power bits" (2^25, a value table of enumerate, a term
+of an equation, the unit classes), "unit classes" (2^20, h1),
 "elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
 largest |entry|, snf), "prime bits" (2^11, a primality test of one list of
 primes given, in all) or "join probes" (2^25, the join of enumerate, counted

@@ -91,8 +91,9 @@ class PrimitiveSolution(Record):
 
 
 def bad_prime_set(F: GFE) -> SRing:
-    """Primes dividing a*b*c*A*B*C; the equation is well behaved away from
-    them.  Raises WorkLimitExceeded when factorize does; no verdict reads them."""
+    """Primes dividing a*b*c*A*B*C, by factorize; the equation is well behaved
+    away from them.  Library only: verify-inclusion does not call it, and no
+    verdict reads them.  Raises WorkLimitExceeded when factorize does."""
     return _proved_ring(factorize(math.prod(F.sig) * F.A * F.B * F.C).primes())
 
 
@@ -358,9 +359,8 @@ class DescentEntry(Record):
 
 class DescentReport(Record):
     """Outcome of pushing every enumerated solution through the point test.
-    ring is bad_prime_set(gfe), unsplit (); or, past a work cap there, ring
-    is the trial primes of |abcABC| and unsplit the rest of it, unfactored;
-    it may be a prime past the prime-bits cap, such as 2^4423 - 1."""
+    ring holds the primes up to 10^4 that divide |abcABC|, each proved by the
+    sieve; unsplit is (the rest of |abcABC|,), unfactored, or () when it is 1."""
 
     __slots__ = ("gfe", "bound", "ring", "unsplit", "entries")
 
@@ -377,14 +377,12 @@ def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
     """Check that every primitive solution lands on the rooted line over the
     bad-prime ring.  Violations are collected in the report, never raised.
     Each point is tested over Z[1/N], N = |abcABC| unfactored, by gcds with
-    N, so no verdict factors, tests primality or runs rho.  Only the printed
-    ring is factored; a work cap there leaves the rest of N unsplit."""
+    N, so no verdict factors, tests primality or runs rho.  Nor does the
+    printed ring: one gcd of N with the trial primes' product finds it."""
     N = abs(math.prod(F.sig) * F.A * F.B * F.C)
-    try:
-        ring, unsplit = bad_prime_set(F), ()
-    except WorkLimitExceeded:
-        ring = _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
-        unsplit = (ring.prime_to_s_part(N),)
+    ring = _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
+    rest = ring.prime_to_s_part(N)
+    unsplit = (rest,) if rest != 1 else ()
     support = _proved_ring((N,))
     entries = []
     for sol in enumerate_primitive_solutions(F, bound):

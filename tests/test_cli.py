@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import islice, product
+from itertools import product
 from unittest.mock import ANY
 
 import pytest
@@ -484,23 +484,18 @@ def unsplit(n):
 
 # What some cells print beyond their outcome: payload keys in payload order,
 # None for a key that must be absent and ANY for one not checked; or a part of
-# the error message.  verify-inclusion factors the ring only to print it: the
-# rho cap leaves the semiprime unsplit, the prime-bits cap leaves 2^4423 - 1,
-# and a power is split before any primality test.  h1 tests a prime given.
+# the error message.  verify-inclusion prints the primes up to 10^4 as its
+# ring and the rest of |abcABC| unsplit, never factored: a semiprime, a prime
+# and a prime power alike.  h1 tests a prime given.
 WANT = {
     ("verify-inclusion--coeffs", "semiprime"): unsplit(SEMIPRIME),
     ("verify-inclusion--coeffs", "2^4423-1"): unsplit(M4423),
-    ("verify-inclusion--coeffs", "(2^61-1)^40"): {
-        "ring": f"Z[1/{{2,3,7,{M61}}}]", "unsplit": None},
+    ("verify-inclusion--coeffs", "(2^61-1)^40"): unsplit(M61**40),
     ("h1--primes", "(2^61-1)^40"): "testing a 2440-bit number",
 }
 # Seconds a cell may take, by cell, else by column, else 2.  Reading and
-# printing 120,412 digits takes up to 1.5 s (2-core VM, Python 3.11).  The
-# rho cap, charged twice per step for the product's two 64-bit words, ends
-# after 2.5 M steps, about 3 s there (counting steps alone took 6.3 s): each
-# verify-inclusion row factors the semiprime for its ring.
-SECONDS = {"2^400000": 5, "-2^400000": 5, ("verify-inclusion--signature", "semiprime"): 6,
-           ("verify-inclusion--coeffs", "semiprime"): 6}
+# printing 120,412 digits takes up to 1.5 s (2-core VM, Python 3.11).
+SECONDS = {"2^400000": 5, "-2^400000": 5}
 
 
 def fill(template, value):
@@ -517,23 +512,15 @@ def snf_past_the_cap():
 
 
 def past_the_trial_bound():
-    # Only a base or a non-power past the prime-bits cap is left unsplit.
+    # What the primes up to 10^4 leave is printed unsplit, whether it is a
+    # power, its base within the prime-bits cap or past it, or a non-power.
     verify = "verify-inclusion --signature 2,3,7 --coeffs {},1,1 --bound 1"
-    m1279 = 2**1279 - 1
-    yield fill(verify, str(m1279**2)), "0", {"ring": f"Z[1/{{2,3,7,{m1279}}}]",
-                                            "unsplit": None}, 5
     # An odd non-power of 400,001 bits free of the primes up to 10^4: about
     # 120,400 digits, under the 128 KB an argv word may hold.
     big = random.Random(400001).getrandbits(400000) | 1 << 400000 | 1
     while math.gcd(big, exact._PRIMORIAL) > 1:
         big += 2
-    # 1 mod every trial prime and every residue prime the power split reads,
-    # so each k passes its filter: four failed roots, then the refusal (one
-    # root at k = 9,973 took 6.6 s from a power of two on a 2-core VM).
-    qs = {q for k in exact._TRIAL_PRIMES for q in islice(exact._residue_primes(k), 4)}
-    modulus = math.prod(qs) * exact._PRIMORIAL
-    passes = 1 + modulus * random.Random(130000).getrandbits(130000 - modulus.bit_length())
-    for n in (M4423**3, big, passes):
+    for n in ((2**1279 - 1) ** 2, M4423**3, big):
         yield fill(verify, str(n)), "0", unsplit(n), 5
 
 

@@ -11,7 +11,6 @@ from itertools import permutations
 import pytest
 
 import gfdescent.cli as cli
-import gfdescent.gfe as gfe
 from gfdescent import exact, sarith
 from gfdescent.belyi import is_stack_point
 from gfdescent.errors import CAPS, NotAStackPoint, WorkLimitExceeded
@@ -679,35 +678,43 @@ def test_verdicts_over_the_support_equal_those_over_the_bad_primes():
 
 
 def test_no_verdict_factors(monkeypatch):
-    # factorize hits its cap on any input with a prime past the trial bound,
-    # and Miller-Rabin and rho fail if called: the entries are as before,
-    # the ring is the trial primes and the rest of |abcABC| is unsplit.
+    # verify-inclusion prints the primes up to 10^4 that divide N = |abcABC|
+    # and leaves the rest of N unsplit, so neither its verdicts nor its ring
+    # run rho, split a power or test primality: each is made to fail here.
     M = 2**89 - 1  # a prime
     F = GFE(Signature(2, 2, 2), M, 1, -(M + 1))
     before = verify_descent_inclusion(F, 3)
-    assert before.ring.primes == (2, M) and before.unsplit == ()
+    assert before.ring.primes == (2,) and before.unsplit == (M,)
     assert {e.certificate.status for e in before.entries} == {"smooth"}
-    calls = []
-
-    def capped(n):
-        calls.append(n)
-        if sarith._strip(abs(n), exact._PRIMORIAL) > 1:
-            raise WorkLimitExceeded("rho work", 1, f"factoring {n}")
-        return exact.factorize(n)
 
     def refused(*args):
-        raise AssertionError("no verdict tests primality or runs rho")
+        raise AssertionError("no command runs rho, splits a power or tests primality")
 
-    monkeypatch.setattr(gfe, "factorize", capped)
-    for module, name in ((exact, "is_probable_prime"), (sarith, "is_probable_prime"),
-                         (exact, "_brent_rho")):
+    for module, name in ((exact, "_brent_rho"), (exact, "_split_power"),
+                         (exact, "is_probable_prime"), (sarith, "is_probable_prime")):
         monkeypatch.setattr(module, name, refused)
-    after = verify_descent_inclusion(F, 3)
-    assert after.entries == before.entries
-    assert (str(after.ring), after.unsplit) == ("Z[1/{2}]", (M,))
-    # One call for the printed ring and one for its trial primes, and none
-    # for the eight points tested.
-    assert len(calls) == 2 and len(after.entries) == 8
+    assert verify_descent_inclusion(F, 3) == before
+    # Coefficients (smooth, rough, +-1): smooth a product of powers of trial
+    # primes, rough 1 or a power of a prime or of a semiprime past 10^4.
+    rng = random.Random(43)
+    roughs = (10007, 2**61 - 1, 2**89 - 1, 2**1279 - 1, (2**64 - 59) * (2**63 - 25))
+    table = [
+        (math.prod(p ** rng.randint(1, 4) for p in rng.sample(exact._TRIAL_PRIMES, k)),
+         rough ** rng.choice((1, 2, 3, 40)), rng.choice((1, -1)))
+        for rough in (1, *roughs) for k in (0, 1, 4)
+    ]
+    for A, rough, C in table:
+        F = GFE(Signature(2, 3, 7), A, rough, C)
+        N = abs(42 * A * rough)
+        report = verify_descent_inclusion(F, 1)
+        primes = report.ring.primes
+        assert all(p <= exact.TRIAL_DIVISION_BOUND and N % p == 0 for p in primes)
+        assert (report.unsplit == ()) == (rough == 1), (A, rough)
+        rest = math.prod(report.unsplit)
+        assert math.gcd(rest, exact._PRIMORIAL) == 1
+        assert N == math.prod(p ** sarith.valuation(N, p) for p in primes) * rest
+        if rough == 1:
+            assert report.ring == bad_prime_set(F)
 
 
 def test_verify_descent_inclusion_442():
