@@ -91,10 +91,11 @@ class PrimitiveSolution(Record):
 
 
 def bad_prime_set(F: GFE) -> SRing:
-    """Primes dividing a*b*c*A*B*C, by factorize; the equation is well behaved
-    away from them.  Library only: verify-inclusion does not call it, and no
-    verdict reads them.  Raises WorkLimitExceeded when factorize does."""
-    return _proved_ring(factorize(math.prod(F.sig) * F.A * F.B * F.C).primes())
+    """S, the ring of the descent: the primes up to 10^4 that divide N = |abcABC|,
+    each proved by the sieve, found by one gcd of N with their product.  The
+    rest of N is not factored (verify-inclusion prints it as "unsplit")."""
+    N = math.prod(F.sig) * F.A * F.B * F.C
+    return _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
 
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):
@@ -359,8 +360,8 @@ class DescentEntry(Record):
 
 class DescentReport(Record):
     """Outcome of pushing every enumerated solution through the point test.
-    ring holds the primes up to 10^4 that divide |abcABC|, each proved by the
-    sieve; unsplit is (the rest of |abcABC|,), unfactored, or () when it is 1."""
+    ring is bad_prime_set(gfe), the primes <= 10^4 of |abcABC|, proved by the
+    sieve; unsplit is (the rest of |abcABC|,), unfactored, or () if it is 1."""
 
     __slots__ = ("gfe", "bound", "ring", "unsplit", "entries")
 
@@ -375,12 +376,11 @@ class DescentReport(Record):
 
 def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
     """Check that every primitive solution lands on the rooted line over the
-    bad-prime ring.  Violations are collected in the report, never raised.
+    ring bad_prime_set(F); violations are collected in the report, never raised.
     Each point is tested over Z[1/N], N = |abcABC| unfactored, by gcds with
-    N, so no verdict factors, tests primality or runs rho.  Nor does the
-    printed ring: one gcd of N with the trial primes' product finds it."""
+    N, so neither a verdict nor the ring factors, tests primality or runs rho."""
     N = abs(math.prod(F.sig) * F.A * F.B * F.C)
-    ring = _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
+    ring = bad_prime_set(F)
     rest = ring.prime_to_s_part(N)
     unsplit = (rest,) if rest != 1 else ()
     support = _proved_ring((N,))

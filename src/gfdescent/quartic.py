@@ -24,7 +24,7 @@ from .exact import (
     is_perfect_nth_power,
     normalize_projective,
 )
-from .gfe import GFE, PrimitiveSolution, _recover, enumerate_primitive_solutions
+from .gfe import GFE, PrimitiveSolution, _recover, bad_prime_set, enumerate_primitive_solutions
 from .belyi import is_stack_point
 from .groups import Signature
 from .sarith import SRing, UnitClassGroup, s_unit_reps
@@ -156,7 +156,7 @@ def run_sieve_442(bound_check: int) -> Sieve442Report:
     """
     if bound_check < 1:
         raise ValueError("bound must be positive")
-    reps = s_unit_reps(SRing((2,)), 4)
+    reps = s_unit_reps(bad_prime_set(GFE_442), 4)
     admissible = admissible_twists(reps)
 
     sources = {point: ["marked"] for point in (POINT_ZERO, POINT_ONE, POINT_INFINITY)}

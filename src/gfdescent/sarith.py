@@ -78,8 +78,8 @@ def _strip(v: int, N: int) -> int:
 
 
 def _proved_ring(primes: tuple[int, ...]) -> SRing:
-    """SRing of the sorted primes factorize has proved, without testing them
-    again; as (N,), Z[1/N] for the primes of N, as prime_to_s_part reads it."""
+    """SRing of sorted trial primes the sieve has proved (gfe.bad_prime_set),
+    untested; as (N,), Z[1/N] for the primes of N, as prime_to_s_part reads it."""
     R = SRing.__new__(SRing)
     set_field(R, "primes", primes)
     return R

@@ -15,12 +15,17 @@ its factors.  The recovery oracle tries every divisor of lcm(|A|, |B|, |C|)
 that passes a per-prime exponent congruence, where recovery itself tries
 the one scale that a point fixes.  The power-split oracle takes a full root
 for every prime exponent below its stop, with no residue filter.
+
+Two helpers are inputs rather than oracles: the fully factored ring of an
+equation, built by the package's own factorize for tests whose subject is
+recovery and not the ring, and the seeded coefficient table of the ring
+tests, whose products have prime factors past the trial bound.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 
 def random_gfes(seed, count, max_coeff=3, max_exp=5):
@@ -404,3 +409,27 @@ def recovery_by_divisor_scales(cert, F, search_units=False):
         if triple != base or (x, y, z) not in seen:
             out.append(RecoveredSolution(x, y, z, triple, triple == base))
     return out
+
+
+def factored_ring(F):
+    """Z[1/S] for S every prime of abcABC, by the package's full factorize:
+    the primes past 10^4 that bad_prime_set leaves unsplit are in it too."""
+    from gfdescent.exact import factorize
+    from gfdescent.sarith import SRing
+
+    return SRing(factorize(prod(F.sig) * F.A * F.B * F.C).primes())
+
+
+def smooth_rough_coefficients():
+    """18 seeded coefficient triples (smooth, rough, +-1): smooth a product
+    of powers of 0, 1 or 4 primes up to 10^4, rough 1 or a power 1, 2, 3 or
+    40 of a prime or a semiprime past 10^4, from 10007 to 2^1279 - 1."""
+    from gfdescent.exact import _TRIAL_PRIMES
+
+    rng = random.Random(43)
+    roughs = (10007, 2**61 - 1, 2**89 - 1, 2**1279 - 1, (2**64 - 59) * (2**63 - 25))
+    return [
+        (prod(p ** rng.randint(1, 4) for p in rng.sample(_TRIAL_PRIMES, k)),
+         rough ** rng.choice((1, 2, 3, 40)), rng.choice((1, -1)))
+        for rough in (1, *roughs) for k in (0, 1, 4)
+    ]

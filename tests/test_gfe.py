@@ -18,7 +18,6 @@ from gfdescent.exact import (
     POINT_INFINITY,
     POINT_ONE,
     POINT_ZERO,
-    is_probable_prime,
     normalize_projective,
 )
 from gfdescent.gfe import (
@@ -36,8 +35,10 @@ from gfdescent.sarith import SRing
 from oracles import (
     brute_force_solutions,
     brute_force_solutions_zdict,
+    factored_ring,
     random_gfes,
     recovery_by_divisor_scales,
+    smooth_rough_coefficients,
 )
 
 F442 = GFE(Signature(4, 4, 2), 1, 1, -1)
@@ -64,23 +65,8 @@ def test_bad_prime_set_examples():
     assert bad_prime_set(F237).primes == (2, 3, 7)
     assert bad_prime_set(F442).primes == (2,)
     assert bad_prime_set(GFE(Signature(2, 3, 7), 3, 5, 1)).primes == (2, 3, 5, 7)
-
-
-def test_bad_prime_set_tests_each_prime_once(monkeypatch):
-    # The ring takes the primes factorize has proved: Miller-Rabin runs on
-    # 2^1279 - 1 once, in factorize, and not at all on 2, 3 and 7, which
-    # trial division finds.  SRing(...) tested all four again.
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return is_probable_prime(n)
-
-    monkeypatch.setattr(exact, "is_probable_prime", counted)
-    monkeypatch.setattr(sarith, "is_probable_prime", counted)
-    M = 2**1279 - 1
-    assert bad_prime_set(GFE(Signature(2, 3, 7), 42 * M, 1, 1)).primes == (2, 3, 7, M)
-    assert calls == [M]
+    # Only the primes up to 10^4: 10007 is left to verify-inclusion's unsplit.
+    assert bad_prime_set(GFE(Signature(2, 3, 7), 3 * 10007, 1, 1)).primes == (2, 3, 7)
 
 
 def test_sieve_flags_have_no_effect():
@@ -122,9 +108,10 @@ def test_enumerate_sorted_lexicographically():
 
 
 def test_enumerate_matches_brute_force():
-    for F in random_gfes(73, 25):
-        got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 20)]
-        assert got == brute_force_solutions(F, 20), str(F)
+    for eqs, bound in ((random_gfes(73, 25), 20), (random_gfes(79, 6), 15), ([F237], 40)):
+        for F in eqs:
+            got = [s.as_tuple() for s in enumerate_primitive_solutions(F, bound)]
+            assert got == brute_force_solutions(F, bound), (str(F), bound)
 
 
 def test_enumerate_matches_brute_force_bound_50():
@@ -140,19 +127,6 @@ def test_enumerate_matches_brute_force_bound_50():
     ]:
         got = [s.as_tuple() for s in enumerate_primitive_solutions(F, 50)]
         assert got == brute_force_solutions_zdict(F, 50), str(F)
-
-
-def test_enumerate_sieve_off_and_python_path_agree():
-    for F in random_gfes(79, 6):
-        with_sieve = enumerate_primitive_solutions(F, 15)
-        without = enumerate_primitive_solutions(F, 15, use_sieve=False)
-        assert with_sieve == without
-        assert [s.as_tuple() for s in without] == brute_force_solutions_zdict(F, 15)
-
-
-def test_enumerate_python_path_at_scale():
-    got = [s.as_tuple() for s in enumerate_primitive_solutions(F237, 40)]
-    assert got == brute_force_solutions_zdict(F237, 40)
 
 
 def test_enumerate_window_edges():
@@ -562,7 +536,7 @@ def test_recover_large_coefficients():
     A, B = 2**16 * 3**8, 5**8
     F = GFE(Signature(2, 3, 5), A, B, -(A + B))
     image = j_map(F, PrimitiveSolution(1, 1, 1))
-    got = {r.as_tuple() for r in recover_solutions(image, F, bad_prime_set(F))}
+    got = {r.as_tuple() for r in recover_solutions(image, F, factored_ring(F))}
     assert got == {(1, 1, 1), (-1, 1, 1)}
 
 
@@ -625,7 +599,7 @@ def test_recovery_scale_matches_every_divisor_scale():
     # points of random equations, and at the images of built solutions.
     rng = random.Random(20261019)
     for F in random_gfes(11, 300, max_coeff=60) + random_gfes(7, 200):
-        rings = (SRing(()), bad_prime_set(F))
+        rings = (SRing(()), factored_ring(F))
         points = {j_map(F, sol) for sol in enumerate_primitive_solutions(F, 12)}
         for _ in range(6):
             points.add(normalize_projective(rng.randint(-50, 50), rng.randint(1, 50)))
@@ -642,7 +616,7 @@ def test_recovery_scale_matches_every_divisor_scale():
         if w == 0 or w % z**sig.c:
             continue
         F = GFE(sig, A, B, -w // z**sig.c)
-        found = _recoveries_agree(j_map(F, PrimitiveSolution(x, y, z)), F, [bad_prime_set(F)])
+        found = _recoveries_agree(j_map(F, PrimitiveSolution(x, y, z)), F, [factored_ring(F)])
         assert len(found) == 2, str(F)
         assert all((x, y, z) in {r.as_tuple() for r in got} for got in found), str(F)
         built += 1
@@ -694,16 +668,7 @@ def test_no_verdict_factors(monkeypatch):
                          (exact, "is_probable_prime"), (sarith, "is_probable_prime")):
         monkeypatch.setattr(module, name, refused)
     assert verify_descent_inclusion(F, 3) == before
-    # Coefficients (smooth, rough, +-1): smooth a product of powers of trial
-    # primes, rough 1 or a power of a prime or of a semiprime past 10^4.
-    rng = random.Random(43)
-    roughs = (10007, 2**61 - 1, 2**89 - 1, 2**1279 - 1, (2**64 - 59) * (2**63 - 25))
-    table = [
-        (math.prod(p ** rng.randint(1, 4) for p in rng.sample(exact._TRIAL_PRIMES, k)),
-         rough ** rng.choice((1, 2, 3, 40)), rng.choice((1, -1)))
-        for rough in (1, *roughs) for k in (0, 1, 4)
-    ]
-    for A, rough, C in table:
+    for A, rough, C in smooth_rough_coefficients():
         F = GFE(Signature(2, 3, 7), A, rough, C)
         N = abs(42 * A * rough)
         report = verify_descent_inclusion(F, 1)
@@ -713,8 +678,7 @@ def test_no_verdict_factors(monkeypatch):
         rest = math.prod(report.unsplit)
         assert math.gcd(rest, exact._PRIMORIAL) == 1
         assert N == math.prod(p ** sarith.valuation(N, p) for p in primes) * rest
-        if rough == 1:
-            assert report.ring == bad_prime_set(F)
+        assert report.ring == bad_prime_set(F), (A, rough)
 
 
 def test_verify_descent_inclusion_442():

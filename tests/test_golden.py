@@ -24,6 +24,10 @@ import pytest
 import gfdescent.cli as cli
 import gfdescent.exact as exact
 import gfdescent.gfe as gfe
+import gfdescent.sarith as sarith
+from gfdescent.groups import Signature
+
+from oracles import smooth_rough_coefficients
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -129,15 +133,19 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES | ABSORBED))
-def test_cli_output_matches_golden(name):
+def assert_prints_golden(name):
     golden = golden_path(name).read_text()
     if name in CASES:
-        assert run(CASES[name]) == golden
+        assert run(CASES[name]) == golden, name
     else:
         out = json.loads(run(ABSORBED[name]))
         kept = {key: out[key] for key in json.loads(golden)}
-        assert json.dumps(kept, indent=2) + "\n" == golden
+        assert json.dumps(kept, indent=2) + "\n" == golden, name
+
+
+@pytest.mark.parametrize("name", sorted(CASES | ABSORBED))
+def test_cli_output_matches_golden(name):
+    assert_prints_golden(name)
 
 
 def test_nonadmissible_record_less_its_search_is_the_output():
@@ -150,17 +158,31 @@ def test_nonadmissible_record_less_its_search_is_the_output():
     assert run(NONADMISSIBLE_ARGV) == json.dumps(record, indent=2) + "\n"
 
 
-def test_recovery_factors_nothing(monkeypatch):
-    # A point fixes its recovery scale, so recovery needs no factorization.
-    def refuse(n):
-        raise AssertionError(f"factorize({n}) called")
+def test_only_factorize_reaches_rho(monkeypatch):
+    # No command runs rho or splits a power, and bad_prime_set, the ring that
+    # verify-inclusion prints and sieve442 takes its unit classes over, does
+    # neither and tests no primality: its primes are the trial primes of
+    # abcABC.  A point fixes its recovery scale, so recovery factors nothing.
+    def refuse(*args):
+        raise AssertionError(f"called on {args}")
 
+    monkeypatch.setattr(exact, "_brent_rho", refuse)
+    monkeypatch.setattr(exact, "_split_power", refuse)
+    for name in sorted(CASES | ABSORBED):
+        assert_prints_golden(name)
+    with monkeypatch.context() as m:
+        m.setattr(exact, "is_probable_prime", refuse)
+        m.setattr(sarith, "is_probable_prime", refuse)
+        for A, rough, C in smooth_rough_coefficients():
+            N = 42 * A * rough
+            want = tuple(p for p in exact._TRIAL_PRIMES if N % p == 0)
+            assert gfe.bad_prime_set(gfe.GFE(Signature(2, 3, 7), A, rough, C)).primes == want
     monkeypatch.setattr(gfe, "factorize", refuse)
     monkeypatch.setattr(exact, "factorize", refuse)
     names = [name for name in CASES if name.startswith("recover")]
     assert names == ["recover", "recover-marked-units", "recover-smooth-units"]
     for name in names:
-        assert run(CASES[name]) == golden_path(name).read_text(), name
+        assert_prints_golden(name)
 
 
 def test_every_golden_file_has_a_case():
