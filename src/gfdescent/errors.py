@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the table of work caps."""
 
 # Every work cap, keyed by the name WorkLimitExceeded reports, with its limit
-# and, above it, what one unit is.  Each site reads its row once per call,
-# when called, so a test may lower a cap with monkeypatch.setitem.
+# and, above it, what one unit is.  charge reads the row each time it is
+# called, so a test may lower a cap with monkeypatch.setitem.
 CAPS = {
     # A product or backtrack step of Brent's rho, per 64-bit word of the cofactor.
     "rho work": 5_000_000,
@@ -32,14 +32,23 @@ class WorkLimitExceeded(GFDescentError):
 
     cap names a row of CAPS ("rho work", "power bits", "unit classes",
     "elimination bits", "prime bits" or "join probes"), limit is its value
-    and detail says what hit it.  The CLI exits 2 on this error and reports
-    cap in stderr JSON.
+    and detail says what hit it.  Raise it through charge, except for
+    factorize's rho budget.  The CLI exits 2 on this error and reports cap
+    in stderr JSON.
     """
 
     def __init__(self, cap: str, limit: int, detail: str):
         self.cap = cap
         self.limit = limit
         super().__init__(f"{cap} cap of {limit} exceeded: {detail}")
+
+
+def charge(cap: str, work: int, what: str, *values) -> None:
+    """Raise WorkLimitExceeded when work passes CAPS[cap], read now, with
+    detail what.format(*values), which is rendered only then."""
+    limit = CAPS[cap]
+    if work > limit:
+        raise WorkLimitExceeded(cap, limit, what.format(*values))
 
 
 class NotAStackPoint(GFDescentError):

@@ -12,7 +12,7 @@ import random
 from bisect import bisect_right
 
 from ._record import Record, set_field
-from .errors import CAPS, WorkLimitExceeded, ZeroPoint
+from .errors import CAPS, WorkLimitExceeded, ZeroPoint, charge
 
 # Trial division finds every prime factor up to this bound, through one gcd
 # with the product of those primes.  A cofactor left after it goes to the
@@ -83,9 +83,7 @@ def is_probable_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    cap = CAPS["prime bits"]
-    if n.bit_length() > cap:
-        raise WorkLimitExceeded("prime bits", cap, f"testing a {n.bit_length()}-bit number")
+    charge("prime bits", n.bit_length(), "testing a {}-bit number", n.bit_length())
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -21,7 +21,7 @@ from operator import sub
 
 from ._record import Record, set_field
 from .belyi import StackPointCertificate, is_stack_point
-from .errors import CAPS, NotAStackPoint, WorkLimitExceeded
+from .errors import NotAStackPoint, charge
 from .exact import (
     _PRIMORIAL,
     ProjPointQ,
@@ -103,12 +103,8 @@ def _check_power_bits(entries: int, coef: int, n: int, radius: int):
     |v| <= |radius| fit in the power-bits cap, by entries times a lower bound
     on the bits of the largest, |coef| * |radius|^n."""
     bits = entries * (abs(coef).bit_length() + n * (radius.bit_length() - 1))
-    cap = CAPS["power bits"]
-    if bits > cap:
-        what = f"{entries} values of {coef}*v^{n}, |v| <= {radius}"
-        raise WorkLimitExceeded(
-            "power bits", cap, f"{coef}*({radius})^{n}" if entries == 1 else what
-        )
+    what = "{1}*({2})^{3}" if entries == 1 else "{0} values of {1}*v^{3}, |v| <= {2}"
+    charge("power bits", bits, what, entries, coef, radius, n)
 
 
 def _value_table(coef: int, n: int, bound: int) -> tuple[list[int], dict[int, list[int]]]:
@@ -202,7 +198,7 @@ def enumerate_primitive_solutions(
     if negation and (inner_match or not outer_match):
         top = min(top, 0)
     found = set()
-    cap, probes = CAPS["join probes"], 0
+    probes = 0
     for t in ts[bisect_left(ts, ws[0] + rs[0]) : bisect_right(ts, top)]:
         lo = max(t - rs[-1], ws[0])
         hi = min(t - rs[0], ws[-1])
@@ -217,8 +213,7 @@ def enumerate_primitive_solutions(
         wlo, whi = bisect_left(ws, lo), bisect_right(ws, hi)
         rlo, rhi = bisect_left(rs, t - hi), bisect_right(rs, t - lo)
         probes += min(whi - wlo, rhi - rlo)
-        if probes > cap:
-            raise WorkLimitExceeded("join probes", cap, f"joining {F} at bound {bound}")
+        charge("join probes", probes, "joining {} at bound {}", F, bound)
         if whi - wlo <= rhi - rlo:
             wvals = [t - r for r in rroots.keys() & map(sub, repeat(t), ws[wlo:whi])]
         else:

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .errors import CAPS, WorkLimitExceeded
+from .errors import charge
 from .exact import _SMALL_PRIMES, _divide_out, is_perfect_nth_power, is_probable_prime
 
 
@@ -35,11 +35,9 @@ class SRing(Record):
         if list(primes) != sorted(set(primes)):
             raise ValueError("prime set must be strictly increasing and duplicate-free")
         charged = [p for p in primes if p >= 2**64 and all(p % q for q in _SMALL_PRIMES)]
-        bits, cap = sum(p.bit_length() for p in charged), CAPS["prime bits"]
-        if bits > cap:
-            what = f"{len(charged)} numbers of {bits} bits in all"
-            what = f"a {bits}-bit number" if len(charged) == 1 else what
-            raise WorkLimitExceeded("prime bits", cap, f"testing {what}")
+        bits = sum(p.bit_length() for p in charged)
+        what = "a {1}-bit number" if len(charged) == 1 else "{} numbers of {} bits in all"
+        charge("prime bits", bits, "testing " + what, len(charged), bits)
         for p in primes:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
@@ -115,18 +113,14 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
         raise ValueError("modulus must be at least 2")
     # Counted up one prime at a time, so that a huge n ** |S| is never built.
     count = 2 if n % 2 == 0 else 1
-    classes, power_bits = CAPS["unit classes"], CAPS["power bits"]
+    what = "{} classes of {} modulo {}th powers"
     for _ in ring.primes:
         count *= n
-        if count > classes:
-            what = f"at least {count} classes of {ring} modulo {n}th powers"
-            raise WorkLimitExceeded("unit classes", classes, what)
-    what = f"{count} classes of {ring} modulo {n}th powers"
+        charge("unit classes", count, "at least " + what, count, ring, n)
     # The exponent of p averages (n - 1)/2 over the classes, and p^e has at
     # least e * (bits of p - 1) bits.
     bits = count * (n - 1) * sum(p.bit_length() - 1 for p in ring.primes) // 2
-    if bits > power_bits:
-        raise WorkLimitExceeded("power bits", power_bits, what)
+    charge("power bits", bits, what, count, ring, n)
     reps = [1, -1] if n % 2 == 0 else [1]
     for p in ring.primes:
         powers = [p**e for e in range(n)]

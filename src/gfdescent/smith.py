@@ -12,7 +12,7 @@ operations on it.  smith_normal_form returns U, D and V.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import CAPS, WorkLimitExceeded
+from .errors import charge
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -177,10 +177,7 @@ def smith_normal_form(A: IntMatrix) -> SNFResult:
     """
     bits = max(abs(v) for row in A.data for v in row).bit_length()
     work = A.rows * A.cols * min(A.rows, A.cols) * bits
-    cap = CAPS["elimination bits"]
-    if work > cap:
-        what = f"{A.rows}x{A.cols} matrix of {bits}-bit entries"
-        raise WorkLimitExceeded("elimination bits", cap, what)
+    charge("elimination bits", work, "{}x{} matrix of {}-bit entries", A.rows, A.cols, bits)
     DU, Vt = _snf(A.data)
     U = [row[A.cols :] for row in DU]
     D = [row[: A.cols] for row in DU]

@@ -303,15 +303,41 @@ def test_package_reads_through_to_the_layer(monkeypatch):
     assert "factorize" not in vars(gfdescent)
 
 
+def call_name(node) -> str | None:
+    """The last part of the called name, when node is a call."""
+    return ast.unparse(node.func).rpartition(".")[2] if isinstance(node, ast.Call) else None
+
+
 def caps_raised(tree) -> list[str]:
-    """The first argument of each WorkLimitExceeded(...) call in the
-    module's AST; literal_eval raises unless it is a literal."""
+    """The first argument of each charge(...) call, and of each
+    WorkLimitExceeded(...) call that gives it as a literal, in the module's
+    AST; literal_eval raises unless a charge gives a literal."""
     return [
         ast.literal_eval(node.args[0])
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func).rpartition(".")[2] == "WorkLimitExceeded"
+        if call_name(node) == "charge"
+        or call_name(node) == "WorkLimitExceeded" and isinstance(node.args[0], ast.Constant)
     ]
+
+
+def cap_sites(tree) -> tuple[set[str], set[str]]:
+    """The functions, by qualified name, of the module's AST that construct
+    WorkLimitExceeded, and those that name CAPS."""
+    constructs, reads = set(), set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if call_name(node) == "WorkLimitExceeded":
+            constructs.add(scope)
+        if isinstance(node, ast.Name) and node.id == "CAPS" \
+                or isinstance(node, ast.Attribute) and node.attr == "CAPS":
+            reads.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return constructs, reads
 
 
 def cap_value(text: str) -> int:
@@ -340,6 +366,25 @@ def test_cap_lists_name_the_caps_raised():
     assert sorted((name, cap_value(value)) for name, value in listed) == table
     assert sorted((name, cap_value(value)) for name, value in in_help) == table
     assert caps_raised(ast.parse("raise errors.WorkLimitExceeded('a', 1, '')")) == ["a"]
+    assert caps_raised(ast.parse("errors.charge('b', 2, '')")) == ["b"]
+    assert caps_raised(ast.parse("raise WorkLimitExceeded(cap, 1, '')")) == []
+
+
+def test_every_cap_but_rho_work_is_met_through_charge():
+    # Outside errors, only factorize raises WorkLimitExceeded itself, for
+    # the rho budget a caller may pass in, and only it and _split_power,
+    # which takes the prime-bits cap as a threshold, name CAPS.
+    constructs, reads = set(), set()
+    for p in sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py")):
+        if p.stem != "errors":
+            c, r = cap_sites(ast.parse(p.read_text()))
+            constructs |= {f"{p.stem}.{name}" for name in c}
+            reads |= {f"{p.stem}.{name}" for name in r}
+    assert constructs == {"exact.factorize"}
+    assert reads == {"exact.factorize", "exact._split_power"}
+    code = "class A:\n    def f(self):\n        raise WorkLimitExceeded('a', CAPS['a'], '')"
+    assert cap_sites(ast.parse(code)) == ({"A.f"}, {"A.f"})
+    assert cap_sites(ast.parse("x = errors.CAPS.get('a')")) == (set(), {""})
 
 
 # For each cap: the value a test lowers it to (None keeps the table's) and a
@@ -366,6 +411,30 @@ def test_each_cap_reports_the_table_value_read_when_called(name, monkeypatch):
     with pytest.raises(errors.WorkLimitExceeded) as e:
         trigger()
     assert (e.value.cap, e.value.limit) == (name, errors.CAPS[name])
+
+
+def refuse_to_render(self):
+    raise AssertionError("rendered")
+
+
+def unit_classes(primes, n):
+    return len(gfdescent.s_unit_reps(gfdescent.SRing(primes), n).representatives)
+
+
+# A type whose text a refusal detail holds, a call that passes no cap with
+# it, and the size of what the call returns.
+UNDER_CAPS = [
+    (gfdescent.SRing, lambda: unit_classes((2, 3), 4), 32),
+    (gfdescent.SRing, lambda: unit_classes((), 2**400000), 2),
+    (gfdescent.GFE, lambda: len(gfdescent.enumerate_primitive_solutions(
+        gfdescent.GFE(gfdescent.Signature(2, 2, 2), 1, 1, -1), 50)), 120),
+]
+
+
+@pytest.mark.parametrize("cls, call, expected", UNDER_CAPS)
+def test_a_refusal_detail_is_rendered_only_on_refusal(cls, call, expected, monkeypatch):
+    monkeypatch.setattr(cls, "__str__", refuse_to_render)
+    assert call() == expected
 
 
 SWALLOWING = {"Exception", "BaseException", "MemoryError", "RecursionError"}
