@@ -8,9 +8,8 @@ constructor; and no assignment after construction.  That constructor is the
 one public way in: no field has a default, no record has a classmethod
 constructor, and none overrides the repr.  A record writes its own __init__
 only to check its arguments (GFE, ProjPointQ, Signature, SRing,
-TwistedCurve), and then stores the fields itself; sarith._proved_ring builds
-a ring without it, of trial primes the sieve proved (gfe.bad_prime_set) or
-of one unfactored integer that stands for its primes.  Unlike the standard
+TwistedCurve), and then stores the fields itself; set_field is called
+nowhere else, so no record is built without its checks.  Unlike the standard
 library's record decorator, this needs no import of inspect and no code
 generation per class, which together cost a fifth to a third of a command-line run.
 """

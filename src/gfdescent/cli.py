@@ -19,9 +19,10 @@ library's factorize reaches it, as verify-inclusion prints what trial division
 leaves as "unsplit"), "power bits" (2^25, a value table of enumerate, a term
 of an equation, the unit classes), "unit classes" (2^20, h1),
 "elimination bits" (2^20 for rows * cols * min(rows, cols) * bits of the
-largest |entry|, snf), "prime bits" (2^11, a primality test of one list of
-primes given, in all) or "join probes" (2^25, the join of enumerate, counted
-as it runs).  Each size cap is checked before the build it bounds starts.
+largest |entry|, snf), "prime bits" (2^11, a primality test of the primes
+given to h1, in all; stack-point and recover take --primes as generators and
+test none) or "join probes" (2^25, the join of enumerate, counted as it
+runs).  Each size cap is checked before the build it bounds starts.
 """
 
 from __future__ import annotations

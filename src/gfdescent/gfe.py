@@ -31,7 +31,7 @@ from .exact import (
     normalize_projective,
 )
 from .groups import Signature
-from .sarith import SRing, _proved_ring
+from .sarith import SRing
 
 
 class GFE(Record):
@@ -95,7 +95,7 @@ def bad_prime_set(F: GFE) -> SRing:
     each proved by the sieve, found by one gcd of N with their product.  The
     rest of N is not factored (verify-inclusion prints it as "unsplit")."""
     N = math.prod(F.sig) * F.A * F.B * F.C
-    return _proved_ring(factorize(math.gcd(N, _PRIMORIAL)).primes())
+    return SRing(factorize(math.gcd(N, _PRIMORIAL)).primes())
 
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):
@@ -378,7 +378,7 @@ def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
     ring = bad_prime_set(F)
     rest = ring.prime_to_s_part(N)
     unsplit = (rest,) if rest != 1 else ()
-    support = _proved_ring((N,))
+    support = SRing((N,))
     entries = []
     for sol in enumerate_primitive_solutions(F, bound):
         image = j_map(F, sol)

@@ -18,51 +18,37 @@ from .exact import _SMALL_PRIMES, _divide_out, is_perfect_nth_power, is_probable
 
 
 class SRing(Record):
-    """Z[S^-1] for a finite, sorted set S of rational primes, given as ints
-    (not bools).  Miller-Rabin tests each p > 41 that none of the 13 primes
-    up to 41 divides.  When those of more than 64 bits pass the prime-bits
-    cap in all, WorkLimitExceeded is raised before any p is tested; one of
-    at most 64 bits costs at most 12 witnesses on one machine word.  Only
-    this constructor tests: _proved_ring skips it, and its (N,) holds one
-    integer N, prime or not, that stands for the primes of N."""
+    """Z[S^-1] for S the primes of the generators: sorted, distinct ints (not
+    bools), each at least 2, and none tested here.  The verdicts read only
+    their product, so a composite one stands for its primes: prime_to_s_part,
+    is_unit, is_nth_power_ideal.  The unit classes, s_unit_reps and
+    unit_class_key, read S one prime at a time and refuse a composite one."""
 
-    __slots__ = ("primes",)
+    __slots__ = ("generators",)
 
-    def __init__(self, primes: Iterable[int]):
-        primes = tuple(primes)
-        if any(type(p) is not int for p in primes):
-            raise ValueError(f"primes must be ints, got {primes!r}")
-        if list(primes) != sorted(set(primes)):
-            raise ValueError("prime set must be strictly increasing and duplicate-free")
-        charged = [p for p in primes if p >= 2**64 and all(p % q for q in _SMALL_PRIMES)]
-        bits = sum(p.bit_length() for p in charged)
-        what = "a {1}-bit number" if len(charged) == 1 else "{} numbers of {} bits in all"
-        charge("prime bits", bits, "testing " + what, len(charged), bits)
-        for p in primes:
-            if not is_probable_prime(p):
-                raise ValueError(f"{p} is not prime")
-        set_field(self, "primes", primes)
+    def __init__(self, generators: Iterable[int]):
+        generators = tuple(generators)
+        if any(type(g) is not int for g in generators):
+            raise ValueError(f"generators must be ints, got {generators!r}")
+        if list(generators) != sorted(set(generators)) or generators and generators[0] < 2:
+            raise ValueError("generators must be strictly increasing and at least 2")
+        set_field(self, "generators", generators)
 
     def __str__(self):
-        inner = ",".join(str(p) for p in self.primes)
-        return "Z" if not self.primes else f"Z[1/{{{inner}}}]"
+        inner = ",".join(str(g) for g in self.generators)
+        return "Z" if not self.generators else f"Z[1/{{{inner}}}]"
 
     def prime_to_s_part(self, n: int) -> int:
-        """|n| with every prime of S divided out, by gcds with the product of
-        S; the ideal nZ[S^-1] is generated by this positive integer."""
+        """|n| with every prime of S divided out, by gcds with the generators'
+        product; the ideal nZ[S^-1] is generated by this positive integer."""
         if n == 0:
             raise ValueError("0 has no prime-to-S part")
-        return _strip(abs(n), math.prod(self.primes))
+        return _strip(abs(n), math.prod(self.generators))
 
     def is_unit(self, q) -> bool:
         """Whether the nonzero rational q lies in Z[S^-1]^x."""
         q = Fraction(q)
-        if q == 0:
-            return False
-        return (
-            self.prime_to_s_part(q.numerator) == 1
-            and self.prime_to_s_part(q.denominator) == 1
-        )
+        return q != 0 and self.prime_to_s_part(q.numerator * q.denominator) == 1
 
 
 def _strip(v: int, N: int) -> int:
@@ -75,12 +61,20 @@ def _strip(v: int, N: int) -> int:
     return v
 
 
-def _proved_ring(primes: tuple[int, ...]) -> SRing:
-    """SRing of sorted trial primes the sieve has proved (gfe.bad_prime_set),
-    untested; as (N,), Z[1/N] for the primes of N, as prime_to_s_part reads it."""
-    R = SRing.__new__(SRing)
-    set_field(R, "primes", primes)
-    return R
+def _class_primes(ring: SRing) -> tuple[int, ...]:
+    """The ring's generators, each tested prime, else ValueError names it.
+    Miller-Rabin tests each p > 41 that none of the primes up to 41 divides;
+    those past 64 bits are charged to the prime-bits cap in all before any
+    test, and one of at most 64 bits costs at most 12 one-word witnesses."""
+    primes = ring.generators
+    charged = [p for p in primes if p >= 2**64 and all(p % q for q in _SMALL_PRIMES)]
+    bits = sum(p.bit_length() for p in charged)
+    what = "a {1}-bit number" if len(charged) == 1 else "{} numbers of {} bits in all"
+    charge("prime bits", bits, "testing " + what, len(charged), bits)
+    for p in primes:
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+    return primes
 
 
 def valuation(s: int, p: int) -> int:
@@ -104,25 +98,27 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
 
     The units sign * prod p^e with 0 <= e < n, listed with the sign slowest
     and each prime's exponent faster than the one before.  Built by running
-    products, one multiplication per entry per prime.  Raises
-    WorkLimitExceeded before building when the (2 or 1) * n^|S| classes
-    pass the cap "unit classes", or when a lower bound on their bits,
-    count * (n - 1)/2 * sum(bits of p - 1), passes the cap "power bits".
+    products, one multiplication per entry per prime.  Each generator must
+    be prime, and is tested first (_class_primes).  Raises WorkLimitExceeded
+    before building when the (2 or 1) * n^|S| classes pass the cap "unit
+    classes", or when a lower bound on their bits, count * (n - 1)/2 *
+    sum(bits of p - 1), passes the cap "power bits".
     """
+    primes = _class_primes(ring)
     if n < 2:
         raise ValueError("modulus must be at least 2")
     # Counted up one prime at a time, so that a huge n ** |S| is never built.
     count = 2 if n % 2 == 0 else 1
     what = "{} classes of {} modulo {}th powers"
-    for _ in ring.primes:
+    for _ in primes:
         count *= n
         charge("unit classes", count, "at least " + what, count, ring, n)
     # The exponent of p averages (n - 1)/2 over the classes, and p^e has at
     # least e * (bits of p - 1) bits.
-    bits = count * (n - 1) * sum(p.bit_length() - 1 for p in ring.primes) // 2
+    bits = count * (n - 1) * sum(p.bit_length() - 1 for p in primes) // 2
     charge("power bits", bits, what, count, ring, n)
     reps = [1, -1] if n % 2 == 0 else [1]
-    for p in ring.primes:
+    for p in primes:
         powers = [p**e for e in range(n)]
         reps = [v * q for v in reps for q in powers]
     return UnitClassGroup(n, ring, tuple(reps))
@@ -133,6 +129,7 @@ def unit_class_key(u, ring: SRing, n: int):
 
     Two units are congruent modulo n-th powers iff their keys agree: the
     sign survives exactly when n is even, and each S-valuation matters mod n.
+    Each generator must be prime (_class_primes).
     """
     u = Fraction(u)
     if not ring.is_unit(u):
@@ -140,7 +137,7 @@ def unit_class_key(u, ring: SRing, n: int):
     sign = 1 if n % 2 else (1 if u > 0 else -1)
     vals = tuple(
         (valuation(u.numerator, p) - valuation(u.denominator, p)) % n
-        for p in ring.primes
+        for p in _class_primes(ring)
     )
     return (sign, vals)
 

@@ -45,12 +45,18 @@ def test_is_stack_point_examples():
 def test_is_stack_point_against_trial_division_oracle():
     # Status, roots and failed labels against factoring s, s - t and t by
     # trial division, on seeded points with |s|, |t| <= 200 and on the three
-    # marked points, over signatures in {2,3,4}^3 and three rings.  Away
-    # from the marked points each coordinate's is_nth_power_ideal is checked
-    # on its own too: the oracle's root for that coordinate alone (exponent
-    # 1 at the other two), or None exactly when the oracle fails it.
+    # marked points, over signatures in {2,3,4}^3 and five rings, two of
+    # them with a composite generator; the oracle is given the primes of
+    # the generators' product.  Away from the marked points each
+    # coordinate's is_nth_power_ideal is checked on its own too: the
+    # oracle's root for that coordinate alone (exponent 1 at the other two),
+    # or None exactly when the oracle fails it.
     rng = random.Random(2027)
-    rings = [SRing(()), SRing((2,)), SRing((2, 3))]
+    primes_of = {
+        SRing(()): (), SRing((2,)): (2,), SRing((2, 3)): (2, 3),
+        SRing((6,)): (2, 3), SRing((15,)): (3, 5),
+    }
+    rings = list(primes_of)
     sigs = [Signature(*e) for e in product((2, 3, 4), repeat=3)]
     cases = []
     while len(cases) < 3000:
@@ -66,7 +72,7 @@ def test_is_stack_point_against_trial_division_oracle():
     statuses = set()
     for Q, sig, ring in cases:
         cert = is_stack_point(Q, sig, ring)
-        expected = trial_division_point_test(Q.s, Q.t, tuple(sig), ring.primes)
+        expected = trial_division_point_test(Q.s, Q.t, tuple(sig), primes_of[ring])
         assert (cert.status, cert.roots, cert.failed) == expected, (Q, sig, ring)
         statuses.add(cert.status)
         if cert.status == "marked":
@@ -74,7 +80,7 @@ def test_is_stack_point_against_trial_division_oracle():
         for i, (value, n) in enumerate(zip((Q.s, Q.s - Q.t, Q.t), sig)):
             g = is_nth_power_ideal(value, n, ring)
             alone = tuple(n if j == i else 1 for j in range(3))
-            status, roots, _ = trial_division_point_test(Q.s, Q.t, alone, ring.primes)
+            status, roots, _ = trial_division_point_test(Q.s, Q.t, alone, primes_of[ring])
             assert g == (roots[i] if status == "smooth" else None), (Q, i, n, ring)
     assert statuses == {"marked", "smooth", "rejected"}
 

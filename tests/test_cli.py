@@ -207,6 +207,7 @@ def test_invalid_inputs_exit_1(capsys):
         (["classify", "--signature", "2,x,7"], "bad signature: invalid literal"),
         (["h1", "--primes", "2,x"], "bad primes: invalid literal"),
         (["h1", "--primes", "2,4"], "4 is not prime"),
+        (["h1", "--primes", "15"], "15 is not prime"),
         (["h1", "--primes", "2", "--n", "1"], "modulus must be at least 2"),
         (["snf", "--matrix", "1,2;3"], "bad matrix: needs 2 integers"),
         (["snf", "--matrix", "1,a;2,3"], "bad matrix: invalid literal"),
@@ -457,7 +458,7 @@ GRID = (
     ("h1 --primes 2 --n {}", "110 U1 UUUU UUU rrr"),
     ("stack-point --q 1:{} --signature 2,3,7", "000 00 0000 000 rrr"),
     ("stack-point --q 1:1 --signature {},3,7", "110 01 0000 000 rrr"),
-    ("stack-point --q 1:1 --signature 2,3,7 --primes {}", "110 11 1111 PP1 r01"),
+    ("stack-point --q 1:1 --signature 2,3,7 --primes {}", "110 01 0000 000 r01"),
     ("classify --signature {},3,7", "110 01 0000 000 rrr"),
     ("enumerate --signature {},3,7 --coeffs 1,1,1 --bound 3", "110 01 0000 000 rrr"),
     ("enumerate --signature 2,3,7 --coeffs {},1,1 --bound 3", "100 00 0000 000 rrr"),
@@ -468,7 +469,7 @@ GRID = (
     ("recover --q {}:1 --signature 2,3,7 --coeffs 1,1,1", "011 11 1111 111 rrr"),
     ("recover --q 1:1 --signature {},3,7 --coeffs 1,1,1", "110 01 0000 000 rrr"),
     ("recover --q 1:1 --signature 2,3,7 --coeffs 1,1,{}", "100 00 0000 000 rrr"),
-    ("recover --q 1:1 --signature 2,3,7 --coeffs 1,1,1 --primes {}", "110 11 1111 PP1 r01"),
+    ("recover --q 1:1 --signature 2,3,7 --coeffs 1,1,1 --primes {}", "110 01 0000 000 r01"),
     ("verify-inclusion --signature {},3,7 --coeffs 1,1,1 --bound 2", "110 01 0000 000 rrr"),
     ("verify-inclusion --signature 2,3,7 --coeffs {},1,1 --bound 2", "100 00 0000 000 rrr"),
     ("verify-inclusion --signature 2,3,7 --coeffs 1,1,1 --bound {}", "110 W1 WWWW WWW rrr"),
@@ -486,12 +487,18 @@ def unsplit(n):
 # None for a key that must be absent and ANY for one not checked; or a part of
 # the error message.  verify-inclusion prints the primes up to 10^4 as its
 # ring and the rest of |abcABC| unsplit, never factored: a semiprime, a prime
-# and a prime power alike.  h1 tests a prime given.
+# and a prime power alike.  h1 tests a prime given; stack-point and recover
+# take --primes as generators, test none and print them as the ring.
 WANT = {
     ("verify-inclusion--coeffs", "semiprime"): unsplit(SEMIPRIME),
     ("verify-inclusion--coeffs", "2^4423-1"): unsplit(M4423),
     ("verify-inclusion--coeffs", "(2^61-1)^40"): unsplit(M61**40),
     ("h1--primes", "(2^61-1)^40"): "testing a 2440-bit number",
+    **{
+        (row, column): {"ring": f"Z[1/{{{n}}}]"}
+        for row in ("stack-point--primes", "recover--primes")
+        for column, n in (("semiprime", SEMIPRIME), ("2^4423-1", M4423))
+    },
 }
 # Seconds a cell may take, by cell, else by column, else 2.  Reading and
 # printing 120,412 digits takes up to 1.5 s (2-core VM, Python 3.11).
@@ -587,8 +594,7 @@ OVERSIZED = numbered([
      "U", None, 5),
     # Three primes of 2,407 bits in all: each is within the cap, the list
     # is not, and it is refused before any is tested.
-    (fill("stack-point --q 1:1 --signature 2,3,7 --primes {}",
-          f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"), "P", None, 5),
+    (fill("h1 --primes {} --n 2", f"{2**521 - 1},{2**607 - 1},{2**1279 - 1}"), "P", None, 5),
 ])
 
 

@@ -18,7 +18,7 @@ from gfdescent.exact import (
     is_probable_prime,
     normalize_projective,
 )
-from gfdescent.sarith import SRing
+from gfdescent.sarith import SRing, s_unit_reps
 
 from oracles import (
     factorization_product,
@@ -525,16 +525,17 @@ def test_prime_bit_cap():
     # A small prime factor still answers at any size.
     assert not is_probable_prime(2**100000)
     assert not is_probable_prime(3 * (2**4423 - 1))
-    # Factorization meets the cap on a cofactor, and a ring on a prime.
+    # Factorization meets the cap on a cofactor, and the unit classes on a
+    # prime.
     with pytest.raises(WorkLimitExceeded, match="prime bits"):
         factorize(12 * (2**4423 - 1))
     with pytest.raises(WorkLimitExceeded, match="prime bits"):
-        SRing((2, 2**4423 - 1))
+        s_unit_reps(SRing((2, 2**4423 - 1)), 2)
 
 
 def test_is_probable_prime_rejects_psi12():
     assert PSI_12 == 399165290221 * 798330580441
     assert not is_probable_prime(PSI_12)
     assert factorize(PSI_12).primes() == (399165290221, 798330580441)
-    with pytest.raises(ValueError):
-        SRing((PSI_12,))
+    with pytest.raises(ValueError, match=f"{PSI_12} is not prime"):
+        s_unit_reps(SRing((PSI_12,)), 2)

@@ -62,11 +62,11 @@ def test_gfe_validation():
 
 
 def test_bad_prime_set_examples():
-    assert bad_prime_set(F237).primes == (2, 3, 7)
-    assert bad_prime_set(F442).primes == (2,)
-    assert bad_prime_set(GFE(Signature(2, 3, 7), 3, 5, 1)).primes == (2, 3, 5, 7)
+    assert bad_prime_set(F237).generators == (2, 3, 7)
+    assert bad_prime_set(F442).generators == (2,)
+    assert bad_prime_set(GFE(Signature(2, 3, 7), 3, 5, 1)).generators == (2, 3, 5, 7)
     # Only the primes up to 10^4: 10007 is left to verify-inclusion's unsplit.
-    assert bad_prime_set(GFE(Signature(2, 3, 7), 3 * 10007, 1, 1)).primes == (2, 3, 7)
+    assert bad_prime_set(GFE(Signature(2, 3, 7), 3 * 10007, 1, 1)).generators == (2, 3, 7)
 
 
 def test_sieve_flags_have_no_effect():
@@ -638,7 +638,7 @@ def test_verdicts_over_the_support_equal_those_over_the_bad_primes():
         report = verify_descent_inclusion(F, 8)
         ring = bad_prime_set(F)
         assert (report.ring, report.unsplit) == (ring, ())
-        support = sarith._proved_ring((math.prod(F.sig) * abs(F.A * F.B * F.C),))
+        support = SRing((math.prod(F.sig) * abs(F.A * F.B * F.C),))
         points = [e.image for e in report.entries]
         points += [normalize_projective(rng.randrange(-999, 999), rng.randrange(1, 999))
                    for _ in range(20)]
@@ -658,7 +658,7 @@ def test_no_verdict_factors(monkeypatch):
     M = 2**89 - 1  # a prime
     F = GFE(Signature(2, 2, 2), M, 1, -(M + 1))
     before = verify_descent_inclusion(F, 3)
-    assert before.ring.primes == (2,) and before.unsplit == (M,)
+    assert before.ring.generators == (2,) and before.unsplit == (M,)
     assert {e.certificate.status for e in before.entries} == {"smooth"}
 
     def refused(*args):
@@ -672,7 +672,7 @@ def test_no_verdict_factors(monkeypatch):
         F = GFE(Signature(2, 3, 7), A, rough, C)
         N = abs(42 * A * rough)
         report = verify_descent_inclusion(F, 1)
-        primes = report.ring.primes
+        primes = report.ring.generators
         assert all(p <= exact.TRIAL_DIVISION_BOUND and N % p == 0 for p in primes)
         assert (report.unsplit == ()) == (rough == 1), (A, rough)
         rest = math.prod(report.unsplit)

@@ -161,8 +161,10 @@ def test_nonadmissible_record_less_its_search_is_the_output():
 def test_only_factorize_reaches_rho(monkeypatch):
     # No command runs rho or splits a power, and bad_prime_set, the ring that
     # verify-inclusion prints and sieve442 takes its unit classes over, does
-    # neither and tests no primality: its primes are the trial primes of
-    # abcABC.  A point fixes its recovery scale, so recovery factors nothing.
+    # neither and tests no primality, as building no ring does: its
+    # generators are the trial primes of abcABC, and only the unit classes
+    # test them.  A point fixes its recovery scale, so recovery factors
+    # nothing.
     def refuse(*args):
         raise AssertionError(f"called on {args}")
 
@@ -176,7 +178,7 @@ def test_only_factorize_reaches_rho(monkeypatch):
         for A, rough, C in smooth_rough_coefficients():
             N = 42 * A * rough
             want = tuple(p for p in exact._TRIAL_PRIMES if N % p == 0)
-            assert gfe.bad_prime_set(gfe.GFE(Signature(2, 3, 7), A, rough, C)).primes == want
+            assert gfe.bad_prime_set(gfe.GFE(Signature(2, 3, 7), A, rough, C)).generators == want
     monkeypatch.setattr(gfe, "factorize", refuse)
     monkeypatch.setattr(exact, "factorize", refuse)
     names = [name for name in CASES if name.startswith("recover")]

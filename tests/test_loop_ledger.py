@@ -81,15 +81,15 @@ LEDGER = {
                                   "_split_power, O(n) at worst, and n < bits of v"),
     },
     "sarith": {
-        ("SRing.__init__", 0): ("comprehension", "linear", "one step per prime given"),
-        ("SRing.__init__", 1): ("comprehension", "linear", "one step per prime given"),
-        ("SRing.__init__", 2): ("comprehension", "constant", "the 13 _SMALL_PRIMES"),
-        ("SRing.__init__", 3): ("comprehension", "dominated", ("SRing.__init__", 1)),
-        ("SRing.__init__", 4): ("for", "linear",
-                                "one test per prime given; the primes over 64 bits are "
-                                "capped in all, and each prime of at most 64 bits costs "
-                                "at most 12 one-word witnesses"),
-        ("SRing.__str__", 0): ("comprehension", "linear", "one step per prime of S"),
+        ("SRing.__init__", 0): ("comprehension", "linear", "one step per generator given"),
+        ("SRing.__str__", 0): ("comprehension", "linear", "one step per generator"),
+        ("_class_primes", 0): ("comprehension", "linear", "one step per generator"),
+        ("_class_primes", 1): ("comprehension", "constant", "the 13 _SMALL_PRIMES"),
+        ("_class_primes", 2): ("comprehension", "dominated", ("_class_primes", 0)),
+        ("_class_primes", 3): ("for", "linear",
+                               "one test per generator; those over 64 bits are capped "
+                               "in all, and each of at most 64 bits costs at most 12 "
+                               "one-word witnesses"),
         # The count at least doubles each step and stops past the cap.
         ("s_unit_reps", 0): ("for", "cap", "unit classes", "h1--n"),
         ("s_unit_reps", 1): ("comprehension", "dominated", ("s_unit_reps", 0)),

@@ -201,6 +201,46 @@ def test_records_have_one_constructor():
     assert records_defining(snippet, "__init__") == ["B"]
 
 
+def field_setters(tree) -> set[tuple[bool, str]]:
+    """(in a record, Class.function) for each function of the module's AST
+    that calls set_field or __setattr__; a class is a record when it is
+    Record or names Record as a base."""
+    found = set()
+
+    def visit(node, record, scope):
+        if isinstance(node, ast.ClassDef):
+            bases = {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+            record, scope = node.name == "Record" or "Record" in bases, node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if call_name(node) in ("set_field", "__setattr__"):
+            found.add((record, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, record, scope)
+
+    visit(tree, False, "")
+    return found
+
+
+def test_only_a_record_constructor_sets_fields():
+    # set_field stores a field past the __setattr__ that refuses it, so a
+    # record built anywhere else would skip its checks: it is called only in
+    # Record.__init__ and in the __init__ of a record.  smith._wrap builds an
+    # IntMatrix, which is not a record, with __new__.
+    layers = sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py"))
+    sites = {site for p in layers for site in field_setters(ast.parse(p.read_text()))}
+    assert sites and all(record and name.endswith(".__init__") for record, name in sites)
+    assert (True, "Record.__init__") in sites
+    snippet = ast.parse(
+        "class A(_record.Record):\n    def __init__(self, x): set_field(self, 'x', x)\n"
+        "def built(x):\n    R = A.__new__(A)\n    set_field(R, 'x', x)\n"
+        "class B:\n    def __init__(self): object.__setattr__(self, 'y', 1)\n"
+    )
+    assert field_setters(snippet) == {
+        (True, "A.__init__"), (False, "built"), (False, "B.__init__"),
+    }
+
+
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -67,10 +67,10 @@ SAMPLES = [
     (Signature(2, 3, 7), "Signature(a=2, b=3, c=7)"),
     (weight_vector(Signature(2, 3, 7)), "WeightData(d=1, m=1, w=(21, 14, 6))"),
     (h_structure(Signature(4, 4, 2)), "HStructure(torus_rank=1, torsion=(2, 4))"),
-    (SRing((2, 3)), "SRing(primes=(2, 3))"),
+    (SRing((2, 3)), "SRing(generators=(2, 3))"),
     (
         s_unit_reps(SRing((2,)), 2),
-        "UnitClassGroup(modulus=2, ring=SRing(primes=(2,)), representatives=(1, 2, -1, -2))",
+        "UnitClassGroup(modulus=2, ring=SRing(generators=(2,)), representatives=(1, 2, -1, -2))",
     ),
     (
         StackPointCertificate(POINT_ZERO, "marked", None, None, ()),
@@ -91,7 +91,7 @@ SAMPLES = [
     (DescentEntry(SOL, POINT_ONE, CERT), ENTRY_REPR),
     (
         DescentReport(F442, 1, SRing(()), (), (DescentEntry(SOL, POINT_ONE, CERT),)),
-        f"DescentReport(gfe={F442_REPR}, bound=1, ring=SRing(primes=()), unsplit=(), "
+        f"DescentReport(gfe={F442_REPR}, bound=1, ring=SRing(generators=()), unsplit=(), "
         f"entries=({ENTRY_REPR},))",
     ),
     (
@@ -211,8 +211,8 @@ def test_validations_still_raise():
         Signature(1, 2, 3)
     with pytest.raises(ValueError, match="nonzero"):
         GFE(Signature(2, 3, 7), 1, 0, 1)
-    with pytest.raises(ValueError, match="4 is not prime"):
-        SRing((4,))
+    with pytest.raises(ValueError, match="at least 2"):
+        SRing((0,))
     with pytest.raises(ValueError, match="strictly increasing"):
         SRing((3, 2))
     with pytest.raises(SingularCurve, match="d = 0"):

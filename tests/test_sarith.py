@@ -21,11 +21,27 @@ from oracles import prime_to_s_part_by_division, s_unit_reps_by_product
 
 def test_sring_validation():
     with pytest.raises(ValueError):
-        SRing((4,))
-    with pytest.raises(ValueError):
         SRing((3, 2))
+    # A generator of 0 would make prime_to_s_part return 1 for every input.
+    for g in (0, 1, -1):
+        with pytest.raises(ValueError, match="at least 2"):
+            SRing((g,))
     assert str(SRing(())) == "Z"
     assert str(SRing((2, 3))) == "Z[1/{2,3}]"
+    assert str(SRing((15,))) == "Z[1/{15}]"
+
+
+def test_the_unit_classes_refuse_a_composite_generator():
+    # Z[1/15] has 8 classes modulo squares; read as one prime, 15 gave 4,
+    # and put 3 in the class of 1.  The verdicts read the product and hold.
+    for g, u in ((4, 2), (15, 3)):
+        with pytest.raises(ValueError, match=f"{g} is not prime"):
+            s_unit_reps(SRing((2, g)), 2)
+        with pytest.raises(ValueError, match=f"{g} is not prime"):
+            unit_class_key(u, SRing((g,)), 2)
+    assert len(s_unit_reps(SRing((3, 5)), 2).representatives) == 8
+    assert SRing((15,)).is_unit(Fraction(3, 5)) and not SRing((15,)).is_unit(7)
+    assert SRing((15,)).prime_to_s_part(-2 * 3**40 * 5) == 2
 
 
 def test_a_prime_list_is_capped_in_all_before_any_test(monkeypatch):
@@ -37,32 +53,54 @@ def test_a_prime_list_is_capped_in_all_before_any_test(monkeypatch):
     tested = []
     monkeypatch.setattr(sarith, "is_probable_prime", tested.append)
     with pytest.raises(WorkLimitExceeded) as e:
-        SRing((m521, m607, m1279))
+        sarith._class_primes(SRing((m521, m607, m1279)))
     assert (e.value.cap, e.value.limit) == ("prime bits", CAPS["prime bits"])
     assert "testing 3 numbers of 2407 bits in all" in str(e.value) and tested == []
     monkeypatch.undo()
     small = (*exact._TRIAL_PRIMES, 2**61 - 1)
-    assert SRing((*small, m1279)).primes == (*small, m1279)
-    with pytest.raises(ValueError):
-        SRing((m1279, 43 * 2**2100))
+    assert sarith._class_primes(SRing((*small, m1279))) == (*small, m1279)
+    assert unit_class_key(1, SRing((*small, m1279)), 2) == (1, (0,) * len(small) + (0,))
+    with pytest.raises(ValueError, match="is not prime"):
+        unit_class_key(1, SRing((m1279, 43 * 2**2100)), 2)
     with pytest.raises(WorkLimitExceeded, match="testing a 2203-bit number"):
-        SRing((2, 2**2203 - 1))
+        unit_class_key(1, SRing((2, 2**2203 - 1)), 2)
+
+
+def test_the_class_caps_at_their_thresholds(monkeypatch):
+    # Z[1/{2,3,5}] modulo 4th powers has 128 classes, and their power bits
+    # are bounded below by 128 * 3 * (1 + 1 + 2) // 2 = 768; modulo cubes,
+    # 27 classes and 27 * 2 * 4 // 2 = 108.  The two Mersenne primes are
+    # 521 + 607 = 1,128 bits to test, and 2^64 + 13, the least prime past
+    # 2^64, and 2^127 - 1 are 65 + 127 = 192.
+    ring = SRing((2, 3, 5))
+    for n, count, bits in ((4, 128, 768), (3, 27, 108)):
+        monkeypatch.setitem(CAPS, "power bits", bits)
+        assert len(s_unit_reps(ring, n).representatives) == count
+        monkeypatch.setitem(CAPS, "power bits", bits - 1)
+        with pytest.raises(WorkLimitExceeded, match="power bits"):
+            s_unit_reps(ring, n)
+    for primes, bits in (((2**521 - 1, 2**607 - 1), 1128), ((2**64 + 13, 2**127 - 1), 192)):
+        monkeypatch.setitem(CAPS, "prime bits", bits)
+        assert sarith._class_primes(SRing(primes)) == primes
+        monkeypatch.setitem(CAPS, "prime bits", bits - 1)
+        with pytest.raises(WorkLimitExceeded, match="prime bits"):
+            sarith._class_primes(SRing(primes))
 
 
 def test_sring_takes_any_iterable_once():
     # A list, a tuple and a generator give the same hashable ring; the
     # generator is read once, by the tuple conversion, before the checks.
     rings = [SRing([2, 3]), SRing((2, 3)), SRing(p for p in (2, 3))]
-    assert all(R == rings[1] and R.primes == (2, 3) for R in rings)
+    assert all(R == rings[1] and R.generators == (2, 3) for R in rings)
     assert len({hash(R) for R in rings}) == 1
-    assert repr(SRing((2, 3))) == "SRing(primes=(2, 3))"
-    assert repr(SRing([2, 3])) == "SRing(primes=(2, 3))"
+    assert repr(SRing((2, 3))) == "SRing(generators=(2, 3))"
+    assert repr(SRing([2, 3])) == "SRing(generators=(2, 3))"
     with pytest.raises(ValueError):
         SRing(p for p in (3, 2))
     # Only ints: SRing([2.0]) once printed as Z[1/{2.0}].
-    for primes in ([2.0], [True], [2, 3.0], ["2"]):
+    for generators in ([2.0], [True], [2, 3.0], ["2"]):
         with pytest.raises(ValueError, match="must be ints"):
-            SRing(primes)
+            SRing(generators)
 
 
 def test_valuation_examples():
@@ -108,7 +146,8 @@ def test_prime_to_s_part_strips_by_gcds_as_division_would():
         )
         expected = prime_to_s_part_by_division(v, S)
         assert sarith._strip(v, N) == expected, (v, S)
-        assert sarith._proved_ring(S).prime_to_s_part(-v) == expected, (v, S)
+        assert SRing(S).prime_to_s_part(-v) == expected, (v, S)
+        assert SRing((N,) if S else ()).prime_to_s_part(-v) == expected, (v, N)
     assert SRing(()).prime_to_s_part(-2**200) == 2**200
     for S in ((), (2, 3)):
         with pytest.raises(ValueError, match="no prime-to-S part"):
@@ -153,6 +192,9 @@ def test_unit_class_equivalence():
     assert unit_class_key(-1, ring, 4) == unit_class_key(Fraction(-16), ring, 4)
     assert unit_class_key(2, ring, 4) != unit_class_key(-2, ring, 4)
     assert unit_class_key(2, ring, 4) != unit_class_key(4, ring, 4)
+    # A denominator counts against the valuation: 8 = (1/2) * 2^4.
+    assert unit_class_key(Fraction(1, 2), ring, 4) == unit_class_key(8, ring, 4)
+    assert unit_class_key(Fraction(1, 2), ring, 4) != unit_class_key(2, ring, 4)
     # Odd modulus kills the sign.
     assert unit_class_key(2, ring, 3) == unit_class_key(-2, ring, 3)
     with pytest.raises(ValueError):
@@ -189,7 +231,7 @@ def test_is_nth_power_ideal_valuations():
         for n in (2, 3, 4):
             g = is_nth_power_ideal(s, n, ring)
             fac = dict(factorize(s).factors)
-            outside = {p: e for p, e in fac.items() if p not in ring.primes}
+            outside = {p: e for p, e in fac.items() if p not in ring.generators}
             if g is None:
                 assert any(e % n for e in outside.values())
             else:
