@@ -8,19 +8,21 @@ variables once, but both halves of each orbit of a swap of two
 even-exponent terms with opposite coefficients, as (x, y, z) -> (y, x, -z)
 on x^2 - y^2 + z^3 = 0), the map to the projective line, and the two
 directions of the solution <-> rooted-line-point correspondence.
+
+The functions that build the ring, recover or test inclusion import
+belyi, sarith and fractions themselves, so the enumerator and the j-map
+load none of them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import total_ordering
 from itertools import permutations, product as iter_product, repeat
 from operator import sub
 
 from ._record import Record, set_field
-from .belyi import StackPointCertificate, is_stack_point
 from .errors import NotAStackPoint, charge
 from .exact import (
     _PRIMORIAL,
@@ -31,7 +33,6 @@ from .exact import (
     normalize_projective,
 )
 from .groups import Signature
-from .sarith import SRing
 
 
 class GFE(Record):
@@ -94,6 +95,8 @@ def bad_prime_set(F: GFE) -> SRing:
     """S, the ring of the descent: the primes up to 10^4 that divide N = |abcABC|,
     each proved by the sieve, found by one gcd of N with their product.  The
     rest of N is not factored (verify-inclusion prints it as "unsplit")."""
+    from .sarith import SRing
+
     N = math.prod(F.sig) * F.A * F.B * F.C
     return SRing(factorize(math.gcd(N, _PRIMORIAL)).primes())
 
@@ -298,6 +301,8 @@ def recover_solutions(
     returns the canonical S-integral recovery built from the certificate
     roots, whose coefficients are unit multiples of the original ones.
     """
+    from .belyi import is_stack_point
+
     cert = is_stack_point(Q, F.sig, ring)
     if not cert.accepted:
         raise NotAStackPoint(f"{Q} fails the root conditions over {ring}")
@@ -309,6 +314,8 @@ def _recover(
 ) -> list[RecoveredSolution]:
     """recover_solutions at the point of an accepted certificate, without
     testing the point again."""
+    from fractions import Fraction
+
     Q = cert.point
     a, b, c = F.sig
     s, t = Q.s, Q.t
@@ -374,6 +381,9 @@ def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
     ring bad_prime_set(F); violations are collected in the report, never raised.
     Each point is tested over Z[1/N], N = |abcABC| unfactored, by gcds with
     N, so neither a verdict nor the ring factors, tests primality or runs rho."""
+    from .belyi import is_stack_point
+    from .sarith import SRing
+
     N = abs(math.prod(F.sig) * F.A * F.B * F.C)
     ring = bad_prime_set(F)
     rest = ring.prime_to_s_part(N)

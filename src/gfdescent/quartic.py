@@ -6,7 +6,8 @@ per fourth-power class d of the units of Z[1/2].  Images of their rational
 points cover every candidate point; intersecting with the rooted-line test
 over Z and recovering solutions reproduces the classical eight triples.
 The torsion of each twist is read off d by the classical closed form, so it
-costs one perfect-power test whatever the size of d.
+costs one perfect-power test whatever the size of d.  Only the sieve
+imports belyi and sarith, so the torsion command loads neither.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .exact import (
     normalize_projective,
 )
 from .gfe import GFE, PrimitiveSolution, _recover, bad_prime_set, enumerate_primitive_solutions
-from .belyi import is_stack_point
 from .groups import Signature
-from .sarith import SRing, UnitClassGroup, s_unit_reps
 
 SIG_442 = Signature(4, 4, 2)
 GFE_442 = GFE(SIG_442, 1, 1, -1)
@@ -154,6 +153,9 @@ def run_sieve_442(bound_check: int) -> Sieve442Report:
     candidate point is tested once, and an accepted one is recovered from
     its certificate.
     """
+    from .belyi import is_stack_point
+    from .sarith import SRing, s_unit_reps
+
     if bound_check < 1:
         raise ValueError("bound must be positive")
     reps = s_unit_reps(bad_prime_set(GFE_442), 4)

@@ -440,6 +440,24 @@ def test_join_stops_past_its_probe_cap(monkeypatch):
     assert (e.value.cap, e.value.limit) == ("join probes", 13374)
 
 
+def test_power_bits_estimates_sit_at_their_caps(monkeypatch):
+    # A value table of 1*v^4 over |v| <= 2000 is charged 4001 * (1 + 4 * 10)
+    # = 164,041 bits, and the term 1*(2^10)^2 is charged 1 + 2 * 10 = 21.
+    F = GFE(Signature(4, 4, 2), 1, 1, -1)
+    monkeypatch.setitem(CAPS, "power bits", 164_041)
+    assert len(enumerate_primitive_solutions(F, 2000)) == 8
+    monkeypatch.setitem(CAPS, "power bits", 164_040)
+    with pytest.raises(WorkLimitExceeded, match=r"4001 values of 1\*v\^4, \|v\| <= 2000$"):
+        enumerate_primitive_solutions(F, 2000)
+
+    G = GFE(Signature(2, 3, 7), 1, 1, 1)
+    monkeypatch.setitem(CAPS, "power bits", 21)
+    assert G.evaluate(2**10, 1, 1) == 2**20 + 2
+    monkeypatch.setitem(CAPS, "power bits", 20)
+    with pytest.raises(WorkLimitExceeded, match=r"1\*\(1024\)\^2$"):
+        G.evaluate(2**10, 1, 1)
+
+
 def test_import_leaves_numpy_out():
     # Neither numpy nor dataclasses (which imports inspect) is needed, and
     # each would add tens of milliseconds to every CLI start-up.

@@ -53,25 +53,49 @@ def run_probe(code: str):
 LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gfdescent.'))))"
 
 
-def loaded_after_main(*argv: str) -> list[str]:
+def modules_after_main(*argv: str) -> list[str]:
+    """Every module loaded after cli.main(argv) in a fresh interpreter, sorted."""
     return run_probe(
         "import contextlib, io, json, sys\n"
         "from gfdescent import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({list(argv)!r}) == 0\n" + LOADED
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
     )
+
+
+def loaded_after_main(*argv: str) -> list[str]:
+    return [m for m in modules_after_main(*argv) if m.startswith("gfdescent.")]
 
 
 def test_bare_import_loads_no_layer():
     assert run_probe("import json, sys, gfdescent\n" + LOADED) == []
 
 
-def test_enumerate_loads_neither_smith_nor_quartic():
-    loaded = loaded_after_main(
-        "enumerate", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--bound", "20"
-    )
-    assert "gfdescent.gfe" in loaded
-    assert "gfdescent.smith" not in loaded and "gfdescent.quartic" not in loaded
+JOIN_LAYERS = [
+    "gfdescent._record", "gfdescent.cli", "gfdescent.errors", "gfdescent.exact",
+    "gfdescent.gfe", "gfdescent.groups",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--bound", "20"),
+        ("jmap", "--signature", "4,4,2", "--coeffs", "1,1,-1", "--solution", "1,0,1"),
+    ],
+    ids=["enumerate", "jmap"],
+)
+def test_join_commands_load_only_the_join(argv):
+    # Only recovery and the inclusion test reach belyi, sarith and fractions
+    # (which imports decimal and numbers).
+    modules = modules_after_main(*argv)
+    assert [m for m in modules if m.startswith("gfdescent.")] == JOIN_LAYERS
+    assert "fractions" not in modules and "decimal" not in modules
+
+
+def test_torsion_loads_neither_belyi_nor_sarith():
+    assert loaded_after_main("torsion", "--d", "2") == [*JOIN_LAYERS, "gfdescent.quartic"]
 
 
 def test_snf_loads_only_smith():
