@@ -41,39 +41,21 @@ _PRIMORIAL = math.prod(
     [math.prod(_TRIAL_PRIMES[i : i + 64]) for i in range(0, len(_TRIAL_PRIMES), 64)]
 )
 
-# The first 13 primes: is_probable_prime divides by all of them, then uses
-# the first k as Miller-Rabin witnesses, each one modular exponentiation.
-# All 13 decide primality for every n below
+# The first 13 primes, 2..41: is_probable_prime divides by all of them, then
+# uses all of them as Miller-Rabin witnesses, each one modular exponentiation.
+# Together they decide primality for every n below
 # psi_13 = 3317044064679887385961981 (Sorenson-Webster 2017).
 _SMALL_PRIMES = _TRIAL_PRIMES[:13]
 
-# psi_1 .. psi_12 (OEIS A014233; Sorenson-Webster 2017): psi_k is the least
-# odd composite that is a strong probable prime to each of the first k
-# primes, so for n < psi_k those k witnesses decide.
-_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-)
-
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the first k primes as witnesses, k <= 13.
+    """Miller-Rabin with the 13 primes 2..41 as witnesses, after trial
+    division by them.
 
-    After trial division by those 13 primes, k is the least index with
-    n < psi_k, and 13 from psi_12 on: 4 witnesses settle 2^31 - 1, and a
-    64-bit n needs at most 12.  Deterministic for n < psi_13 ~ 3.3 * 10^24
-    (Sorenson-Webster, Math. Comp. 86, 2017); a strong probabilistic test
-    beyond that, which is all the desk-scale inputs here ever need.
+    Deterministic for n < psi_13 = 3317044064679887385961981 ~ 3.3 * 10^24
+    (Sorenson-Webster, Math. Comp. 86, 2017), the least composite that all
+    13 witnesses pass, so True there proves n prime; a strong probabilistic
+    test from psi_13 on, where that composite itself answers True.
 
     Raises WorkLimitExceeded, with cap "prime bits", when an n that none of
     the 13 primes divides has more bits than the prime-bits cap.
@@ -88,7 +70,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES[: bisect_right(_PSI, n) + 1]:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -203,7 +185,8 @@ def _divide_out(m: int, p: int) -> tuple[int, int]:
 
 
 def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
-    """Full prime factorization of a nonzero integer.
+    """Prime factorization of a nonzero integer, each factor proved prime
+    below psi_13 (see is_probable_prime).
 
     The trial stage takes one gcd of |n| with the product of the primes up
     to TRIAL_DIVISION_BOUND, trial-divides that squarefree gcd rather than
@@ -212,10 +195,12 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     and one whose small primes are all below 100 costs at most 25 trial
     divisions of the gcd.  Every cofactor then goes through one order: a
     perfect power r^k is replaced by r (k times over), so a power past
-    the prime-bits cap answers when its base is within it; a prime is recorded;
-    any other is split by Brent's rho, seeded deterministically from the
-    input (the generator is built only when rho runs), so failures are
-    reproducible.
+    the prime-bits cap answers when its base is within it; one that
+    is_probable_prime passes is recorded as prime, so from psi_13 on a
+    recorded factor may be composite (psi_13 itself, the product of two
+    13-digit primes, is recorded whole); any other is split by Brent's rho,
+    seeded deterministically from the input (the generator is built only
+    when rho runs), so failures are reproducible.
 
     The rho budget is rho_iteration_cap, or CAPS["rho work"] when that is
     None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap

@@ -299,7 +299,9 @@ def recover_solutions(
     one of them is nonzero and prime to p.  When some mu * v / k is not an
     n-th power there is no root and no solution.  With search_units, also
     returns the canonical S-integral recovery built from the certificate
-    roots, whose coefficients are unit multiples of the original ones.
+    roots, whose coefficients are unit multiples of the original ones, when
+    they differ from them: when they do not, that triple solves F at mu = 1
+    and is already listed.
     """
     from .belyi import is_stack_point
 
@@ -350,8 +352,8 @@ def _recover(
         B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
         C1 = Fraction(t, z**c) if z else Fraction(F.C)
         triple = (A1, B1, C1)
-        if triple != base or all(r.as_tuple() != (x, y, z) for r in results):
-            results.append(RecoveredSolution(x, y, z, triple, triple == base))
+        if triple != base:
+            results.append(RecoveredSolution(x, y, z, triple, False))
 
     return results
 

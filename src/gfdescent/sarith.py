@@ -65,7 +65,7 @@ def _class_primes(ring: SRing) -> tuple[int, ...]:
     """The ring's generators, each tested prime, else ValueError names it.
     Miller-Rabin tests each p > 41 that none of the primes up to 41 divides;
     those past 64 bits are charged to the prime-bits cap in all before any
-    test, and one of at most 64 bits costs at most 12 one-word witnesses."""
+    test, and one of at most 64 bits costs at most 13 one-word witnesses."""
     primes = ring.generators
     charged = [p for p in primes if p >= 2**64 and all(p % q for q in _SMALL_PRIMES)]
     bits = sum(p.bit_length() for p in charged)

@@ -27,8 +27,27 @@ from oracles import (
     split_power_by_roots,
 )
 
-# Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
-PSI_12 = 318665857834031151167461
+# psi_1 .. psi_12 (OEIS A014233; Sorenson-Webster 2017): psi_k is the least
+# odd composite that is a strong probable prime to each of the first k
+# primes, so the composites that come closest to passing Miller-Rabin.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PSI_12 = PSI[-1]
+# The least strong pseudoprime to all 13 primes 2..41 (Sorenson-Webster
+# 2017): below it is_probable_prime is deterministic.
+PSI_13 = 3317044064679887385961981
 M61 = 2**61 - 1
 
 
@@ -116,7 +135,7 @@ def test_factorize_trial_stage_edges():
 def test_factorize_without_rho_builds_no_generator(monkeypatch):
     # Trial division, the primality test and the power split finish these,
     # so factorize must not seed a generator for rho.  A cofactor in
-    # (10^4, 10^8] is prime, and the test settles it with 4 witnesses.
+    # (10^4, 10^8] is prime, and the test settles it with its 13 witnesses.
     def refuse(seed):
         raise AssertionError(f"random.Random({seed}) built")
 
@@ -493,14 +512,21 @@ def test_is_probable_prime_small():
 def test_psi_table_entries_are_the_strong_pseudoprimes():
     # psi_k is composite (some base below 100 is a witness), yet a strong
     # probable prime to each of the first k primes; is_probable_prime, which
-    # uses those k witnesses just below psi_k, must still reject it.
-    assert len(exact._PSI) == 12
-    assert list(exact._PSI) == sorted(exact._PSI)
-    assert exact._PSI[-1] == PSI_12
-    for k, psi in enumerate(exact._PSI, 1):
+    # tries all 13, must still reject it.
+    for k, psi in enumerate(PSI, 1):
         assert not all(is_strong_probable_prime(psi, a) for a in range(2, 100)), k
         assert all(is_strong_probable_prime(psi, a) for a in exact._SMALL_PRIMES[:k])
         assert not is_probable_prime(psi), k
+
+
+def test_psi13_passes_every_witness():
+    # From psi_13 on the test is probabilistic: psi_13 is the product of two
+    # primes, passes all 13 witnesses, and factorize records it as a prime.
+    p, q = 1287836182261, 2575672364521
+    assert PSI_13 == p * q and is_probable_prime(p) and is_probable_prime(q)
+    assert all(is_strong_probable_prime(PSI_13, a) for a in exact._SMALL_PRIMES)
+    assert is_probable_prime(PSI_13)
+    assert factorize(PSI_13).factors == ((PSI_13, 1),)
 
 
 def test_prime_bit_cap():

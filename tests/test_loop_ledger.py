@@ -46,7 +46,7 @@ LEDGER = {
                                "called once, at import, with n = TRIAL_DIVISION_BOUND"),
         ("is_probable_prime", 0): ("for", "constant", "the 13 _SMALL_PRIMES"),
         ("is_probable_prime", 1): ("while", "cap", "prime bits", "CAP_TRIGGERS"),
-        ("is_probable_prime", 2): ("for", "constant", "at most the 13 _SMALL_PRIMES"),
+        ("is_probable_prime", 2): ("for", "constant", "the 13 _SMALL_PRIMES"),
         ("is_probable_prime", 3): ("for", "cap", "prime bits", "CAP_TRIGGERS"),
         ("Factorization.primes", 0): ("comprehension", "linear",
                                       "one step per prime factor, at most the bits of n"),
@@ -88,7 +88,7 @@ LEDGER = {
         ("_class_primes", 2): ("comprehension", "dominated", ("_class_primes", 0)),
         ("_class_primes", 3): ("for", "linear",
                                "one test per generator; those over 64 bits are capped "
-                               "in all, and each of at most 64 bits costs at most 12 "
+                               "in all, and each of at most 64 bits costs at most 13 "
                                "one-word witnesses"),
         # The count at least doubles each step and stops past the cap.
         ("s_unit_reps", 0): ("for", "cap", "unit classes", "h1--n"),
@@ -133,7 +133,6 @@ LEDGER = {
         ("_recover", 2): ("comprehension", "constant", "the three terms"),
         ("_recover", 3): ("for", "constant",
                           "at most two roots per term: eight triples per sign"),
-        ("_recover", 4): ("comprehension", "dominated", ("_recover", 3)),
         ("DescentReport.violations", 0): ("comprehension", "dominated",
                                           ("verify_descent_inclusion", 0)),
         ("verify_descent_inclusion", 0): ("for", "dominated",

@@ -67,12 +67,20 @@ def test_a_prime_list_is_capped_in_all_before_any_test(monkeypatch):
 
 
 def test_the_class_caps_at_their_thresholds(monkeypatch):
-    # Z[1/{2,3,5}] modulo 4th powers has 128 classes, and their power bits
-    # are bounded below by 128 * 3 * (1 + 1 + 2) // 2 = 768; modulo cubes,
-    # 27 classes and 27 * 2 * 4 // 2 = 108.  The two Mersenne primes are
-    # 521 + 607 = 1,128 bits to test, and 2^64 + 13, the least prime past
-    # 2^64, and 2^127 - 1 are 65 + 127 = 192.
+    # Z[1/{2,3,5}] modulo 4th powers has 2 * 4^3 = 128 classes, and their
+    # power bits are bounded below by 128 * 3 * (1 + 1 + 2) // 2 = 768;
+    # modulo cubes, 27 classes and 27 * 2 * 4 // 2 = 108.  The two Mersenne
+    # primes are 521 + 607 = 1,128 bits to test, and 2^64 + 13, the least
+    # prime past 2^64, and 2^127 - 1 are 65 + 127 = 192.
     ring = SRing((2, 3, 5))
+    with monkeypatch.context() as patch:
+        patch.setitem(CAPS, "unit classes", 128)
+        assert len(s_unit_reps(ring, 4).representatives) == 128
+        patch.setitem(CAPS, "unit classes", 127)
+        with pytest.raises(WorkLimitExceeded) as info:
+            s_unit_reps(ring, 4)
+    assert (info.value.cap, info.value.limit) == ("unit classes", 127)
+    assert "at least 128 classes of Z[1/{2,3,5}] modulo 4th powers" in str(info.value)
     for n, count, bits in ((4, 128, 768), (3, 27, 108)):
         monkeypatch.setitem(CAPS, "power bits", bits)
         assert len(s_unit_reps(ring, n).representatives) == count

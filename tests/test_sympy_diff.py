@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gfdescent.exact import _PSI, factorize, integer_nth_root, is_probable_prime
+from gfdescent.exact import factorize, integer_nth_root, is_probable_prime
 from gfdescent.smith import IntMatrix, smith_normal_form
 
 from test_smith import corpus_matrices
@@ -12,8 +12,23 @@ from test_smith import corpus_matrices
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
-# Smallest strong pseudoprime to the bases 2..37 (Sorenson-Webster 2017).
-PSI_12 = 318665857834031151167461
+# psi_1 .. psi_12 (OEIS A014233; Sorenson-Webster 2017): psi_k is the
+# smallest strong pseudoprime to the first k primes.
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PSI_12 = PSI[-1]
 # Smallest strong pseudoprime to the bases 2..41 (Sorenson-Webster 2017),
 # the bound below which the 13 witnesses decide primality.
 PSI_13 = 3317044064679887385961981
@@ -42,19 +57,26 @@ def test_is_probable_prime_matches_isprime():
 
 
 def test_is_probable_prime_matches_isprime_around_psi():
-    # Every odd n within 2000 of each psi_k, where the witness count steps.
-    for psi in sorted(set(_PSI)):
+    # Every odd n within 2000 of each psi_k, the composites that come
+    # closest to passing.
+    for psi in sorted(set(PSI)):
         for n in range(psi - 2000, psi + 2001, 2):
             assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 def test_is_probable_prime_matches_isprime_below_psi13():
-    # Log-uniform sizes, so that every witness count is drawn.
+    # Log-uniform sizes, so that every bit length below psi_13 is drawn.
     rng = random.Random(1993)
     for _ in range(20_000):
         bits = rng.randrange(2, PSI_13.bit_length() + 1)
         n = rng.randrange(2, min(PSI_13, 2**bits))
         assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_is_probable_prime_passes_psi13():
+    # At psi_13 the 13 witnesses no longer decide: the test says prime.
+    assert is_probable_prime(PSI_13)
+    assert not sympy.isprime(PSI_13)
 
 
 def test_integer_nth_root_matches_integer_nthroot_at_powers_of_two():

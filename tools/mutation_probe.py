@@ -49,14 +49,18 @@ SWAPS = {
     ast.Mult: ast.FloorDiv,
 }
 
+_PAST_N_MINUS_1 = (
+    "adds squarings past a^(n-1), and a^(2^k (n-1)) = -1 mod an odd n > 1 has no"
+    " solution: each prime p of n would have p = 1 mod 2^(v+k+1), v = v_2(n-1),"
+    " so n = 1 mod 2^(v+1); the extra steps never break, and the answer stands"
+)
 # "<target>:<line>: <before> -> <after>", line counted from the def and
 # " #k" added for the k-th alike mutant (k >= 2), mapped to why no input
 # tells the mutant apart from the code.
 EQUIVALENT = {
-    "gfe._recover:41: r.as_tuple() != (x, y, z) -> r.as_tuple() == (x, y, z)":
-        "read only when triple == base, and then (x, y, z) is primitive and"
-        " solves F at mu = d = 1, so results hold it and a sign variant of it:"
-        " the all() is False either way",
+    "exact.is_probable_prime:18: 0 -> 1": _PAST_N_MINUS_1,
+    "exact.is_probable_prime:21: 1 -> 2": _PAST_N_MINUS_1,
+    "exact.is_probable_prime:26: s - 1 -> s + 1": _PAST_N_MINUS_1,
 }
 
 
