@@ -9,8 +9,6 @@ for even n and trivial for odd n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
 from .errors import NotAStackPoint
 from .exact import ProjPointQ
@@ -86,6 +84,8 @@ def certificate_automorphism_order(cert: StackPointCertificate, sig: Signature) 
 
 def euler_characteristic(sig: Signature) -> Fraction:
     """1/a + 1/b + 1/c - 1, exactly."""
+    from fractions import Fraction
+
     a, b, c = sig
     return Fraction(1, a) + Fraction(1, b) + Fraction(1, c) - 1
 

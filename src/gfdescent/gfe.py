@@ -9,9 +9,9 @@ even-exponent terms with opposite coefficients, as (x, y, z) -> (y, x, -z)
 on x^2 - y^2 + z^3 = 0), the map to the projective line, and the two
 directions of the solution <-> rooted-line-point correspondence.
 
-The functions that build the ring, recover or test inclusion import
-belyi, sarith and fractions themselves, so the enumerator and the j-map
-load none of them.
+The functions that build the ring, recover or test inclusion import belyi
+and sarith themselves, so the enumerator and the j-map load neither.  Only
+the coefficients of an S-integral recovery are Fractions, built in _recover.
 """
 
 from __future__ import annotations
@@ -255,9 +255,9 @@ def j_map(F: GFE, sol: PrimitiveSolution) -> ProjPointQ:
 class RecoveredSolution(Record):
     """A solution recovered from a point, with the coefficients it solves.
 
-    exact_coefficients is True when (A', B', C') are the coefficients of the
-    original equation; otherwise they differ from them by units of the ring
-    (an S-integral recovery).
+    exact_coefficients is True when the coefficients are the original
+    equation's ints (A, B, C); otherwise they are Fractions that differ from
+    them by units of the ring (an S-integral recovery).
     """
 
     __slots__ = ("x", "y", "z", "coefficients", "exact_coefficients")
@@ -316,15 +316,12 @@ def _recover(
 ) -> list[RecoveredSolution]:
     """recover_solutions at the point of an accepted certificate, without
     testing the point again."""
-    from fractions import Fraction
-
     Q = cert.point
     a, b, c = F.sig
     s, t = Q.s, Q.t
     values = (s, s - t, t)
 
     coefs = (F.A, F.B, F.C)
-    base = tuple(map(Fraction, coefs))
     results: list[RecoveredSolution] = []
     # The one scale |mu| that a primitive solution can have at Q, with both
     # signs; recover_solutions proves it.  Distinct signs give distinct
@@ -340,9 +337,11 @@ def _recover(
                 continue
             if F.evaluate(x, y, z) != 0:
                 raise AssertionError(f"({x}, {y}, {z}) recovered from {Q} does not solve {F}")
-            results.append(RecoveredSolution(x, y, z, base, True))
+            results.append(RecoveredSolution(x, y, z, coefs, True))
 
     if search_units:
+        from fractions import Fraction
+
         # Canonical S-integral recovery: each nonzero coordinate is the
         # positive root from the certificate, the leftover unit moves into
         # the coefficient.  A marked point's nonzero coordinates are +-1, so
@@ -352,7 +351,7 @@ def _recover(
         B1 = Fraction(s - t, y**b) if y else Fraction(F.B)
         C1 = Fraction(t, z**c) if z else Fraction(F.C)
         triple = (A1, B1, C1)
-        if triple != base:
+        if triple != coefs:
             results.append(RecoveredSolution(x, y, z, triple, False))
 
     return results

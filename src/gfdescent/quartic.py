@@ -7,12 +7,11 @@ points cover every candidate point; intersecting with the rooted-line test
 over Z and recovering solutions reproduces the classical eight triples.
 The torsion of each twist is read off d by the classical closed form, so it
 costs one perfect-power test whatever the size of d.  Only the sieve
-imports belyi and sarith, so the torsion command loads neither.
+imports belyi and sarith, so torsion loads neither; ints need no fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 from ._record import Record, set_field
@@ -77,8 +76,7 @@ def belyi_eval(E: TwistedCurve, P: CurvePoint) -> ProjPointQ:
     """
     if P.is_infinity:
         return POINT_ONE
-    u = Fraction(P.u)
-    p, q = u.numerator, u.denominator
+    p, q = P.u.numerator, P.u.denominator
     return normalize_projective(p * p, p * p - E.d * q * q)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._record import Record, set_field
 from .errors import charge
@@ -46,8 +45,7 @@ class SRing(Record):
         return _strip(abs(n), math.prod(self.generators))
 
     def is_unit(self, q) -> bool:
-        """Whether the nonzero rational q lies in Z[S^-1]^x."""
-        q = Fraction(q)
+        """Whether the rational q, an int or a Fraction, lies in Z[S^-1]^x."""
         return q != 0 and self.prime_to_s_part(q.numerator * q.denominator) == 1
 
 
@@ -125,13 +123,14 @@ def s_unit_reps(ring: SRing, n: int) -> UnitClassGroup:
 
 
 def unit_class_key(u, ring: SRing, n: int):
-    """Complete invariant of the class of the unit u in R^x/(R^x)^n.
+    """Complete invariant of the class of the unit u in R^x/(R^x)^n, n >= 2.
 
     Two units are congruent modulo n-th powers iff their keys agree: the
     sign survives exactly when n is even, and each S-valuation matters mod n.
-    Each generator must be prime (_class_primes).
+    u is an int or a Fraction; each generator must be prime (_class_primes).
     """
-    u = Fraction(u)
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
     if not ring.is_unit(u):
         raise ValueError(f"{u} is not a unit of {ring}")
     sign = 1 if n % 2 else (1 if u > 0 else -1)

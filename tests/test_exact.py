@@ -149,6 +149,24 @@ def test_factorize_without_rho_builds_no_generator(monkeypatch):
     assert factorize(2 * 99999989).factors == ((2, 1), (99999989, 1))
 
 
+def test_factorize_trial_divides_the_gcd_up_to_its_square_root(monkeypatch):
+    # The docstring's cost: small primes all below 100 cost at most 25 trial
+    # divisions of the gcd.  Here g = 2 * 3 * 97, and the loop stops at 11.
+    seen = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for p in super().__iter__():
+                seen.append(p)
+                yield p
+
+    monkeypatch.setattr(exact, "_TRIAL_PRIMES", Counted(exact._TRIAL_PRIMES))
+    # No cofactor is left, so the power split does not walk the primes too.
+    n = 2**5 * 3 * 97
+    assert factorize(n).factors == ((2, 5), (3, 1), (97, 1))
+    assert seen == [2, 3, 5, 7, 11]
+
+
 def test_factorize_round_trip_dense():
     for n in range(1, 20001):
         assert factorization_product(factorize(n)) == n
@@ -214,6 +232,23 @@ def test_factorize_splits_pinned_semiprimes(n, p, spent):
     assert factorize(n, rho_iteration_cap=spent).factors == want
     with pytest.raises(WorkLimitExceeded):
         factorize(n, rho_iteration_cap=spent - 1)
+
+
+def test_factorize_runs_rho_again_while_budget_is_left(monkeypatch):
+    # An attempt that fails within the budget (the block gcd hit n and so did
+    # backtracking) leaves the rest to the next attempt: with 1 unit of work
+    # left, rho runs again.
+    p, q = 100003, 100019
+    attempts = iter([(None, 9), (p, 1)])
+    budgets = []
+
+    def rho(n, rng, budget):
+        budgets.append(budget)
+        return next(attempts)
+
+    monkeypatch.setattr(exact, "_brent_rho", rho)
+    assert factorize(p * q, rho_iteration_cap=10).factors == ((p, 1), (q, 1))
+    assert budgets == [10, 1]
 
 
 def test_brent_rho_charges_steps_by_words():

@@ -94,6 +94,40 @@ def test_join_commands_load_only_the_join(argv):
     assert "fractions" not in modules and "decimal" not in modules
 
 
+# fractions imports decimal and numbers; only chi and the coefficients of an
+# S-integral recovery are not integers, so only classify and recover with
+# --search-units load it.
+FRACTION_MODULES = ("fractions", "decimal", "numbers")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_fractions",
+    [
+        (("sieve442", "--bound", "10"), False),
+        (("recover", "--q", "9:1", "--signature", "2,3,7", "--coeffs", "1,1,1",
+          "--primes", ""), False),
+        (("verify-inclusion", "--signature", "2,3,7", "--coeffs", "1,1,1",
+          "--bound", "10"), False),
+        (("stack-point", "--q", "9/1", "--signature", "2,3,7", "--primes", "2"), False),
+        (("h1", "--primes", "2,3"), False),
+        (("torsion", "--d", "-4"), False),
+        (("classify", "--signature", "2,3,5"), True),
+        (("recover", "--q", "1:2", "--signature", "4,4,2", "--coeffs", "1,1,-1",
+          "--primes", "2", "--search-units"), True),
+    ],
+    ids=[
+        "sieve442", "recover", "verify-inclusion", "stack-point", "h1", "torsion",
+        "classify", "recover-search-units",
+    ],
+)
+def test_only_classify_and_search_units_load_fractions(argv, loads_fractions):
+    modules = modules_after_main(*argv)
+    if loads_fractions:
+        assert "fractions" in modules
+    else:
+        assert not [m for m in FRACTION_MODULES if m in modules]
+
+
 def test_torsion_loads_neither_belyi_nor_sarith():
     assert loaded_after_main("torsion", "--d", "2") == [*JOIN_LAYERS, "gfdescent.quartic"]
 

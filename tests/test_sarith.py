@@ -203,10 +203,20 @@ def test_unit_class_equivalence():
     # A denominator counts against the valuation: 8 = (1/2) * 2^4.
     assert unit_class_key(Fraction(1, 2), ring, 4) == unit_class_key(8, ring, 4)
     assert unit_class_key(Fraction(1, 2), ring, 4) != unit_class_key(2, ring, 4)
-    # Odd modulus kills the sign.
-    assert unit_class_key(2, ring, 3) == unit_class_key(-2, ring, 3)
+    assert unit_class_key(Fraction(-1, 2), ring, 4) == (-1, (3,))
+    # Odd modulus kills the sign: the key's sign is 1.
+    assert unit_class_key(2, ring, 3) == unit_class_key(-2, ring, 3) == (1, (1,))
     with pytest.raises(ValueError):
         unit_class_key(3, ring, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1])
+def test_unit_class_key_refuses_a_modulus_below_two(n):
+    # The same refusal as s_unit_reps: there is no class group modulo n.
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        unit_class_key(1, SRing((2,)), n)
+    with pytest.raises(ValueError, match="^modulus must be at least 2$"):
+        s_unit_reps(SRing((2,)), n)
 
 
 def test_is_nth_power_ideal_examples():

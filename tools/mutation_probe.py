@@ -10,20 +10,27 @@ raised by one.  Each mutant is written into the layer's file, the tests run
 in a fresh process, and the file is written back before the next mutant.
 A probe cut short can leave a mutant in place, so run it in a clone.
 
-A mutant is first run against the quick tests (tier-1 without the
-command-line, ledger, package and benchmark-call files), stopping at the
-first failure; one that survives them is run against the whole of tier-1.
-A run that fails, or passes its time limit, kills the mutant.  One row is
-printed per mutant, tab-separated:
+First the quick tests (tier-1 without the command-line, ledger, package
+and benchmark-call files) and then the whole of tier-1 run on the files as
+they are, and the probe exits 2 if either fails: a mutant killed by tests
+that already fail shows nothing.  Each run of a mutant may take LIMIT_FACTOR
+times as long as its suite took there.  A mutant is first run against the
+quick tests, stopping at the first failure; one that survives them is run
+against the whole of tier-1.  A run that fails kills the mutant; a run
+that passes its time limit first is a timeout, which a loop that never
+ends gives, but so does a mutant that only slows the tests, so a timeout
+is not counted as a kill.  One row is printed per mutant, tab-separated:
 
     killed      <id>
+    timeout     <id>
     survived    <id>
     equivalent  <id>  <why no input tells it apart>
 
 A mutant in EQUIVALENT is not run.  The last line gives the counts.  The
-exit code is 1 if a mutant survived or a mutated file did not come back
-byte for byte, else 0.  Only the standard library is used, and the file
-name keeps pytest from collecting it.
+exit code is 2 if the tests fail without a mutant, 1 if a mutant survived
+or a mutated file did not come back byte for byte, else 0; a timeout
+leaves it alone, so read its row by hand.  Only the
+standard library is used, and the file name keeps pytest from collecting it.
 """
 
 import argparse
@@ -35,11 +42,12 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gfdescent"
 QUICK_SKIP = ("test_cli.py", "test_loop_ledger.py", "test_package.py", "test_bench_calls.py")
-QUICK_SECONDS, FULL_SECONDS = 300, 900
+LIMIT_FACTOR = 3
 MEMORY_BYTES = 2 << 30
 
 SWAPS = {
@@ -61,6 +69,20 @@ EQUIVALENT = {
     "exact.is_probable_prime:18: 0 -> 1": _PAST_N_MINUS_1,
     "exact.is_probable_prime:21: 1 -> 2": _PAST_N_MINUS_1,
     "exact.is_probable_prime:26: s - 1 -> s + 1": _PAST_N_MINUS_1,
+    "exact.factorize:26: n > 0 -> n >= 0": "factorize refuses n = 0 first, so n is never 0",
+    "exact.factorize:31: p * p > g -> p * p >= g": (
+        "g divides the product of distinct primes, so it is squarefree and never p^2"
+    ),
+    "exact.factorize:43: 1 -> 2": (
+        "trial division leaves m = 1 or m with a prime past 10^4, so m is never 2"
+    ),
+    "exact.factorize:59: budget <= 0 -> budget < 0": (
+        "at budget 0 one more _brent_rho attempt returns None at its first product,"
+        " before any gcd, and the same WorkLimitExceeded follows"
+    ),
+    "sarith.unit_class_key:11: u > 0 -> u >= 0": (
+        "u is a unit by then, and 0 is not one (is_unit refuses it), so u is never 0"
+    ),
 }
 
 
@@ -119,8 +141,9 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def tests_pass(quick: bool) -> bool:
-    """Whether the tests pass on the files as they are now, within the time limit."""
+def run_tests(quick: bool, seconds: float | None = None) -> str:
+    """"passed", "failed" or "timeout": the tests on the files as they are
+    now, within seconds when that is given."""
     args = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     if quick:
         args += [f"--ignore=tests/{name}" for name in QUICK_SKIP]
@@ -130,9 +153,9 @@ def tests_pass(quick: bool) -> bool:
         start_new_session=True, preexec_fn=limit_memory,
     )
     try:
-        return run.wait(QUICK_SECONDS if quick else FULL_SECONDS) == 0
+        return "passed" if run.wait(seconds) == 0 else "failed"
     except subprocess.TimeoutExpired:
-        return False
+        return "timeout"
     finally:
         # Whatever the run left, or a run cut short, goes with its session.
         with contextlib.suppress(ProcessLookupError):
@@ -144,7 +167,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", help="layer.function, e.g. gfe._recover")
     targets = parser.parse_args(argv).targets
-    counts = {"killed": 0, "survived": 0, "equivalent": 0}
+    limits = {}
+    for quick, name in ((True, "quick"), (False, "full")):
+        start = time.monotonic()
+        if run_tests(quick) != "passed":
+            print(f"the {name} tests fail without a mutant", file=sys.stderr)
+            return 2
+        limits[quick] = LIMIT_FACTOR * (time.monotonic() - start)
+        print(f"{name} tests: {limits[quick]:.0f} s per mutant", file=sys.stderr, flush=True)
+    counts = {"killed": 0, "timeout": 0, "survived": 0, "equivalent": 0}
     restored = True
     for target in targets:
         for key, path, mutated in mutants(target):
@@ -154,11 +185,14 @@ def main(argv=None) -> int:
                 original = path.read_bytes()
                 try:
                     path.write_text(mutated)
-                    survived = tests_pass(quick=True) and tests_pass(quick=False)
+                    for quick in (True, False):
+                        result = run_tests(quick, limits[quick])
+                        if result != "passed":
+                            break
                 finally:
                     path.write_bytes(original)
                 restored &= path.read_bytes() == original
-                verdict = "survived" if survived else "killed"
+                verdict = {"passed": "survived", "failed": "killed"}.get(result, result)
                 row = f"{verdict}\t{key}"
             counts[verdict] += 1
             print(row, flush=True)
