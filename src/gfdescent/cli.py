@@ -22,7 +22,8 @@ of an equation, the unit classes), "unit classes" (2^20, h1),
 largest |entry|, snf), "prime bits" (2^11, a primality test of the primes
 given to h1, in all; stack-point and recover take --primes as generators and
 test none) or "join probes" (2^25, the join of enumerate, counted as it
-runs).  Each size cap is checked before the build it bounds starts.
+runs).  errors.charge meets every cap, reading its row when called; each
+size cap is checked before the build it bounds starts.
 """
 
 from __future__ import annotations

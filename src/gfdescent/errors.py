@@ -32,9 +32,8 @@ class WorkLimitExceeded(GFDescentError):
 
     cap names a row of CAPS ("rho work", "power bits", "unit classes",
     "elimination bits", "prime bits" or "join probes"), limit is its value
-    and detail says what hit it.  Raise it through charge, except for
-    factorize's rho budget.  The CLI exits 2 on this error and reports cap
-    in stderr JSON.
+    and detail says what hit it.  Raise it through charge.  The CLI exits 2
+    on this error and reports cap in stderr JSON.
     """
 
     def __init__(self, cap: str, limit: int, detail: str):

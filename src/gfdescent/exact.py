@@ -12,7 +12,7 @@ import random
 from bisect import bisect_right
 
 from ._record import Record, set_field
-from .errors import CAPS, WorkLimitExceeded, ZeroPoint, charge
+from .errors import CAPS, ZeroPoint, charge
 
 # Trial division finds every prime factor up to this bound, through one gcd
 # with the product of those primes.  A cofactor left after it goes to the
@@ -88,19 +88,36 @@ class Factorization(Record):
 
     __slots__ = ("sign", "factors")
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+
+def _trial_primes(n: int) -> list[int]:
+    """The primes up to TRIAL_DIVISION_BOUND that divide n, increasing: one
+    gcd of n with their product, then trial division of that squarefree gcd,
+    not of n, until p^2 exceeds what is left of it, which is 1 or one prime.
+    So an n with no such prime costs one gcd, and one whose such primes are
+    all below 100 costs at most 25 trial divisions of the gcd."""
+    g = math.gcd(n, _PRIMORIAL)
+    primes = []
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            primes.append(p)
+    if g > 1:
+        primes.append(g)
+    return primes
 
 
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-rho attempt on composite n. Returns (factor or None, spent),
-    each product or backtrack step costing the 64-bit words of n."""
+def _brent_rho(n: int, rng: random.Random, spent: int, whole: int) -> tuple[int | None, int]:
+    """One Brent-rho attempt on composite n, a part of whole.  Returns (factor
+    or None, spent), spent being the rho work of all of whole's attempts: each
+    product or backtrack step costs the 64-bit words of n, charged to the
+    "rho work" cap after each batch of products and each backtrack step."""
     words = -(-n.bit_length() // 64)
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
     g = r = q = 1
-    spent = 0
     x = ys = y
     while g == 1:
         x = y
@@ -113,8 +130,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
                 y = (y * y + c) % n
                 q = q * (x - y) % n
             spent += min(m, r - k) * words
-            if spent > budget:
-                return None, spent
+            charge("rho work", spent, "factoring {} (unsplit part {})", whole, n)
             g = math.gcd(q, n)
             k += m
         r *= 2
@@ -123,8 +139,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
         while True:
             ys = (ys * ys + c) % n
             spent += words
-            if spent > budget:
-                return None, spent
+            charge("rho work", spent, "factoring {} (unsplit part {})", whole, n)
             g = math.gcd(x - ys, n)
             if g > 1:
                 break
@@ -188,12 +203,8 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     """Prime factorization of a nonzero integer, each factor proved prime
     below psi_13 (see is_probable_prime).
 
-    The trial stage takes one gcd of |n| with the product of the primes up
-    to TRIAL_DIVISION_BOUND, trial-divides that squarefree gcd rather than
-    n until p^2 exceeds what is left of it, and divides each prime found out
-    of n.  So an input with no prime factor up to the bound costs one gcd,
-    and one whose small primes are all below 100 costs at most 25 trial
-    divisions of the gcd.  Every cofactor then goes through one order: a
+    The primes up to TRIAL_DIVISION_BOUND come from _trial_primes, and each
+    is divided out of n.  Every cofactor then goes through one order: a
     perfect power r^k is replaced by r (k times over), so a power past
     the prime-bits cap answers when its base is within it; one that
     is_probable_prime passes is recorded as prime, so from psi_13 on a
@@ -202,30 +213,22 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
     seeded deterministically from the input (the generator is built only
     when rho runs), so failures are reproducible.
 
-    The rho budget is rho_iteration_cap, or CAPS["rho work"] when that is
-    None, in _brent_rho's units.  Raises WorkLimitExceeded, with cap
-    "rho work", when it runs out before the remaining cofactor is split, and
-    with cap "prime bits" when is_probable_prime refuses a cofactor.
+    Raises WorkLimitExceeded, with cap "rho work", when the rho work of all
+    its attempts passes CAPS["rho work"] before the remaining cofactor is
+    split, and with cap "prime bits" when is_probable_prime refuses a
+    cofactor.  rho_iteration_cap is accepted and has no effect: the cap is
+    read from CAPS alone, as every other cap is.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    cap = CAPS["rho work"] if rho_iteration_cap is None else rho_iteration_cap
     sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    g = math.gcd(m, _PRIMORIAL)
-    for p in _TRIAL_PRIMES:
-        if p * p > g:
-            break
-        if g % p == 0:
-            g //= p
-            m, counts[p] = _divide_out(m, p)
-    if g > 1:
-        # What is left of a squarefree gcd below p^2 is one prime.
-        m, counts[g] = _divide_out(m, g)
+    for p in _trial_primes(m):
+        m, counts[p] = _divide_out(m, p)
 
     rng = None
-    budget = cap
+    spent = 0
     # (cofactor, multiplicity) pairs still to split.
     stack = [(m, 1)] if m > 1 else []
     while stack:
@@ -241,12 +244,7 @@ def factorize(n: int, rho_iteration_cap: int | None = None) -> Factorization:
             rng = random.Random(abs(n) ^ 0x5EED)
         f = None
         while f is None:
-            f, spent = _brent_rho(v, rng, budget)
-            budget -= spent
-            if budget <= 0 and f is None:
-                raise WorkLimitExceeded(
-                    "rho work", cap, f"factoring {n} (unsplit part {v})"
-                )
+            f, spent = _brent_rho(v, rng, spent, n)
         stack.append((f, mult))
         stack.append((v // f, mult))
 

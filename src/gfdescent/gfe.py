@@ -25,9 +25,8 @@ from operator import sub
 from ._record import Record, set_field
 from .errors import NotAStackPoint, charge
 from .exact import (
-    _PRIMORIAL,
     ProjPointQ,
-    factorize,
+    _trial_primes,
     integer_nth_root,
     is_perfect_nth_power,
     normalize_projective,
@@ -92,13 +91,14 @@ class PrimitiveSolution(Record):
 
 
 def bad_prime_set(F: GFE) -> SRing:
-    """S, the ring of the descent: the primes up to 10^4 that divide N = |abcABC|,
-    each proved by the sieve, found by one gcd of N with their product.  The
-    rest of N is not factored (verify-inclusion prints it as "unsplit")."""
+    """The ring of the primes up to 10^4 that divide N = |abcABC|, each proved
+    by the sieve, found by one gcd of N with their product.  The rest of N is
+    not factored (verify-inclusion prints it as "unsplit"), so this is S, the
+    ring of the descent, only when that rest is 1; the descent's points are
+    tested over Z[1/N], whose primes are these and those of the rest."""
     from .sarith import SRing
 
-    N = math.prod(F.sig) * F.A * F.B * F.C
-    return SRing(factorize(math.gcd(N, _PRIMORIAL)).primes())
+    return SRing(_trial_primes(math.prod(F.sig) * F.A * F.B * F.C))
 
 
 def _check_power_bits(entries: int, coef: int, n: int, radius: int):
@@ -362,9 +362,9 @@ class DescentEntry(Record):
 
 
 class DescentReport(Record):
-    """Outcome of pushing every enumerated solution through the point test.
-    ring is bad_prime_set(gfe), the primes <= 10^4 of |abcABC|, proved by the
-    sieve; unsplit is (the rest of |abcABC|,), unfactored, or () if it is 1."""
+    """Outcome of testing every enumerated solution over Z[1/N], N = |abcABC|.
+    ring is bad_prime_set(gfe); unsplit is (the rest of N,), unfactored, or
+    () if it is 1, so the primes of N are those of ring and unsplit together."""
 
     __slots__ = ("gfe", "bound", "ring", "unsplit", "entries")
 
@@ -378,10 +378,10 @@ class DescentReport(Record):
 
 
 def verify_descent_inclusion(F: GFE, bound: int) -> DescentReport:
-    """Check that every primitive solution lands on the rooted line over the
-    ring bad_prime_set(F); violations are collected in the report, never raised.
-    Each point is tested over Z[1/N], N = |abcABC| unfactored, by gcds with
-    N, so neither a verdict nor the ring factors, tests primality or runs rho."""
+    """Check that every primitive solution lands on the rooted line over
+    Z[1/N], N = |abcABC|, tested by gcds with N unfactored, so no verdict
+    factors, tests primality or runs rho; violations are collected in the
+    report, never raised.  The report's ring is bad_prime_set(F)."""
     from .belyi import is_stack_point
     from .sarith import SRing
 

@@ -417,7 +417,7 @@ def factored_ring(F):
     from gfdescent.exact import factorize
     from gfdescent.sarith import SRing
 
-    return SRing(factorize(prod(F.sig) * F.A * F.B * F.C).primes())
+    return SRing(p for p, _ in factorize(prod(F.sig) * F.A * F.B * F.C).factors)
 
 
 def smooth_rough_coefficients():

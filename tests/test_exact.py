@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gfdescent import exact
+from gfdescent import errors, exact
 from gfdescent.errors import CAPS, WorkLimitExceeded, ZeroPoint
 from gfdescent.exact import (
     Factorization,
@@ -142,7 +142,7 @@ def test_factorize_without_rho_builds_no_generator(monkeypatch):
     monkeypatch.setattr(exact.random, "Random", refuse)
     q = 2**31 - 1
     assert factorize(q**2).factors == ((q, 2),)
-    assert factorize(M61**2, rho_iteration_cap=200_000).factors == ((M61, 2),)
+    assert factorize(M61**2).factors == ((M61, 2),)
     assert factorize(2**100 * 3**7).factors == ((2, 100), (3, 7))
     assert factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))
     assert factorize(100000007 * 9973).factors == ((9973, 1), (100000007, 1))
@@ -179,16 +179,20 @@ def test_factorize_round_trip_random_large():
         n = rng.randrange(10**6, 10**12) * rng.choice((1, -1))
         f = factorize(n)
         assert factorization_product(f) == n
-        assert all(is_probable_prime(p) for p in f.primes())
-        assert list(f.primes()) == sorted(set(f.primes()))
+        primes = [p for p, _ in f.factors]
+        assert all(is_probable_prime(p) for p in primes)
+        assert primes == sorted(set(primes))
 
 
-def test_factorize_work_limit():
+def test_factorize_work_limit(monkeypatch):
     # Two large Mersenne primes; trial division cannot see them and a
-    # one-iteration rho budget cannot split the product.
+    # one-unit rho cap cannot split the product.
     n = (2**89 - 1) * (2**107 - 1)
-    with pytest.raises(WorkLimitExceeded):
-        factorize(n, rho_iteration_cap=1)
+    monkeypatch.setitem(CAPS, "rho work", 1)
+    with pytest.raises(WorkLimitExceeded) as e:
+        factorize(n)
+    assert (e.value.cap, e.value.limit) == ("rho work", 1)
+    assert str(e.value) == f"rho work cap of 1 exceeded: factoring {n} (unsplit part {n})"
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -204,11 +208,29 @@ def test_factorize_work_limit():
         (56093278537482643, (246954509, 13470), (None, 1023)),
     ],
 )
-def test_brent_rho_pinned(n, full, capped):
+def test_brent_rho_pinned(n, full, capped, monkeypatch):
     # 56-bit semiprimes, seeded as factorize seeds them; the (factor, spent)
     # pairs pin the iteration, so a rewrite of the loop must not move them.
-    assert _brent_rho(n, random.Random(n ^ 0x5EED), 5_000_000) == full
-    assert _brent_rho(n, random.Random(n ^ 0x5EED), 1000) == capped
+    assert _brent_rho(n, random.Random(n ^ 0x5EED), 0, n) == full
+    assert refused_rho(n, 1000, monkeypatch) == capped
+
+
+def refused_rho(n, cap, monkeypatch):
+    """(None, spent) for the rho run that factorize seeds on n, under a
+    rho-work cap that refuses it: spent is the work it was charged with
+    when the cap refused it."""
+    charged = []
+
+    def recording(name, work, *detail):
+        charged.append(work)
+        errors.charge(name, work, *detail)
+
+    with monkeypatch.context() as m:
+        m.setattr(exact, "charge", recording)
+        m.setitem(CAPS, "rho work", cap)
+        with pytest.raises(WorkLimitExceeded, match="^rho work cap"):
+            _brent_rho(n, random.Random(n ^ 0x5EED), 0, n)
+    return None, charged[-1]
 
 
 @pytest.mark.parametrize(
@@ -221,17 +243,20 @@ def test_brent_rho_pinned(n, full, capped):
         (56093278537482643, 246954509, 13470),
     ],
 )
-def test_factorize_splits_pinned_semiprimes(n, p, spent):
+def test_factorize_splits_pinned_semiprimes(n, p, spent, monkeypatch):
     # The pinned rho runs above, through factorize and its seeding: the
-    # pinned factor and cofactor come out with exactly the pinned budget,
-    # and one iteration less runs out.
+    # pinned factor and cofactor come out with exactly the pinned cap,
+    # and one unit less runs out.  rho_iteration_cap changes nothing.
     q, r = divmod(n, p)
     assert r == 0
     want = tuple(sorted(((p, 1), (q, 1))))
     assert factorize(n).factors == want
-    assert factorize(n, rho_iteration_cap=spent).factors == want
+    assert factorize(n, rho_iteration_cap=1) == factorize(n)
+    monkeypatch.setitem(CAPS, "rho work", spent)
+    assert factorize(n).factors == want
+    monkeypatch.setitem(CAPS, "rho work", spent - 1)
     with pytest.raises(WorkLimitExceeded):
-        factorize(n, rho_iteration_cap=spent - 1)
+        factorize(n)
 
 
 def test_factorize_runs_rho_again_while_budget_is_left(monkeypatch):
@@ -239,24 +264,27 @@ def test_factorize_runs_rho_again_while_budget_is_left(monkeypatch):
     # backtracking) leaves the rest to the next attempt: with 1 unit of work
     # left, rho runs again.
     p, q = 100003, 100019
-    attempts = iter([(None, 9), (p, 1)])
-    budgets = []
+    attempts = iter([(None, 9), (p, 10)])
+    spent_before = []
 
-    def rho(n, rng, budget):
-        budgets.append(budget)
-        return next(attempts)
+    def rho(n, rng, spent, whole):
+        spent_before.append(spent)
+        factor, spent = next(attempts)
+        errors.charge("rho work", spent, "factoring {}", whole)
+        return factor, spent
 
     monkeypatch.setattr(exact, "_brent_rho", rho)
-    assert factorize(p * q, rho_iteration_cap=10).factors == ((p, 1), (q, 1))
-    assert budgets == [10, 1]
+    monkeypatch.setitem(CAPS, "rho work", 10)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert spent_before == [0, 9]
 
 
-def test_brent_rho_charges_steps_by_words():
+def test_brent_rho_charges_steps_by_words(monkeypatch):
     # This 400-digit semiprime of two ~200-digit primes is 1,324 bits, 21
-    # words of 64 bits, so each step costs 21: a budget of 1,000 steps' work runs out after the same
-    # 1,023 steps as the 56-bit budget of 1,000 above.
+    # words of 64 bits, so each step costs 21: a cap of 1,000 steps' work runs out after the same
+    # 1,023 steps as the 56-bit cap of 1,000 above.
     n = (10**199 + 12819) * (3 * 10**199 + 1607)
-    assert _brent_rho(n, random.Random(n ^ 0x5EED), 21 * 1000) == (None, 21 * 1023)
+    assert refused_rho(n, 21 * 1000, monkeypatch) == (None, 21 * 1023)
 
 
 def test_split_power_tries_prime_exponents(monkeypatch):
@@ -350,10 +378,12 @@ def test_residue_primes_are_the_primes_one_mod_2k():
         assert qs == want, k
 
 
-def test_factorize_splits_perfect_powers():
+def test_factorize_splits_perfect_powers(monkeypatch):
     # Rho alone hit this cap on the square of a 61-bit prime.
     p = 2**61 - 1
-    assert factorize(p**2, rho_iteration_cap=200_000) == Factorization(1, ((p, 2),))
+    with monkeypatch.context() as m:
+        m.setitem(CAPS, "rho work", 200_000)
+        assert factorize(p**2) == Factorization(1, ((p, 2),))
     q = 2**31 - 1
     assert factorize(-(q**6) * p**3 * 12) == Factorization(
         -1, ((2, 2), (3, 1), (q, 6), (p, 3))
@@ -369,7 +399,8 @@ def test_a_square_costs_one_root(monkeypatch):
         return is_perfect_nth_power(value, k)
 
     monkeypatch.setattr(exact, "is_perfect_nth_power", counted)
-    assert factorize(M61**2, rho_iteration_cap=1).factors == ((M61, 2),)
+    monkeypatch.setitem(CAPS, "rho work", 1)
+    assert factorize(M61**2).factors == ((M61, 2),)
     assert roots == [2]
 
 
@@ -597,6 +628,6 @@ def test_prime_bit_cap():
 def test_is_probable_prime_rejects_psi12():
     assert PSI_12 == 399165290221 * 798330580441
     assert not is_probable_prime(PSI_12)
-    assert factorize(PSI_12).primes() == (399165290221, 798330580441)
+    assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
     with pytest.raises(ValueError, match=f"{PSI_12} is not prime"):
         s_unit_reps(SRing((PSI_12,)), 2)

@@ -669,6 +669,22 @@ def test_verdicts_over_the_support_equal_those_over_the_bad_primes():
     assert statuses == {"marked", "smooth", "rejected"}
 
 
+def test_an_unsplit_prime_is_in_the_ring_of_the_verdicts():
+    # With unsplit not (), the points are tested over Z[1/N], whose primes
+    # are those of ring and unsplit together, not over ring alone: each
+    # point of x^2 + y^2 = 10009 z^2, such as (10000:10009), passes only
+    # with 10009 inverted.
+    F = GFE(Signature(2, 2, 2), 1, 1, -10009)
+    report = verify_descent_inclusion(F, 200)
+    assert report.passed and len(report.entries) == 16
+    assert (str(report.ring), report.unsplit) == ("Z[1/{2}]", (10009,))
+    support = SRing((8 * 10009,))
+    for e in report.entries:
+        assert is_stack_point(e.image, F.sig, support) == e.certificate
+        assert e.certificate.accepted
+        assert not is_stack_point(e.image, F.sig, report.ring).accepted, str(e.image)
+
+
 def test_no_verdict_factors(monkeypatch):
     # verify-inclusion prints the primes up to 10^4 that divide N = |abcABC|
     # and leaves the rest of N unsplit, so neither its verdicts nor its ring

@@ -159,17 +159,19 @@ def test_nonadmissible_record_less_its_search_is_the_output():
 
 
 def test_only_factorize_reaches_rho(monkeypatch):
-    # No command runs rho or splits a power, and bad_prime_set, the ring that
-    # verify-inclusion prints and sieve442 takes its unit classes over, does
-    # neither and tests no primality, as building no ring does: its
-    # generators are the trial primes of abcABC, and only the unit classes
-    # test them.  A point fixes its recovery scale, so recovery factors
-    # nothing.
-    def refuse(*args):
+    # No command factors, runs rho or splits a power: with all three
+    # refused, the whole golden corpus, recovery among it, prints as before.
+    # bad_prime_set, the ring that verify-inclusion prints and sieve442 takes
+    # its unit classes over, tests no primality either, as building no ring
+    # does: its generators are the trial primes of abcABC, and only the unit
+    # classes test them.
+    def refuse(*args, **kwargs):
         raise AssertionError(f"called on {args}")
 
+    monkeypatch.setattr(exact, "factorize", refuse)
     monkeypatch.setattr(exact, "_brent_rho", refuse)
     monkeypatch.setattr(exact, "_split_power", refuse)
+    assert {"recover", "recover-marked-units", "recover-smooth-units"} <= set(CASES)
     for name in sorted(CASES | ABSORBED):
         assert_prints_golden(name)
     with monkeypatch.context() as m:
@@ -179,12 +181,6 @@ def test_only_factorize_reaches_rho(monkeypatch):
             N = 42 * A * rough
             want = tuple(p for p in exact._TRIAL_PRIMES if N % p == 0)
             assert gfe.bad_prime_set(gfe.GFE(Signature(2, 3, 7), A, rough, C)).generators == want
-    monkeypatch.setattr(gfe, "factorize", refuse)
-    monkeypatch.setattr(exact, "factorize", refuse)
-    names = [name for name in CASES if name.startswith("recover")]
-    assert names == ["recover", "recover-marked-units", "recover-smooth-units"]
-    for name in names:
-        assert_prints_golden(name)
 
 
 def test_every_golden_file_has_a_case():

@@ -48,8 +48,8 @@ LEDGER = {
         ("is_probable_prime", 1): ("while", "cap", "prime bits", "CAP_TRIGGERS"),
         ("is_probable_prime", 2): ("for", "constant", "the 13 _SMALL_PRIMES"),
         ("is_probable_prime", 3): ("for", "cap", "prime bits", "CAP_TRIGGERS"),
-        ("Factorization.primes", 0): ("comprehension", "linear",
-                                      "one step per prime factor, at most the bits of n"),
+        ("_trial_primes", 0): ("for", "constant",
+                               "the 1,229 _TRIAL_PRIMES, stopping at p^2 > g"),
         ("_brent_rho", 0): ("while", "cap", "rho work", "CAP_TRIGGERS"),
         # Round r advances r steps and then charges up to r steps.
         ("_brent_rho", 1): ("for", "dominated", ("_brent_rho", 2)),
@@ -68,7 +68,7 @@ LEDGER = {
         ("_divide_out", 0): ("while", "linear",
                              "each pass divides out p^(2^i), so O(log e) passes"),
         ("_divide_out", 1): ("while", "linear", "q squares each step, so O(log e) steps"),
-        ("factorize", 0): ("for", "constant", "the 1,229 _TRIAL_PRIMES"),
+        ("factorize", 0): ("for", "constant", "at most the 1,229 trial primes"),
         ("factorize", 1): ("while", "linear",
                            "each pop records a prime or pushes parts whose bits sum "
                            "to at most the cofactor's, so O(bits of n) pops"),

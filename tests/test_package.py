@@ -468,18 +468,17 @@ def test_cap_lists_name_the_caps_raised():
     assert caps_raised(ast.parse("raise WorkLimitExceeded(cap, 1, '')")) == []
 
 
-def test_every_cap_but_rho_work_is_met_through_charge():
-    # Outside errors, only factorize raises WorkLimitExceeded itself, for
-    # the rho budget a caller may pass in, and only it and _split_power,
-    # which takes the prime-bits cap as a threshold, name CAPS.
+def test_every_cap_is_met_through_charge():
+    # Outside errors, no function raises WorkLimitExceeded itself, and only
+    # _split_power, which takes the prime-bits cap as a threshold, names CAPS.
     constructs, reads = set(), set()
     for p in sorted(pathlib.Path(gfdescent.__file__).parent.glob("*.py")):
         if p.stem != "errors":
             c, r = cap_sites(ast.parse(p.read_text()))
             constructs |= {f"{p.stem}.{name}" for name in c}
             reads |= {f"{p.stem}.{name}" for name in r}
-    assert constructs == {"exact.factorize"}
-    assert reads == {"exact.factorize", "exact._split_power"}
+    assert constructs == set()
+    assert reads == {"exact._split_power"}
     code = "class A:\n    def f(self):\n        raise WorkLimitExceeded('a', CAPS['a'], '')"
     assert cap_sites(ast.parse(code)) == ({"A.f"}, {"A.f"})
     assert cap_sites(ast.parse("x = errors.CAPS.get('a')")) == (set(), {""})

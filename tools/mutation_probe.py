@@ -62,6 +62,10 @@ _PAST_N_MINUS_1 = (
     " solution: each prime p of n would have p = 1 mod 2^(v+k+1), v = v_2(n-1),"
     " so n = 1 mod 2^(v+1); the extra steps never break, and the answer stands"
 )
+_R_MINUS_K = (
+    "r is a power of 2 and k is 0 or a multiple of m = 128 below r, so r - k and"
+    " r + k are both r when r < 128, and both at least m when r >= 128"
+)
 # "<target>:<line>: <before> -> <after>", line counted from the def and
 # " #k" added for the k-th alike mutant (k >= 2), mapped to why no input
 # tells the mutant apart from the code.
@@ -69,16 +73,23 @@ EQUIVALENT = {
     "exact.is_probable_prime:18: 0 -> 1": _PAST_N_MINUS_1,
     "exact.is_probable_prime:21: 1 -> 2": _PAST_N_MINUS_1,
     "exact.is_probable_prime:26: s - 1 -> s + 1": _PAST_N_MINUS_1,
-    "exact.factorize:26: n > 0 -> n >= 0": "factorize refuses n = 0 first, so n is never 0",
-    "exact.factorize:31: p * p > g -> p * p >= g": (
-        "g divides the product of distinct primes, so it is squarefree and never p^2"
-    ),
-    "exact.factorize:43: 1 -> 2": (
+    "exact.factorize:22: n > 0 -> n >= 0": "factorize refuses n = 0 first, so n is never 0",
+    "exact.factorize:31: 1 -> 2": (
         "trial division leaves m = 1 or m with a prime past 10^4, so m is never 2"
     ),
-    "exact.factorize:59: budget <= 0 -> budget < 0": (
-        "at budget 0 one more _brent_rho attempt returns None at its first product,"
-        " before any gcd, and the same WorkLimitExceeded follows"
+    "exact._trial_primes:9: p * p > g -> p * p >= g": (
+        "g divides the product of distinct primes, so it is squarefree and never p^2"
+    ),
+    "exact._brent_rho:16: k < r -> k <= r": (
+        "k reaches r only for r >= 128 and g = 1; that extra batch takes no step,"
+        " charges nothing new and keeps g = 1, and the ys it sets is set again by"
+        " the next round's first batch before any use"
+    ),
+    "exact._brent_rho:18: r - k -> r + k": _R_MINUS_K,
+    "exact._brent_rho:21: r - k -> r + k": _R_MINUS_K,
+    "exact._brent_rho:33: 1 -> 2": (
+        "factorize gives _brent_rho only cofactors with no prime up to 10^4, so a"
+        " divisor g > 1 of n is past 10^4 and never 2"
     ),
     "sarith.unit_class_key:11: u > 0 -> u >= 0": (
         "u is a unit by then, and 0 is not one (is_unit refuses it), so u is never 0"
